@@ -11,7 +11,10 @@
 // average the exact conditional instead of a ±1 draw, so each retained sweep
 // carries far less variance; the precision columns keep that trade honest.
 // scripts/bench_report.sh parses the "# kernel" footers into the
-// kernel_speedup section of BENCH_guidance.json and gates on >= 5x.
+// kernel_speedup section of BENCH_guidance.json. The speed gate (>= 5x) and
+// the precision gate (fast within 0.05 of the reference on every dataset)
+// print separate footers, because only the speed gate depends on the host's
+// core count.
 
 #include <cmath>
 
@@ -106,9 +109,13 @@ int Main(int argc, char** argv) {
       corpora.empty()
           ? 0.0
           : std::exp(log_speedup_sum / static_cast<double>(corpora.size()));
+  const bool speed_holds = geomean >= 5.0;
   std::cout << "# kernel speedup = " << geomean << "\n";
   std::cout << "# kernel min_speedup = " << min_speedup << "\n";
-  PrintShapeCheck(geomean >= 5.0 && precision_holds,
+  std::cout << "# kernel speed_holds = " << (speed_holds ? 1 : 0) << "\n";
+  std::cout << "# kernel precision_holds = " << (precision_holds ? 1 : 0)
+            << "\n";
+  PrintShapeCheck(speed_holds && precision_holds,
                   "batched fan-out + chromatic E-step is >= 5x faster per "
                   "guidance step without losing precision");
   return 0;

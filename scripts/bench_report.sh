@@ -63,17 +63,34 @@ kernel_field() {
 }
 kernel_speedup="$(kernel_field speedup)"
 kernel_min_speedup="$(kernel_field min_speedup)"
-kernel_shape="$(awk '/^# shape-check: / { print $3 }' "$kernel_txt")"
-# The >= 5x gate assumes the chromatic E-step can actually run its color
-# classes in parallel. On a single-core host the batched kernels still win
-# (memory layout, fewer passes) but the parallel term of the speedup is
-# unavailable, so a MISS there is an advisory about the host, not a
-# regression in the kernels. Record the core count so readers of the
-# committed report can tell the two apart.
+kernel_speed_holds="$(kernel_field speed_holds)"
+kernel_precision_holds="$(kernel_field precision_holds)"
+# The two gates are judged apart. The >= 5x speed gate assumes the
+# chromatic E-step can actually run its color classes in parallel: on a
+# single-core host the batched kernels still win (memory layout, fewer
+# passes) but the parallel term of the speedup is unavailable, so a speed
+# miss there is an advisory about the host, not a regression in the
+# kernels. The precision gate does not depend on the host, so its miss is
+# always recorded as a MISS (non-fatal, like every shape check here).
+# Record the core count so readers of the committed report can tell the
+# cases apart.
 host_cores="$(nproc)"
-if [[ "${kernel_shape:-MISS}" == "MISS" && "$host_cores" -le 1 ]]; then
-  kernel_shape="ADVISORY (>=5x gate not enforced: single-core host, parallel chromatic sweep unavailable)"
+if [[ "$kernel_speed_holds" == "1" ]]; then
+  kernel_speed="PASS"
+elif [[ "$host_cores" -le 1 ]]; then
+  kernel_speed="ADVISORY"
+else
+  kernel_speed="MISS"
 fi
+speed_advisory="ADVISORY (>=5x gate not enforced: single-core host, parallel chromatic sweep unavailable)"
+case "$kernel_speed,$kernel_precision_holds" in
+  PASS,1)     kernel_shape="PASS" ;;
+  ADVISORY,1) kernel_shape="$speed_advisory" ;;
+  MISS,1)     kernel_shape="MISS (speed)" ;;
+  PASS,*)     kernel_shape="MISS (precision)" ;;
+  ADVISORY,*) kernel_shape="MISS (precision); speed $speed_advisory" ;;
+  *)          kernel_shape="MISS (speed, precision)" ;;
+esac
 kernel_rows="$(awk '
   /^-+$/ { in_table = 1; next }
   /^#/   { in_table = 0 }
@@ -82,8 +99,9 @@ kernel_rows="$(awk '
     printf "    {\"dataset\": \"%s\", \"reference_ms_per_step\": %s, \"fast_ms_per_step\": %s, \"speedup\": %s, \"reference_precision\": %s, \"fast_precision\": %s}", $1, $2, $3, $4, $5, $6
   }
 ' "$kernel_txt")"
-if [[ -z "$kernel_speedup" ]]; then
-  echo "error: bench_kernel_speedup emitted no '# kernel speedup' footer" >&2
+if [[ -z "$kernel_speedup" || -z "$kernel_speed_holds" ||
+      -z "$kernel_precision_holds" ]]; then
+  echo "error: bench_kernel_speedup emitted no '# kernel speedup|speed_holds|precision_holds' footer" >&2
   exit 1
 fi
 
@@ -256,7 +274,9 @@ fi
   echo "    \"min_dataset_speedup\": ${kernel_min_speedup:-null},"
   echo "    \"gate_min_speedup\": 5.0,"
   echo "    \"host_cores\": $host_cores,"
-  echo "    \"shape_check\": \"${kernel_shape:-MISS}\","
+  echo "    \"speed_holds\": $([ "$kernel_speed_holds" = "1" ] && echo true || echo false),"
+  echo "    \"precision_holds\": $([ "$kernel_precision_holds" = "1" ] && echo true || echo false),"
+  echo "    \"shape_check\": \"$kernel_shape\","
   echo "    \"rows\": ["
   printf '%s\n' "$kernel_rows"
   echo "    ]"

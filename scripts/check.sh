@@ -21,10 +21,11 @@
 # text grammar with a non-empty step-latency histogram, DESIGN.md §14).
 #
 # ASAN=1 builds with Address + UndefinedBehavior sanitizers and runs the
-# crf/ and core/ suites — the ones exercising the HypotheticalEngine
-# scratch-buffer pooling, the CSR adjacency and the pluggable solver
-# backends' sub-MRF extraction (crf_solver_test) — so buffer reuse stays
-# leak- and UB-clean.
+# optim/, crf/ and core/ suites — the ones exercising the M-step kernel's
+# per-example evaluation cache (optim_logistic_test), the
+# HypotheticalEngine scratch-buffer pooling, the CSR adjacency and the
+# pluggable solver backends' sub-MRF extraction (crf_solver_test) — so
+# buffer reuse stays leak- and UB-clean.
 #
 # TSAN=1 builds with ThreadSanitizer and runs the service/, api/, obs/ and
 # crf/ suites — the ones exercising the SessionManager's per-session
@@ -301,7 +302,8 @@ if [[ "${ASAN:-0}" == "1" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$build_dir" -j "$(nproc)"
   status=0
-  for suite in "$build_dir"/tests/crf_*_test "$build_dir"/tests/core_*_test; do
+  for suite in "$build_dir"/tests/optim_*_test "$build_dir"/tests/crf_*_test \
+               "$build_dir"/tests/core_*_test; do
     echo "== ${suite##*/}"
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 "$suite" \
       --gtest_brief=1 || status=1

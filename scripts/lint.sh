@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Static analysis entry point: the repo-invariant custom pass (veritas-lint)
-# plus the curated clang-tidy baseline. Exits non-zero on any veritas-lint
-# finding; clang-tidy findings are advisory unless LINT_TIDY_STRICT=1 (flip
-# once a clean baseline exists on a clang-equipped host).
+# Static analysis entry point: a tracked-build-artefact check, the
+# repo-invariant custom pass (veritas-lint) and the curated clang-tidy
+# baseline. Exits non-zero when git tracks a build artefact or on any
+# veritas-lint finding; clang-tidy findings are advisory unless
+# LINT_TIDY_STRICT=1 (flip once a clean baseline exists on a clang-equipped
+# host).
 #
 # Usage: scripts/lint.sh [build-dir]              (default: build)
 #        LINT_TIDY_STRICT=1 scripts/lint.sh ...   (clang-tidy findings fatal)
@@ -17,6 +19,23 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-build}"
+
+# Build output belongs in ignored build*/ dirs, never in the index: fail on
+# any tracked CMakeCache.txt, CMakeFiles/ path or object file. Needs git
+# metadata, so an exported tree (tarball, git archive) skips it.
+if git -C "$repo_root" rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  echo "== tracked build artefacts"
+  artefacts="$(git -C "$repo_root" ls-files |
+    grep -E '(^|/)CMakeCache\.txt$|(^|/)CMakeFiles/|\.o$' || true)"
+  if [[ -n "$artefacts" ]]; then
+    echo "lint: $(wc -l <<< "$artefacts") build artefact(s) tracked by git, e.g.:" >&2
+    head -5 <<< "$artefacts" >&2
+    echo "remove them with 'git rm -r --cached' and keep build dirs ignored" >&2
+    exit 1
+  fi
+else
+  echo "== tracked build artefacts: not a git checkout; skipping"
+fi
 
 if [[ ! -f "$build_dir/compile_commands.json" ]]; then
   cmake -B "$build_dir" -S "$repo_root" > /dev/null

@@ -16,6 +16,7 @@ namespace {
 /// backend's canonical wire name:
 ///   veritas_crf_backend_selected_total{backend="..."} — Infer() calls
 ///   veritas_crf_sweep_seconds{backend="..."}          — one Marginals solve
+/// plus the backend-independent veritas_crf_mstep_seconds — one weight fit.
 struct BackendMetrics {
   MetricsRegistry::Counter* selected;
   MetricsRegistry::Histogram* sweep_seconds;
@@ -35,6 +36,12 @@ const BackendMetrics& MetricsFor(CrfBackend backend) {
     return m;
   }();
   return metrics[static_cast<size_t>(backend)];
+}
+
+MetricsRegistry::Histogram* MStepSeconds() {
+  static MetricsRegistry::Histogram* const histogram =
+      GlobalMetrics().histogram("veritas_crf_mstep_seconds");
+  return histogram;
 }
 
 }  // namespace
@@ -159,8 +166,13 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
 
     // M-step: refit the log-linear weights on soft-labelled cliques (Eq. 8).
     if (options_.fit_weights) {
+      const auto mstep_started = std::chrono::steady_clock::now();  // lint: timing
       auto report = FitCrfWeights(*db_, new_probs, *state, options_.crf,
                                   options_.tron, &model_);
+      MStepSeconds()->Record(
+          std::chrono::duration<double>(  // lint: timing
+              std::chrono::steady_clock::now() - mstep_started)
+              .count());
       if (!report.ok()) return report.status();
       stats.tron_iterations += report.value().iterations;
     }

@@ -91,6 +91,7 @@ Result<ArrivalStats> StreamingFactChecker::OnClaimArrival(
 
   // M-step (Eq. 30): warm-started TRON on the decayed window.
   LogisticObjective objective(model.feature_dim(), options_.icrf.crf.l2_lambda);
+  objective.Reserve(window_.size());
   for (const auto& example : window_) {
     const double weight = std::exp(example.log_weight + log_scale_);
     objective.AddExample(example.features, example.target, weight);
@@ -135,6 +136,7 @@ Result<ArrivalStats> StreamingFactChecker::OnUserLabel(ClaimId claim,
   while (window_.size() > options_.window_cap) window_.pop_front();
 
   LogisticObjective objective(model.feature_dim(), options_.icrf.crf.l2_lambda);
+  objective.Reserve(window_.size());
   for (const auto& example : window_) {
     objective.AddExample(example.features, example.target,
                          std::exp(example.log_weight + log_scale_));

@@ -201,6 +201,7 @@ Result<TronReport> FitCrfWeights(const FactDatabase& db,
       unlabeled_mass > mass_cap ? mass_cap / unlabeled_mass : 1.0;
 
   LogisticObjective objective(model->feature_dim(), config.l2_lambda);
+  objective.Reserve(db.num_cliques());
   std::vector<double> x;
   for (size_t i = 0; i < db.num_cliques(); ++i) {
     const Clique& clique = db.clique(i);

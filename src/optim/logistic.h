@@ -17,10 +17,24 @@ namespace veritas {
 /// its claim (or the user label) and whose weight omega_i propagates the
 /// influence of the clique, per Eq. 6/8. Soft labels make the expectation of
 /// the complete-data log-likelihood exact for a log-linear model.
+///
+/// TRON evaluates Value/Gradient once per accepted step but a dozen or more
+/// Hessian-vector products at the same w. The per-example margin x_i . w,
+/// e^{-|margin|}, the sigmoid and the curvature omega_i s_i (1 - s_i) are
+/// therefore cached, keyed on the exact bits of the last w, so an HVP costs
+/// two dim-length passes per example and no transcendental call. Every
+/// cached value is computed by the same operations in the same order as a
+/// straight-line evaluation, so results are bit-identical to recomputing
+/// (DESIGN.md §12, "M-step kernel"). The cache makes the const evaluators
+/// unsafe to call on one objective from two threads at once.
 class LogisticObjective : public DifferentiableObjective {
  public:
   /// `dim` is the feature dimensionality (include the intercept in x).
   LogisticObjective(size_t dim, double l2_lambda);
+
+  /// Pre-allocates room for `examples` rows, so a caller that knows its
+  /// row count appends without regrowing the design matrix.
+  void Reserve(size_t examples);
 
   /// Appends an example. `features` must have size dim(); `target` in [0,1];
   /// `weight` >= 0. Violations are clamped rather than rejected because the
@@ -42,11 +56,23 @@ class LogisticObjective : public DifferentiableObjective {
                             std::vector<double>* hv) const override;
 
  private:
+  /// Makes the per-example cache describe `w`; a no-op when the cached key
+  /// has the same bits.
+  void EvaluateAt(const std::vector<double>& w) const;
+
   size_t dim_;
   double l2_lambda_;
   std::vector<double> features_;  // row-major, num_examples x dim
   std::vector<double> targets_;
   std::vector<double> weights_;
+
+  // Per-example evaluation cache, valid for the weights in cached_w_.
+  mutable bool cache_valid_ = false;
+  mutable std::vector<double> cached_w_;
+  mutable std::vector<double> margins_;     // m_i = x_i . w
+  mutable std::vector<double> exps_;        // e^{-|m_i|}
+  mutable std::vector<double> sigmoids_;    // s_i = sigmoid(m_i)
+  mutable std::vector<double> curvatures_;  // omega_i s_i (1 - s_i)
 };
 
 }  // namespace veritas

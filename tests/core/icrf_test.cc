@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/grounding.h"
+#include "obs/metrics.h"
 #include "testing/corpus_fixtures.h"
 
 namespace veritas {
@@ -200,6 +201,33 @@ TEST(ICrfTest, FitWeightsOffFreezesModel) {
   BeliefState state(corpus.db.num_claims());
   ASSERT_TRUE(icrf.Infer(&state).ok());
   for (const double w : icrf.model().weights()) EXPECT_DOUBLE_EQ(w, 0.0);
+}
+
+TEST(ICrfTest, EStepAndMStepHistogramsGainOneSamplePerEmIteration) {
+  MetricsRegistry::Histogram* sweeps = GlobalMetrics().histogram(
+      WithLabel("veritas_crf_sweep_seconds", "backend",
+                CrfBackendName(CrfBackend::kGibbs)));
+  MetricsRegistry::Histogram* msteps =
+      GlobalMetrics().histogram("veritas_crf_mstep_seconds");
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(71);
+  for (const bool fit_weights : {true, false}) {
+    ICrfOptions options = FastOptions();
+    options.backend = CrfBackend::kGibbs;
+    options.em_tolerance = 0.0;  // run every EM iteration
+    options.fit_weights = fit_weights;
+    ICrf icrf(&corpus.db, options, 11);
+    BeliefState state(corpus.db.num_claims());
+    const uint64_t sweeps_before = sweeps->Snapshot().count;
+    const uint64_t msteps_before = msteps->Snapshot().count;
+    auto stats = icrf.Infer(&state);
+    ASSERT_TRUE(stats.ok());
+    const uint64_t iterations = stats.value().em_iterations;
+    EXPECT_EQ(iterations, options.max_em_iterations);
+    EXPECT_EQ(sweeps->Snapshot().count - sweeps_before, iterations);
+    // A frozen model runs no M-step, so it records none.
+    EXPECT_EQ(msteps->Snapshot().count - msteps_before,
+              fit_weights ? iterations : 0u);
+  }
 }
 
 }  // namespace

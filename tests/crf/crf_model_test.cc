@@ -1,11 +1,15 @@
 #include "crf/model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/math.h"
+#include "common/rng.h"
 #include "testing/corpus_fixtures.h"
+#include "testing/reference_logistic.h"
 
 namespace veritas {
 namespace {
@@ -175,6 +179,91 @@ TEST(FitCrfWeightsTest, RejectsBadArguments) {
   EXPECT_FALSE(FitCrfWeights(db, bad_targets, state, {}, {}, &model).ok());
   std::vector<double> targets(db.num_claims(), 0.5);
   EXPECT_FALSE(FitCrfWeights(db, targets, state, {}, {}, nullptr).ok());
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// FitCrfWeights's M-step problem written out straight-line over the oracle
+/// objective: one example per clique, labelled cliques at labeled_weight,
+/// unlabelled ones at their confidence weight scaled under the mass cap.
+Result<TronReport> ReferenceFit(const FactDatabase& db,
+                                const std::vector<double>& targets,
+                                const BeliefState& state, const CrfConfig& config,
+                                CrfModel* model) {
+  std::vector<double> weights(db.num_cliques());
+  double labeled_mass = 0.0;
+  double unlabeled_mass = 0.0;
+  for (size_t i = 0; i < db.num_cliques(); ++i) {
+    const ClaimId claim = db.clique(i).claim;
+    if (state.IsLabeled(claim)) {
+      weights[i] = config.labeled_weight;
+      labeled_mass += weights[i];
+    } else {
+      const double y = std::clamp(targets[claim], 0.0, 1.0);
+      weights[i] = config.unlabeled_weight_floor +
+                   config.unlabeled_confidence_scale * std::fabs(2.0 * y - 1.0);
+      unlabeled_mass += weights[i];
+    }
+  }
+  const double cap = std::max(1.0, config.unlabeled_mass_cap_ratio * labeled_mass);
+  const double scale = unlabeled_mass > cap ? cap / unlabeled_mass : 1.0;
+  testing::ReferenceLogisticObjective objective(model->feature_dim(),
+                                                config.l2_lambda);
+  std::vector<double> x;
+  for (size_t i = 0; i < db.num_cliques(); ++i) {
+    const Clique& clique = db.clique(i);
+    const double y = std::clamp(targets[clique.claim], 0.0, 1.0);
+    model->BuildCliqueFeatures(db, i, &x);
+    objective.AddExample(x, clique.stance == Stance::kSupport ? y : 1.0 - y,
+                         state.IsLabeled(clique.claim) ? weights[i]
+                                                       : weights[i] * scale);
+  }
+  return MinimizeTron(objective, model->mutable_weights());
+}
+
+TEST(FitCrfWeightsTest, MatchesStraightLineOracleBitwise) {
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(23, 60);
+  const FactDatabase& db = corpus.db;
+  Rng rng(5);
+  BeliefState state(db.num_claims());
+  std::vector<double> targets(db.num_claims());
+  for (size_t c = 0; c < db.num_claims(); ++c) {
+    const ClaimId id = static_cast<ClaimId>(c);
+    if (c % 4 == 0) {
+      state.SetLabel(id, db.ground_truth(id));
+      targets[c] = db.ground_truth(id) ? 1.0 : 0.0;
+    } else {
+      targets[c] = rng.Uniform();
+    }
+  }
+  CrfConfig config;
+  CrfModel fast = CrfModel::ForDatabase(db);
+  CrfModel reference = fast;
+  // Two rounds, like consecutive EM iterations: the second warm-starts from
+  // the first round's weights.
+  for (int round = 0; round < 2; ++round) {
+    auto got = FitCrfWeights(db, targets, state, config, {}, &fast);
+    auto want = ReferenceFit(db, targets, state, config, &reference);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(fast.weights().size(), reference.weights().size());
+    EXPECT_EQ(std::memcmp(fast.weights().data(), reference.weights().data(),
+                          fast.weights().size() * sizeof(double)),
+              0);
+    const TronReport& a = got.value();
+    const TronReport& b = want.value();
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_TRUE(SameBits(a.initial_value, b.initial_value));
+    EXPECT_TRUE(SameBits(a.final_value, b.final_value));
+    EXPECT_TRUE(SameBits(a.final_gradient_norm, b.final_gradient_norm));
+    EXPECT_EQ(a.converged, b.converged);
+    EXPECT_GT(a.iterations, 0u);
+    for (size_t c = 0; c < db.num_claims(); ++c) {
+      if (!state.IsLabeled(static_cast<ClaimId>(c))) {
+        targets[c] = 0.5 * (targets[c] + rng.Uniform());
+      }
+    }
+  }
 }
 
 }  // namespace
