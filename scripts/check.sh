@@ -25,7 +25,10 @@
 # per-example evaluation cache (optim_logistic_test), the
 # HypotheticalEngine scratch-buffer pooling, the CSR adjacency and the
 # pluggable solver backends' sub-MRF extraction (crf_solver_test) — so
-# buffer reuse stays leak- and UB-clean.
+# buffer reuse stays leak- and UB-clean; plus the suites that feed bytes to
+# the decoders (the JSON parser, the wire codec and its golden fixtures,
+# the TSV/binary readers, the session checkpoint and its golden
+# directories), so malformed and truncated input stays memory-safe.
 #
 # TSAN=1 builds with ThreadSanitizer and runs the service/, api/, obs/ and
 # crf/ suites — the ones exercising the SessionManager's per-session
@@ -302,8 +305,15 @@ if [[ "${ASAN:-0}" == "1" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$build_dir" -j "$(nproc)"
   status=0
+  # Kernel suites (buffer reuse) and decoder suites (untrusted bytes).
   for suite in "$build_dir"/tests/optim_*_test "$build_dir"/tests/crf_*_test \
-               "$build_dir"/tests/core_*_test; do
+               "$build_dir"/tests/core_*_test \
+               "$build_dir"/tests/api_json_test \
+               "$build_dir"/tests/api_codec_roundtrip_test \
+               "$build_dir"/tests/api_codec_golden_test \
+               "$build_dir"/tests/data_io_test \
+               "$build_dir"/tests/service_checkpoint_test \
+               "$build_dir"/tests/service_checkpoint_golden_test; do
     echo "== ${suite##*/}"
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 "$suite" \
       --gtest_brief=1 || status=1

@@ -1,131 +1,16 @@
 #include "api/codec.h"
 
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 namespace veritas {
 
 namespace {
 
-// ---- decode helpers --------------------------------------------------------
-// Shared contract: a missing member leaves the caller's default untouched
-// (forward/backward compatibility within one api_version); a present member
-// of the wrong type is an error. Key context is threaded into messages so a
-// malformed document names the offending field.
-
 Status Contextualize(const Status& status, const char* key) {
   if (status.ok()) return status;
   return Status(status.code(), std::string(key) + ": " + status.message());
-}
-
-Status GetU64(const JsonValue& obj, const char* key, uint64_t* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  auto parsed = v->AsU64();
-  if (!parsed.ok()) return Contextualize(parsed.status(), key);
-  *out = parsed.value();
-  return Status::OK();
-}
-
-Status GetSize(const JsonValue& obj, const char* key, size_t* out) {
-  uint64_t v = *out;
-  VERITAS_RETURN_IF_ERROR(GetU64(obj, key, &v));
-  *out = static_cast<size_t>(v);
-  return Status::OK();
-}
-
-Status GetU32(const JsonValue& obj, const char* key, uint32_t* out) {
-  uint64_t v = *out;
-  VERITAS_RETURN_IF_ERROR(GetU64(obj, key, &v));
-  if (v > UINT32_MAX) {
-    return Status::OutOfRange(std::string(key) + ": exceeds uint32");
-  }
-  *out = static_cast<uint32_t>(v);
-  return Status::OK();
-}
-
-Status GetDouble(const JsonValue& obj, const char* key, double* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  auto parsed = v->AsDouble();
-  if (!parsed.ok()) return Contextualize(parsed.status(), key);
-  *out = parsed.value();
-  return Status::OK();
-}
-
-Status GetBool(const JsonValue& obj, const char* key, bool* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  auto parsed = v->AsBool();
-  if (!parsed.ok()) return Contextualize(parsed.status(), key);
-  *out = parsed.value();
-  return Status::OK();
-}
-
-Status GetString(const JsonValue& obj, const char* key, std::string* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  auto parsed = v->AsString();
-  if (!parsed.ok()) return Contextualize(parsed.status(), key);
-  *out = parsed.value();
-  return Status::OK();
-}
-
-Status GetU32Vector(const JsonValue& obj, const char* key,
-                    std::vector<uint32_t>* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_array()) {
-    return Status::InvalidArgument(std::string(key) + ": expected an array");
-  }
-  out->clear();
-  out->reserve(v->items().size());
-  for (const JsonValue& item : v->items()) {
-    auto parsed = item.AsU64();
-    if (!parsed.ok()) return Contextualize(parsed.status(), key);
-    if (parsed.value() > UINT32_MAX) {
-      return Status::OutOfRange(std::string(key) + ": element exceeds uint32");
-    }
-    out->push_back(static_cast<uint32_t>(parsed.value()));
-  }
-  return Status::OK();
-}
-
-Status GetByteVector(const JsonValue& obj, const char* key,
-                     std::vector<uint8_t>* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_array()) {
-    return Status::InvalidArgument(std::string(key) + ": expected an array");
-  }
-  out->clear();
-  out->reserve(v->items().size());
-  for (const JsonValue& item : v->items()) {
-    auto parsed = item.AsU64();
-    if (!parsed.ok()) return Contextualize(parsed.status(), key);
-    if (parsed.value() > UINT8_MAX) {
-      return Status::OutOfRange(std::string(key) + ": element exceeds uint8");
-    }
-    out->push_back(static_cast<uint8_t>(parsed.value()));
-  }
-  return Status::OK();
-}
-
-Status GetDoubleVector(const JsonValue& obj, const char* key,
-                       std::vector<double>* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_array()) {
-    return Status::InvalidArgument(std::string(key) + ": expected an array");
-  }
-  out->clear();
-  out->reserve(v->items().size());
-  for (const JsonValue& item : v->items()) {
-    auto parsed = item.AsDouble();
-    if (!parsed.ok()) return Contextualize(parsed.status(), key);
-    out->push_back(parsed.value());
-  }
-  return Status::OK();
 }
 
 Status RequireObject(const JsonValue& value, const char* what) {
@@ -135,437 +20,278 @@ Status RequireObject(const JsonValue& value, const char* what) {
   return Status::OK();
 }
 
-// ---- encode helpers --------------------------------------------------------
+// ---- the JSON archive ------------------------------------------------------
+// Both directions are visitors over each struct's VisitFields
+// (common/fields.h): a struct is an object keyed by field name, a vector an
+// array, an enum its spelling, an integer an exact decimal, a double the
+// writer's max_digits10 rendering. FactDatabase, BeliefState and the metrics
+// snapshots keep hand-written overloads, because their JSON shape is not
+// their member list.
 
-void WriteU32Vector(JsonWriter* w, const char* key,
-                    const std::vector<uint32_t>& values) {
-  w->Key(key).BeginArray();
-  for (const uint32_t v : values) w->UInt(v);
-  w->EndArray();
-}
+class JsonOut {
+ public:
+  explicit JsonOut(JsonWriter* w) : w_(w) {}
 
-void WriteByteVector(JsonWriter* w, const char* key,
-                     const std::vector<uint8_t>& values) {
-  w->Key(key).BeginArray();
-  for (const uint8_t v : values) w->UInt(v);
-  w->EndArray();
-}
-
-void WriteDoubleVector(JsonWriter* w, const char* key,
-                       const std::vector<double>& values) {
-  w->Key(key).BeginArray();
-  for (const double v : values) w->Double(v);
-  w->EndArray();
-}
-
-// ---- enum spellings --------------------------------------------------------
-
-const char* ModeName(SessionMode mode) {
-  return mode == SessionMode::kBatch ? "batch" : "streaming";
-}
-
-Status ParseMode(const std::string& name, SessionMode* out) {
-  if (name == "batch") *out = SessionMode::kBatch;
-  else if (name == "streaming") *out = SessionMode::kStreaming;
-  else return Status::InvalidArgument("unknown session mode: " + name);
-  return Status::OK();
-}
-
-const char* UserKindName(UserSpec::Kind kind) {
-  switch (kind) {
-    case UserSpec::Kind::kNone: return "none";
-    case UserSpec::Kind::kOracle: return "oracle";
-    case UserSpec::Kind::kErroneous: return "erroneous";
-    case UserSpec::Kind::kSkipping: return "skipping";
+  template <typename T>
+  void operator()(const char* key, const T& value) {
+    w_->Key(key);
+    Write(value);
   }
-  return "oracle";
-}
 
-Status ParseUserKind(const std::string& name, UserSpec::Kind* out) {
-  if (name == "none") *out = UserSpec::Kind::kNone;
-  else if (name == "oracle") *out = UserSpec::Kind::kOracle;
-  else if (name == "erroneous") *out = UserSpec::Kind::kErroneous;
-  else if (name == "skipping") *out = UserSpec::Kind::kSkipping;
-  else return Status::InvalidArgument("unknown user kind: " + name);
-  return Status::OK();
-}
+  void Write(bool value) { w_->Bool(value); }
+  void Write(double value) { w_->Double(value); }
+  void Write(const std::string& value) { w_->String(value); }
+  void Write(const FactDatabase& db);
+  void Write(const BeliefState& state);
+  void Write(const HistogramSnapshot& hist);
+  void Write(const MetricsSnapshot& snapshot);
 
-const char* VariantName(GuidanceVariant variant) {
-  switch (variant) {
-    case GuidanceVariant::kOrigin: return "origin";
-    case GuidanceVariant::kScalable: return "scalable";
-    case GuidanceVariant::kParallelPartition: return "parallel_partition";
+  template <typename T>
+  void Write(const std::vector<T>& items) {
+    w_->BeginArray();
+    for (const T& item : items) Write(item);
+    w_->EndArray();
   }
-  return "parallel_partition";
-}
 
-Status ParseVariant(const std::string& name, GuidanceVariant* out) {
-  if (name == "origin") *out = GuidanceVariant::kOrigin;
-  else if (name == "scalable") *out = GuidanceVariant::kScalable;
-  else if (name == "parallel_partition") *out = GuidanceVariant::kParallelPartition;
-  else return Status::InvalidArgument("unknown guidance variant: " + name);
-  return Status::OK();
-}
-
-const char* FanoutName(FanoutKernel kernel) {
-  switch (kernel) {
-    case FanoutKernel::kPerCandidate: return "per_candidate";
-    case FanoutKernel::kBatched: return "batched";
+  template <typename T>
+  void Write(const T& value) {
+    if constexpr (std::is_enum_v<T>) {
+      w_->String(EnumName(value));
+    } else if constexpr (std::is_integral_v<T>) {
+      static_assert(std::is_unsigned_v<T>, "schema integers are unsigned");
+      w_->UInt(value);
+    } else {
+      w_->BeginObject();
+      VisitFields(*this, value);
+      w_->EndObject();
+    }
   }
-  return "batched";
-}
 
-Status ParseFanout(const std::string& name, FanoutKernel* out) {
-  if (name == "per_candidate") *out = FanoutKernel::kPerCandidate;
-  else if (name == "batched") *out = FanoutKernel::kBatched;
-  else return Status::InvalidArgument("unknown fanout kernel: " + name);
-  return Status::OK();
-}
+ private:
+  JsonWriter* w_;
+};
 
-const char* StrategyWireName(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kRandom: return "random";
-    case StrategyKind::kUncertainty: return "uncertainty";
-    case StrategyKind::kInfoGain: return "info_gain";
-    case StrategyKind::kSource: return "source";
-    case StrategyKind::kHybrid: return "hybrid";
+template <typename T>
+Status ReadMember(const JsonValue& object, const char* key, T* out);
+
+/// The reader visitor. A missing member leaves the caller's default
+/// untouched (forward/backward compatibility within one api_version); a
+/// present member of the wrong type is an error, and the key path is
+/// threaded into its message so a malformed document names the field.
+class JsonIn {
+ public:
+  explicit JsonIn(const JsonValue& object) : object_(object) {}
+
+  template <typename T>
+  void operator()(const char* key, T& field) {
+    if (status_.ok()) status_ = ReadMember(object_, key, &field);
   }
-  return "hybrid";
-}
 
-Status ParseBackend(const std::string& name, CrfBackend* out) {
-  if (name == "auto") *out = CrfBackend::kAuto;
-  else if (name == "gibbs") *out = CrfBackend::kGibbs;
-  else if (name == "chromatic") *out = CrfBackend::kChromatic;
-  else if (name == "exact") *out = CrfBackend::kExact;
-  else if (name == "mean_field") *out = CrfBackend::kMeanField;
-  else if (name == "dispatch") *out = CrfBackend::kDispatch;
-  else return Status::InvalidArgument("unknown crf backend: " + name);
-  return Status::OK();
-}
+  const Status& status() const { return status_; }
 
-Status ParseStrategy(const std::string& name, StrategyKind* out) {
-  if (name == "random") *out = StrategyKind::kRandom;
-  else if (name == "uncertainty") *out = StrategyKind::kUncertainty;
-  else if (name == "info_gain") *out = StrategyKind::kInfoGain;
-  else if (name == "source") *out = StrategyKind::kSource;
-  else if (name == "hybrid") *out = StrategyKind::kHybrid;
-  else return Status::InvalidArgument("unknown strategy: " + name);
-  return Status::OK();
-}
-
-template <typename Enum, typename Parser>
-Status GetEnum(const JsonValue& obj, const char* key, Parser parser,
-               Enum* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  auto name = v->AsString();
-  if (!name.ok()) return Contextualize(name.status(), key);
-  return Contextualize(parser(name.value(), out), key);
-}
-
-// ---- options codecs --------------------------------------------------------
-
-void EncodeGibbs(const GibbsOptions& gibbs, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("burn_in").UInt(gibbs.burn_in);
-  w->Key("num_samples").UInt(gibbs.num_samples);
-  w->Key("thin").UInt(gibbs.thin);
-  w->Key("num_threads").UInt(gibbs.num_threads);
-  w->EndObject();
-}
-
-Status DecodeGibbs(const JsonValue& value, GibbsOptions* gibbs) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "gibbs"));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "burn_in", &gibbs->burn_in));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "num_samples", &gibbs->num_samples));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "thin", &gibbs->thin));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "num_threads", &gibbs->num_threads));
-  return Status::OK();
-}
-
-void EncodeIcrfOptions(const ICrfOptions& options, JsonWriter* w) {
-  const CrfConfig& c = options.crf;
-  w->BeginObject();
-  w->Key("crf").BeginObject();
-  w->Key("l2_lambda").Double(c.l2_lambda);
-  w->Key("coupling").Double(c.coupling);
-  w->Key("prior_weight").Double(c.prior_weight);
-  w->Key("prior_clamp").Double(c.prior_clamp);
-  w->Key("labeled_weight").Double(c.labeled_weight);
-  w->Key("unlabeled_weight_floor").Double(c.unlabeled_weight_floor);
-  w->Key("unlabeled_confidence_scale").Double(c.unlabeled_confidence_scale);
-  w->Key("unlabeled_mass_cap_ratio").Double(c.unlabeled_mass_cap_ratio);
-  w->Key("max_pairs_per_source").UInt(c.max_pairs_per_source);
-  w->EndObject();
-  w->Key("gibbs");
-  EncodeGibbs(options.gibbs, w);
-  w->Key("hypothetical_gibbs");
-  EncodeGibbs(options.hypothetical_gibbs, w);
-  const TronOptions& t = options.tron;
-  w->Key("tron").BeginObject();
-  w->Key("max_iterations").UInt(t.max_iterations);
-  w->Key("gradient_tolerance").Double(t.gradient_tolerance);
-  w->Key("initial_radius").Double(t.initial_radius);
-  w->Key("cg_max_iterations").UInt(t.cg_max_iterations);
-  w->Key("cg_tolerance").Double(t.cg_tolerance);
-  w->Key("eta0").Double(t.eta0);
-  w->Key("eta1").Double(t.eta1);
-  w->Key("eta2").Double(t.eta2);
-  w->Key("sigma1").Double(t.sigma1);
-  w->Key("sigma2").Double(t.sigma2);
-  w->Key("sigma3").Double(t.sigma3);
-  w->EndObject();
-  w->Key("max_em_iterations").UInt(options.max_em_iterations);
-  w->Key("em_tolerance").Double(options.em_tolerance);
-  w->Key("fit_weights").Bool(options.fit_weights);
-  w->Key("backend").String(CrfBackendName(options.backend));
-  w->Key("hypothetical_backend")
-      .String(CrfBackendName(options.hypothetical_backend));
-  w->EndObject();
-}
-
-Status DecodeIcrfOptions(const JsonValue& value, ICrfOptions* options) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "icrf"));
-  if (const JsonValue* crf = value.Find("crf")) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*crf, "crf"));
-    CrfConfig& c = options->crf;
-    VERITAS_RETURN_IF_ERROR(GetDouble(*crf, "l2_lambda", &c.l2_lambda));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*crf, "coupling", &c.coupling));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*crf, "prior_weight", &c.prior_weight));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*crf, "prior_clamp", &c.prior_clamp));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*crf, "labeled_weight", &c.labeled_weight));
-    VERITAS_RETURN_IF_ERROR(
-        GetDouble(*crf, "unlabeled_weight_floor", &c.unlabeled_weight_floor));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*crf, "unlabeled_confidence_scale",
-                                      &c.unlabeled_confidence_scale));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*crf, "unlabeled_mass_cap_ratio",
-                                      &c.unlabeled_mass_cap_ratio));
-    VERITAS_RETURN_IF_ERROR(
-        GetSize(*crf, "max_pairs_per_source", &c.max_pairs_per_source));
+  static Status Read(const JsonValue& value, bool* out) {
+    return Assign(value.AsBool(), out);
   }
-  if (const JsonValue* gibbs = value.Find("gibbs")) {
-    VERITAS_RETURN_IF_ERROR(DecodeGibbs(*gibbs, &options->gibbs));
+  static Status Read(const JsonValue& value, double* out) {
+    return Assign(value.AsDouble(), out);
   }
-  if (const JsonValue* gibbs = value.Find("hypothetical_gibbs")) {
-    VERITAS_RETURN_IF_ERROR(DecodeGibbs(*gibbs, &options->hypothetical_gibbs));
+  static Status Read(const JsonValue& value, std::string* out) {
+    return Assign(value.AsString(), out);
   }
-  if (const JsonValue* tron = value.Find("tron")) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*tron, "tron"));
-    TronOptions& t = options->tron;
-    VERITAS_RETURN_IF_ERROR(GetSize(*tron, "max_iterations", &t.max_iterations));
-    VERITAS_RETURN_IF_ERROR(
-        GetDouble(*tron, "gradient_tolerance", &t.gradient_tolerance));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*tron, "initial_radius", &t.initial_radius));
-    VERITAS_RETURN_IF_ERROR(
-        GetSize(*tron, "cg_max_iterations", &t.cg_max_iterations));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*tron, "cg_tolerance", &t.cg_tolerance));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*tron, "eta0", &t.eta0));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*tron, "eta1", &t.eta1));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*tron, "eta2", &t.eta2));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*tron, "sigma1", &t.sigma1));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*tron, "sigma2", &t.sigma2));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*tron, "sigma3", &t.sigma3));
+  static Status Read(const JsonValue& value, FactDatabase* db);
+  static Status Read(const JsonValue& value, BeliefState* state);
+  static Status Read(const JsonValue& value, HistogramSnapshot* hist);
+  static Status Read(const JsonValue& value, MetricsSnapshot* snapshot);
+
+  template <typename T>
+  static Status Read(const JsonValue& value, std::vector<T>* items) {
+    if (!value.is_array()) return Status::InvalidArgument("expected an array");
+    items->clear();
+    items->reserve(value.items().size());
+    for (const JsonValue& item : value.items()) {
+      T decoded{};
+      VERITAS_RETURN_IF_ERROR(Read(item, &decoded));
+      items->push_back(std::move(decoded));
+    }
+    return Status::OK();
   }
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "max_em_iterations", &options->max_em_iterations));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "em_tolerance", &options->em_tolerance));
-  VERITAS_RETURN_IF_ERROR(GetBool(value, "fit_weights", &options->fit_weights));
-  // Missing key = default (kAuto): payloads from pre-backend peers decode to
-  // the exact legacy behavior. Unknown names are rejected, never coerced.
-  VERITAS_RETURN_IF_ERROR(
-      GetEnum(value, "backend", ParseBackend, &options->backend));
-  VERITAS_RETURN_IF_ERROR(GetEnum(value, "hypothetical_backend", ParseBackend,
-                                  &options->hypothetical_backend));
+
+  template <typename T>
+  static Status Read(const JsonValue& value, T* out) {
+    if constexpr (std::is_enum_v<T>) {
+      // Unknown names are rejected, never coerced to a default.
+      auto name = value.AsString();
+      if (!name.ok()) return name.status();
+      if (!EnumFromName(name.value(), out)) {
+        return Status::InvalidArgument("unknown value \"" + name.value() +
+                                       "\"");
+      }
+      return Status::OK();
+    } else if constexpr (std::is_integral_v<T>) {
+      static_assert(std::is_unsigned_v<T>, "schema integers are unsigned");
+      auto parsed = value.AsU64();
+      if (!parsed.ok()) return parsed.status();
+      if (parsed.value() > std::numeric_limits<T>::max()) {
+        return Status::OutOfRange("exceeds " +
+                                  std::to_string(8 * sizeof(T)) + " bits");
+      }
+      *out = static_cast<T>(parsed.value());
+      return Status::OK();
+    } else {
+      if (!value.is_object()) {
+        return Status::InvalidArgument("expected an object");
+      }
+      JsonIn fields(value);
+      VisitFields(fields, *out);
+      return fields.status();
+    }
+  }
+
+ private:
+  template <typename T>
+  static Status Assign(Result<T> parsed, T* out) {
+    if (!parsed.ok()) return parsed.status();
+    *out = std::move(parsed).value();
+    return Status::OK();
+  }
+
+  const JsonValue& object_;
+  Status status_;
+};
+
+template <typename T>
+Status ReadMember(const JsonValue& object, const char* key, T* out) {
+  const JsonValue* member = object.Find(key);
+  if (member == nullptr) return Status::OK();
+  return Contextualize(JsonIn::Read(*member, out), key);
+}
+
+// ---- hand-written shapes ---------------------------------------------------
+
+void JsonOut::Write(const FactDatabase& db) {
+  w_->BeginObject();
+  w_->Key("sources").BeginArray();
+  for (size_t s = 0; s < db.num_sources(); ++s) {
+    const Source& source = db.source(static_cast<SourceId>(s));
+    w_->BeginObject();
+    (*this)("name", source.name);
+    (*this)("features", source.features);
+    w_->EndObject();
+  }
+  w_->EndArray();
+  w_->Key("documents").BeginArray();
+  for (size_t d = 0; d < db.num_documents(); ++d) {
+    const Document& document = db.document(static_cast<DocumentId>(d));
+    w_->BeginObject();
+    (*this)("source", document.source);
+    (*this)("features", document.features);
+    w_->EndObject();
+  }
+  w_->EndArray();
+  w_->Key("claims").BeginArray();
+  for (size_t c = 0; c < db.num_claims(); ++c) {
+    const ClaimId id = static_cast<ClaimId>(c);
+    w_->BeginObject();
+    w_->Key("text").String(db.claim(id).text);
+    w_->Key("truth").String(
+        db.has_ground_truth(id) ? (db.ground_truth(id) ? "1" : "0") : "?");
+    w_->EndObject();
+  }
+  w_->EndArray();
+  w_->Key("mentions").BeginArray();
+  for (const Clique& clique : db.cliques()) {
+    w_->BeginObject();
+    (*this)("document", clique.document);
+    (*this)("claim", clique.claim);
+    w_->Key("stance").String(clique.stance == Stance::kSupport ? "support"
+                                                               : "refute");
+    w_->EndObject();
+  }
+  w_->EndArray();
+  w_->EndObject();
+}
+
+/// Decodes each element of the array member `key` (absent = none) as an
+/// object and hands its members to `add`.
+template <typename Add>
+Status ReadRows(const JsonValue& value, const char* key, Add add) {
+  const JsonValue* rows = value.Find(key);
+  if (rows == nullptr) return Status::OK();
+  if (!rows->is_array()) {
+    return Status::InvalidArgument(std::string(key) + ": expected an array");
+  }
+  for (const JsonValue& row : rows->items()) {
+    VERITAS_RETURN_IF_ERROR(RequireObject(row, key));
+    VERITAS_RETURN_IF_ERROR(add(row));
+  }
   return Status::OK();
 }
 
-void EncodeGuidance(const GuidanceConfig& guidance, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("variant").String(VariantName(guidance.variant));
-  w->Key("candidate_pool").UInt(guidance.candidate_pool);
-  w->Key("neighborhood_radius").UInt(guidance.neighborhood_radius);
-  w->Key("neighborhood_cap").UInt(guidance.neighborhood_cap);
-  w->Key("num_threads").UInt(guidance.num_threads);
-  w->Key("max_enumeration_claims").UInt(guidance.max_enumeration_claims);
-  w->Key("seed").UInt(guidance.seed);
-  w->Key("fanout").String(FanoutName(guidance.fanout));
-  w->Key("fanout_base_sweeps").UInt(guidance.fanout_base_sweeps);
-  w->Key("fanout_burn_in").UInt(guidance.fanout_burn_in);
-  w->Key("fanout_samples").UInt(guidance.fanout_samples);
-  w->EndObject();
-}
-
-Status DecodeGuidance(const JsonValue& value, GuidanceConfig* guidance) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "guidance"));
+Status JsonIn::Read(const JsonValue& value, FactDatabase* db) {
+  VERITAS_RETURN_IF_ERROR(RequireObject(value, "db"));
+  FactDatabase decoded;
+  VERITAS_RETURN_IF_ERROR(ReadRows(value, "sources", [&](const JsonValue& row) {
+    Source source;
+    VERITAS_RETURN_IF_ERROR(ReadMember(row, "name", &source.name));
+    VERITAS_RETURN_IF_ERROR(ReadMember(row, "features", &source.features));
+    decoded.AddSource(std::move(source));
+    return Status::OK();
+  }));
   VERITAS_RETURN_IF_ERROR(
-      GetEnum(value, "variant", ParseVariant, &guidance->variant));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "candidate_pool", &guidance->candidate_pool));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "neighborhood_radius", &guidance->neighborhood_radius));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "neighborhood_cap", &guidance->neighborhood_cap));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "num_threads", &guidance->num_threads));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "max_enumeration_claims",
-                                  &guidance->max_enumeration_claims));
-  VERITAS_RETURN_IF_ERROR(GetU64(value, "seed", &guidance->seed));
-  VERITAS_RETURN_IF_ERROR(GetEnum(value, "fanout", ParseFanout, &guidance->fanout));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "fanout_base_sweeps", &guidance->fanout_base_sweeps));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "fanout_burn_in", &guidance->fanout_burn_in));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "fanout_samples", &guidance->fanout_samples));
+      ReadRows(value, "documents", [&](const JsonValue& row) {
+        Document document;
+        VERITAS_RETURN_IF_ERROR(ReadMember(row, "source", &document.source));
+        VERITAS_RETURN_IF_ERROR(
+            ReadMember(row, "features", &document.features));
+        decoded.AddDocument(std::move(document));
+        return Status::OK();
+      }));
+  VERITAS_RETURN_IF_ERROR(ReadRows(value, "claims", [&](const JsonValue& row) {
+    Claim claim;
+    VERITAS_RETURN_IF_ERROR(ReadMember(row, "text", &claim.text));
+    const ClaimId id = decoded.AddClaim(std::move(claim));
+    std::string truth = "?";
+    VERITAS_RETURN_IF_ERROR(ReadMember(row, "truth", &truth));
+    if (truth == "0") decoded.SetGroundTruth(id, false);
+    else if (truth == "1") decoded.SetGroundTruth(id, true);
+    else if (truth != "?") {
+      return Status::InvalidArgument("claim truth: expected \"?\"/\"0\"/\"1\"");
+    }
+    return Status::OK();
+  }));
+  VERITAS_RETURN_IF_ERROR(ReadRows(value, "mentions", [&](const JsonValue& row) {
+    DocumentId document = 0;
+    ClaimId claim = 0;
+    std::string stance = "support";
+    VERITAS_RETURN_IF_ERROR(ReadMember(row, "document", &document));
+    VERITAS_RETURN_IF_ERROR(ReadMember(row, "claim", &claim));
+    VERITAS_RETURN_IF_ERROR(ReadMember(row, "stance", &stance));
+    if (stance != "support" && stance != "refute") {
+      return Status::InvalidArgument("mention stance: expected support/refute");
+    }
+    return decoded.AddMention(
+        document, claim,
+        stance == "support" ? Stance::kSupport : Stance::kRefute);
+  }));
+  *db = std::move(decoded);
   return Status::OK();
 }
 
-void EncodeTermination(const TerminationOptions& t, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("enable_urr").Bool(t.enable_urr);
-  w->Key("urr_threshold").Double(t.urr_threshold);
-  w->Key("urr_patience").UInt(t.urr_patience);
-  w->Key("enable_cng").Bool(t.enable_cng);
-  w->Key("cng_threshold").Double(t.cng_threshold);
-  w->Key("cng_patience").UInt(t.cng_patience);
-  w->Key("enable_pre").Bool(t.enable_pre);
-  w->Key("pre_streak").UInt(t.pre_streak);
-  w->Key("enable_pir").Bool(t.enable_pir);
-  w->Key("pir_threshold").Double(t.pir_threshold);
-  w->Key("pir_folds").UInt(t.pir_folds);
-  w->Key("pir_interval").UInt(t.pir_interval);
-  w->Key("pir_patience").UInt(t.pir_patience);
-  w->EndObject();
-}
-
-Status DecodeTermination(const JsonValue& value, TerminationOptions* t) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "termination"));
-  VERITAS_RETURN_IF_ERROR(GetBool(value, "enable_urr", &t->enable_urr));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "urr_threshold", &t->urr_threshold));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "urr_patience", &t->urr_patience));
-  VERITAS_RETURN_IF_ERROR(GetBool(value, "enable_cng", &t->enable_cng));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "cng_threshold", &t->cng_threshold));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "cng_patience", &t->cng_patience));
-  VERITAS_RETURN_IF_ERROR(GetBool(value, "enable_pre", &t->enable_pre));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "pre_streak", &t->pre_streak));
-  VERITAS_RETURN_IF_ERROR(GetBool(value, "enable_pir", &t->enable_pir));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "pir_threshold", &t->pir_threshold));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "pir_folds", &t->pir_folds));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "pir_interval", &t->pir_interval));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "pir_patience", &t->pir_patience));
-  return Status::OK();
-}
-
-void EncodeValidationOptions(const ValidationOptions& options, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("icrf");
-  EncodeIcrfOptions(options.icrf, w);
-  w->Key("guidance");
-  EncodeGuidance(options.guidance, w);
-  w->Key("strategy").String(StrategyWireName(options.strategy));
-  w->Key("budget").UInt(options.budget);
-  w->Key("target_precision").Double(options.target_precision);
-  w->Key("batch_size").UInt(options.batch_size);
-  w->Key("batch_benefit_weight").Double(options.batch_benefit_weight);
-  w->Key("confirmation_interval").UInt(options.confirmation_interval);
-  w->Key("termination");
-  EncodeTermination(options.termination, w);
-  w->Key("exact_entropy_trace").Bool(options.exact_entropy_trace);
-  w->Key("seed").UInt(options.seed);
-  w->EndObject();
-}
-
-Status DecodeValidationOptions(const JsonValue& value,
-                               ValidationOptions* options) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "validation"));
-  if (const JsonValue* icrf = value.Find("icrf")) {
-    VERITAS_RETURN_IF_ERROR(DecodeIcrfOptions(*icrf, &options->icrf));
-  }
-  if (const JsonValue* guidance = value.Find("guidance")) {
-    VERITAS_RETURN_IF_ERROR(DecodeGuidance(*guidance, &options->guidance));
-  }
-  VERITAS_RETURN_IF_ERROR(
-      GetEnum(value, "strategy", ParseStrategy, &options->strategy));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "budget", &options->budget));
-  VERITAS_RETURN_IF_ERROR(
-      GetDouble(value, "target_precision", &options->target_precision));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "batch_size", &options->batch_size));
-  VERITAS_RETURN_IF_ERROR(
-      GetDouble(value, "batch_benefit_weight", &options->batch_benefit_weight));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "confirmation_interval", &options->confirmation_interval));
-  if (const JsonValue* termination = value.Find("termination")) {
-    VERITAS_RETURN_IF_ERROR(
-        DecodeTermination(*termination, &options->termination));
-  }
-  VERITAS_RETURN_IF_ERROR(
-      GetBool(value, "exact_entropy_trace", &options->exact_entropy_trace));
-  VERITAS_RETURN_IF_ERROR(GetU64(value, "seed", &options->seed));
-  return Status::OK();
-}
-
-void EncodeStreamingOptions(const StreamingOptions& options, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("icrf");
-  EncodeIcrfOptions(options.icrf, w);
-  w->Key("step_a").Double(options.step_a);
-  w->Key("step_t0").Double(options.step_t0);
-  w->Key("step_kappa").Double(options.step_kappa);
-  w->Key("window_cap").UInt(options.window_cap);
-  w->Key("tron_iterations_per_arrival").UInt(options.tron_iterations_per_arrival);
-  w->Key("seed").UInt(options.seed);
-  w->EndObject();
-}
-
-Status DecodeStreamingOptions(const JsonValue& value,
-                              StreamingOptions* options) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "streaming"));
-  if (const JsonValue* icrf = value.Find("icrf")) {
-    VERITAS_RETURN_IF_ERROR(DecodeIcrfOptions(*icrf, &options->icrf));
-  }
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "step_a", &options->step_a));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "step_t0", &options->step_t0));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "step_kappa", &options->step_kappa));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "window_cap", &options->window_cap));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "tron_iterations_per_arrival",
-                                  &options->tron_iterations_per_arrival));
-  VERITAS_RETURN_IF_ERROR(GetU64(value, "seed", &options->seed));
-  return Status::OK();
-}
-
-void EncodeArrivalStats(const ArrivalStats& arrival, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("claim").UInt(arrival.claim);
-  w->Key("update_seconds").Double(arrival.update_seconds);
-  w->Key("initial_prob").Double(arrival.initial_prob);
-  w->EndObject();
-}
-
-Status DecodeArrivalStats(const JsonValue& value, ArrivalStats* arrival) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "arrival"));
-  VERITAS_RETURN_IF_ERROR(GetU32(value, "claim", &arrival->claim));
-  VERITAS_RETURN_IF_ERROR(
-      GetDouble(value, "update_seconds", &arrival->update_seconds));
-  VERITAS_RETURN_IF_ERROR(
-      GetDouble(value, "initial_prob", &arrival->initial_prob));
-  return Status::OK();
-}
-
-void EncodeBeliefState(const BeliefState& state, JsonWriter* w) {
-  w->BeginObject();
-  WriteDoubleVector(w, "probs", state.probs());
-  w->Key("labels").BeginArray();
+void JsonOut::Write(const BeliefState& state) {
+  w_->BeginObject();
+  (*this)("probs", state.probs());
+  w_->Key("labels").BeginArray();
   for (size_t i = 0; i < state.num_claims(); ++i) {
-    w->Int(static_cast<int64_t>(state.label(static_cast<ClaimId>(i))));
+    w_->Int(static_cast<int64_t>(state.label(static_cast<ClaimId>(i))));
   }
-  w->EndArray();
-  w->EndObject();
+  w_->EndArray();
+  w_->EndObject();
 }
 
-Status DecodeBeliefState(const JsonValue& value, BeliefState* state) {
+Status JsonIn::Read(const JsonValue& value, BeliefState* state) {
   VERITAS_RETURN_IF_ERROR(RequireObject(value, "state"));
   std::vector<double> probs;
-  VERITAS_RETURN_IF_ERROR(GetDoubleVector(value, "probs", &probs));
+  VERITAS_RETURN_IF_ERROR(ReadMember(value, "probs", &probs));
   std::vector<int64_t> labels;
   if (const JsonValue* v = value.Find("labels")) {
     if (!v->is_array()) {
@@ -593,61 +319,123 @@ Status DecodeBeliefState(const JsonValue& value, BeliefState* state) {
   return Status::OK();
 }
 
-void EncodeServiceStats(const ServiceStats& stats, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("sessions_created").UInt(stats.sessions_created);
-  w->Key("sessions_active").UInt(stats.sessions_active);
-  w->Key("sessions_resident").UInt(stats.sessions_resident);
-  w->Key("sessions_spilled").UInt(stats.sessions_spilled);
-  w->Key("evictions").UInt(stats.evictions);
-  w->Key("spill_restores").UInt(stats.spill_restores);
-  w->Key("resident_bytes").UInt(stats.resident_bytes);
-  w->Key("steps_served").UInt(stats.steps_served);
-  w->Key("spill_bytes").UInt(stats.spill_bytes);
-  w->Key("peak_resident_bytes").UInt(stats.peak_resident_bytes);
-  w->EndObject();
+void JsonOut::Write(const HistogramSnapshot& hist) {
+  w_->BeginObject();
+  // The +Inf overflow bound has no JSON literal (the writer rejects
+  // non-finite doubles); the wire carries the finite bounds only and the
+  // decoder reappends +Inf — so "counts" has one more element than
+  // "bounds".
+  w_->Key("bounds").BeginArray();
+  for (size_t i = 0; i + 1 < hist.upper_bounds.size(); ++i) {
+    w_->Double(hist.upper_bounds[i]);
+  }
+  w_->EndArray();
+  (*this)("counts", hist.counts);
+  (*this)("sum", hist.sum);
+  (*this)("count", hist.count);
+  w_->EndObject();
 }
 
-Status DecodeServiceStats(const JsonValue& value, ServiceStats* stats) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "stats"));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "sessions_created", &stats->sessions_created));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "sessions_active", &stats->sessions_active));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "sessions_resident", &stats->sessions_resident));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "sessions_spilled", &stats->sessions_spilled));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "evictions", &stats->evictions));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "spill_restores", &stats->spill_restores));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "resident_bytes", &stats->resident_bytes));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "steps_served", &stats->steps_served));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "spill_bytes", &stats->spill_bytes));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "peak_resident_bytes", &stats->peak_resident_bytes));
+Status JsonIn::Read(const JsonValue& value, HistogramSnapshot* hist) {
+  VERITAS_RETURN_IF_ERROR(RequireObject(value, "histogram"));
+  hist->upper_bounds.clear();
+  VERITAS_RETURN_IF_ERROR(ReadMember(value, "bounds", &hist->upper_bounds));
+  hist->upper_bounds.push_back(std::numeric_limits<double>::infinity());
+  hist->counts.clear();
+  VERITAS_RETURN_IF_ERROR(ReadMember(value, "counts", &hist->counts));
+  if (hist->counts.size() != hist->upper_bounds.size()) {
+    return Status::InvalidArgument("histogram: bounds/counts size mismatch");
+  }
+  VERITAS_RETURN_IF_ERROR(ReadMember(value, "sum", &hist->sum));
+  return ReadMember(value, "count", &hist->count);
+}
+
+void JsonOut::Write(const MetricsSnapshot& snapshot) {
+  w_->BeginObject();
+  w_->Key("counters").BeginObject();
+  for (const auto& [name, value] : snapshot.counters) {
+    w_->Key(name).UInt(value);
+  }
+  w_->EndObject();
+  w_->Key("gauges").BeginObject();
+  for (const auto& [name, value] : snapshot.gauges) {
+    w_->Key(name).Int(value);
+  }
+  w_->EndObject();
+  w_->Key("histograms").BeginObject();
+  for (const auto& [name, hist] : snapshot.histograms) {
+    w_->Key(name);
+    Write(hist);
+  }
+  w_->EndObject();
+  w_->EndObject();
+}
+
+Status JsonIn::Read(const JsonValue& value, MetricsSnapshot* snapshot) {
+  VERITAS_RETURN_IF_ERROR(RequireObject(value, "metrics"));
+  snapshot->counters.clear();
+  snapshot->gauges.clear();
+  snapshot->histograms.clear();
+  if (const JsonValue* counters = value.Find("counters")) {
+    VERITAS_RETURN_IF_ERROR(RequireObject(*counters, "counters"));
+    for (const auto& [name, member] : counters->members()) {
+      auto parsed = member.AsU64();
+      if (!parsed.ok()) return Contextualize(parsed.status(), name.c_str());
+      snapshot->counters[name] = parsed.value();
+    }
+  }
+  if (const JsonValue* gauges = value.Find("gauges")) {
+    VERITAS_RETURN_IF_ERROR(RequireObject(*gauges, "gauges"));
+    for (const auto& [name, member] : gauges->members()) {
+      auto parsed = member.AsI64();
+      if (!parsed.ok()) return Contextualize(parsed.status(), name.c_str());
+      snapshot->gauges[name] = parsed.value();
+    }
+  }
+  if (const JsonValue* histograms = value.Find("histograms")) {
+    VERITAS_RETURN_IF_ERROR(RequireObject(*histograms, "histograms"));
+    for (const auto& [name, member] : histograms->members()) {
+      HistogramSnapshot hist;
+      VERITAS_RETURN_IF_ERROR(
+          Contextualize(Read(member, &hist), name.c_str()));
+      snapshot->histograms[name] = std::move(hist);
+    }
+  }
   return Status::OK();
 }
 
-void EncodeSessionInfo(const SessionInfo& info, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("id").UInt(info.id);
-  w->Key("mode").String(ModeName(info.mode));
-  w->Key("resident").Bool(info.resident);
-  w->Key("steps_served").UInt(info.steps_served);
-  w->Key("footprint_bytes").UInt(info.footprint_bytes);
-  w->EndObject();
+/// The "result_type" tag naming the active response alternative.
+const char* ResultTypeName(const ApiResponse& response) {
+  switch (response.result.index()) {
+    case 1: return "create_session";
+    case 2: return "step";
+    case 3: return "ground";
+    case 4: return "checkpoint";
+    case 5: return "restore";
+    case 6: return "stats";
+    case 7: return "terminate";
+    case 8: return "metrics";
+    default: return "error";
+  }
 }
 
-Status DecodeSessionInfo(const JsonValue& value, SessionInfo* info) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "session info"));
-  VERITAS_RETURN_IF_ERROR(GetU64(value, "id", &info->id));
-  VERITAS_RETURN_IF_ERROR(GetEnum(value, "mode", ParseMode, &info->mode));
-  VERITAS_RETURN_IF_ERROR(GetBool(value, "resident", &info->resident));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "steps_served", &info->steps_served));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "footprint_bytes", &info->footprint_bytes));
+/// Reads the envelope's required api_version and rejects any but this
+/// build's (`what` names the envelope in the message).
+Status CheckApiVersion(const JsonValue& root, const char* what,
+                       uint32_t* version) {
+  const JsonValue* member = root.Find("api_version");
+  if (member == nullptr) {
+    return Status::InvalidArgument(std::string(what) + ": missing api_version");
+  }
+  auto value = member->AsU64();
+  if (!value.ok()) return Contextualize(value.status(), "api_version");
+  *version = static_cast<uint32_t>(value.value());
+  if (*version != kApiVersion) {
+    return Status::FailedPrecondition(
+        std::string(what) + ": unsupported api_version " +
+        std::to_string(*version) + " (this build speaks " +
+        std::to_string(kApiVersion) + ")");
+  }
   return Status::OK();
 }
 
@@ -686,500 +474,62 @@ Status ToStatus(const ErrorResponse& error) {
 
 // ---- message codecs --------------------------------------------------------
 
-void EncodeFactDatabase(const FactDatabase& db, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("sources").BeginArray();
-  for (size_t s = 0; s < db.num_sources(); ++s) {
-    const Source& source = db.source(static_cast<SourceId>(s));
-    w->BeginObject();
-    w->Key("name").String(source.name);
-    WriteDoubleVector(w, "features", source.features);
-    w->EndObject();
-  }
-  w->EndArray();
-  w->Key("documents").BeginArray();
-  for (size_t d = 0; d < db.num_documents(); ++d) {
-    const Document& document = db.document(static_cast<DocumentId>(d));
-    w->BeginObject();
-    w->Key("source").UInt(document.source);
-    WriteDoubleVector(w, "features", document.features);
-    w->EndObject();
-  }
-  w->EndArray();
-  w->Key("claims").BeginArray();
-  for (size_t c = 0; c < db.num_claims(); ++c) {
-    const ClaimId id = static_cast<ClaimId>(c);
-    w->BeginObject();
-    w->Key("text").String(db.claim(id).text);
-    w->Key("truth").String(
-        db.has_ground_truth(id) ? (db.ground_truth(id) ? "1" : "0") : "?");
-    w->EndObject();
-  }
-  w->EndArray();
-  w->Key("mentions").BeginArray();
-  for (const Clique& clique : db.cliques()) {
-    w->BeginObject();
-    w->Key("document").UInt(clique.document);
-    w->Key("claim").UInt(clique.claim);
-    w->Key("stance").String(clique.stance == Stance::kSupport ? "support"
-                                                              : "refute");
-    w->EndObject();
-  }
-  w->EndArray();
-  w->EndObject();
+template <typename T>
+void EncodeJson(const T& value, JsonWriter* writer) {
+  JsonOut(writer).Write(value);
 }
 
-Status DecodeFactDatabase(const JsonValue& value, FactDatabase* db) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "db"));
-  FactDatabase decoded;
-  if (const JsonValue* sources = value.Find("sources")) {
-    if (!sources->is_array()) {
-      return Status::InvalidArgument("sources: expected an array");
-    }
-    for (const JsonValue& item : sources->items()) {
-      VERITAS_RETURN_IF_ERROR(RequireObject(item, "source"));
-      Source source;
-      VERITAS_RETURN_IF_ERROR(GetString(item, "name", &source.name));
-      VERITAS_RETURN_IF_ERROR(GetDoubleVector(item, "features", &source.features));
-      decoded.AddSource(std::move(source));
-    }
-  }
-  if (const JsonValue* documents = value.Find("documents")) {
-    if (!documents->is_array()) {
-      return Status::InvalidArgument("documents: expected an array");
-    }
-    for (const JsonValue& item : documents->items()) {
-      VERITAS_RETURN_IF_ERROR(RequireObject(item, "document"));
-      Document document;
-      VERITAS_RETURN_IF_ERROR(GetU32(item, "source", &document.source));
-      VERITAS_RETURN_IF_ERROR(
-          GetDoubleVector(item, "features", &document.features));
-      decoded.AddDocument(std::move(document));
-    }
-  }
-  if (const JsonValue* claims = value.Find("claims")) {
-    if (!claims->is_array()) {
-      return Status::InvalidArgument("claims: expected an array");
-    }
-    for (const JsonValue& item : claims->items()) {
-      VERITAS_RETURN_IF_ERROR(RequireObject(item, "claim"));
-      Claim claim;
-      VERITAS_RETURN_IF_ERROR(GetString(item, "text", &claim.text));
-      const ClaimId id = decoded.AddClaim(std::move(claim));
-      std::string truth = "?";
-      VERITAS_RETURN_IF_ERROR(GetString(item, "truth", &truth));
-      if (truth == "0") decoded.SetGroundTruth(id, false);
-      else if (truth == "1") decoded.SetGroundTruth(id, true);
-      else if (truth != "?") {
-        return Status::InvalidArgument("claim truth: expected \"?\"/\"0\"/\"1\"");
-      }
-    }
-  }
-  if (const JsonValue* mentions = value.Find("mentions")) {
-    if (!mentions->is_array()) {
-      return Status::InvalidArgument("mentions: expected an array");
-    }
-    for (const JsonValue& item : mentions->items()) {
-      VERITAS_RETURN_IF_ERROR(RequireObject(item, "mention"));
-      DocumentId document = 0;
-      ClaimId claim = 0;
-      std::string stance = "support";
-      VERITAS_RETURN_IF_ERROR(GetU32(item, "document", &document));
-      VERITAS_RETURN_IF_ERROR(GetU32(item, "claim", &claim));
-      VERITAS_RETURN_IF_ERROR(GetString(item, "stance", &stance));
-      if (stance != "support" && stance != "refute") {
-        return Status::InvalidArgument("mention stance: expected support/refute");
-      }
-      VERITAS_RETURN_IF_ERROR(decoded.AddMention(
-          document, claim,
-          stance == "support" ? Stance::kSupport : Stance::kRefute));
-    }
-  }
-  *db = std::move(decoded);
-  return Status::OK();
+template <typename T>
+Status DecodeJson(const JsonValue& value, T* out) {
+  return JsonIn::Read(value, out);
 }
 
-void EncodeSessionSpec(const SessionSpec& spec, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("mode").String(ModeName(spec.mode));
-  w->Key("user").BeginObject();
-  w->Key("kind").String(UserKindName(spec.user.kind));
-  w->Key("rate").Double(spec.user.rate);
-  w->Key("seed").UInt(spec.user.seed);
-  w->Key("latency_ms").Double(spec.user.latency_ms);
-  w->EndObject();
-  w->Key("streaming_label_interval").UInt(spec.streaming_label_interval);
-  w->Key("validation");
-  EncodeValidationOptions(spec.validation, w);
-  w->Key("streaming");
-  EncodeStreamingOptions(spec.streaming, w);
-  w->EndObject();
-}
-
-Status DecodeSessionSpec(const JsonValue& value, SessionSpec* spec) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "spec"));
-  VERITAS_RETURN_IF_ERROR(GetEnum(value, "mode", ParseMode, &spec->mode));
-  if (const JsonValue* user = value.Find("user")) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*user, "user"));
-    VERITAS_RETURN_IF_ERROR(
-        GetEnum(*user, "kind", ParseUserKind, &spec->user.kind));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*user, "rate", &spec->user.rate));
-    VERITAS_RETURN_IF_ERROR(GetU64(*user, "seed", &spec->user.seed));
-    VERITAS_RETURN_IF_ERROR(GetDouble(*user, "latency_ms", &spec->user.latency_ms));
-  }
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "streaming_label_interval",
-                                  &spec->streaming_label_interval));
-  if (const JsonValue* validation = value.Find("validation")) {
-    VERITAS_RETURN_IF_ERROR(
-        DecodeValidationOptions(*validation, &spec->validation));
-  }
-  if (const JsonValue* streaming = value.Find("streaming")) {
-    VERITAS_RETURN_IF_ERROR(DecodeStreamingOptions(*streaming, &spec->streaming));
-  }
-  return Status::OK();
-}
-
-void EncodeStepAnswers(const StepAnswers& answers, JsonWriter* w) {
-  w->BeginObject();
-  WriteU32Vector(w, "claims", answers.claims);
-  WriteByteVector(w, "answers", answers.answers);
-  w->Key("skips").UInt(answers.skips);
-  w->EndObject();
-}
-
-Status DecodeStepAnswers(const JsonValue& value, StepAnswers* answers) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "answers"));
-  VERITAS_RETURN_IF_ERROR(GetU32Vector(value, "claims", &answers->claims));
-  VERITAS_RETURN_IF_ERROR(GetByteVector(value, "answers", &answers->answers));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "skips", &answers->skips));
-  return Status::OK();
-}
-
-void EncodeIterationRecord(const IterationRecord& record, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("iteration").UInt(record.iteration);
-  WriteU32Vector(w, "claims", record.claims);
-  WriteByteVector(w, "answers", record.answers);
-  w->Key("seconds").Double(record.seconds);
-  w->Key("entropy").Double(record.entropy);
-  w->Key("precision").Double(record.precision);
-  w->Key("effort").Double(record.effort);
-  w->Key("error_rate").Double(record.error_rate);
-  w->Key("z_score").Double(record.z_score);
-  w->Key("unreliable_ratio").Double(record.unreliable_ratio);
-  w->Key("repairs").UInt(record.repairs);
-  w->Key("skips").UInt(record.skips);
-  WriteU32Vector(w, "flagged", record.flagged);
-  w->Key("prediction_matched").Bool(record.prediction_matched);
-  w->Key("urr").Double(record.urr);
-  w->Key("cng").Double(record.cng);
-  w->Key("pre_streak").UInt(record.pre_streak);
-  w->Key("pir").Double(record.pir);
-  w->EndObject();
-}
-
-Status DecodeIterationRecord(const JsonValue& value, IterationRecord* record) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "record"));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "iteration", &record->iteration));
-  VERITAS_RETURN_IF_ERROR(GetU32Vector(value, "claims", &record->claims));
-  VERITAS_RETURN_IF_ERROR(GetByteVector(value, "answers", &record->answers));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "seconds", &record->seconds));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "entropy", &record->entropy));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "precision", &record->precision));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "effort", &record->effort));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "error_rate", &record->error_rate));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "z_score", &record->z_score));
-  VERITAS_RETURN_IF_ERROR(
-      GetDouble(value, "unreliable_ratio", &record->unreliable_ratio));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "repairs", &record->repairs));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "skips", &record->skips));
-  VERITAS_RETURN_IF_ERROR(GetU32Vector(value, "flagged", &record->flagged));
-  VERITAS_RETURN_IF_ERROR(
-      GetBool(value, "prediction_matched", &record->prediction_matched));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "urr", &record->urr));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "cng", &record->cng));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "pre_streak", &record->pre_streak));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "pir", &record->pir));
-  return Status::OK();
-}
-
-void EncodeStepResult(const StepResult& step, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("done").Bool(step.done);
-  w->Key("stop_reason").String(step.stop_reason);
-  w->Key("awaiting_answers").Bool(step.awaiting_answers);
-  WriteU32Vector(w, "candidates", step.candidates);
-  w->Key("batch").Bool(step.batch);
-  w->Key("iteration_completed").Bool(step.iteration_completed);
-  w->Key("record");
-  EncodeIterationRecord(step.record, w);
-  w->Key("arrival_processed").Bool(step.arrival_processed);
-  w->Key("arrival");
-  EncodeArrivalStats(step.arrival, w);
-  w->EndObject();
-}
-
-Status DecodeStepResult(const JsonValue& value, StepResult* step) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "step"));
-  VERITAS_RETURN_IF_ERROR(GetBool(value, "done", &step->done));
-  VERITAS_RETURN_IF_ERROR(GetString(value, "stop_reason", &step->stop_reason));
-  VERITAS_RETURN_IF_ERROR(
-      GetBool(value, "awaiting_answers", &step->awaiting_answers));
-  VERITAS_RETURN_IF_ERROR(GetU32Vector(value, "candidates", &step->candidates));
-  VERITAS_RETURN_IF_ERROR(GetBool(value, "batch", &step->batch));
-  VERITAS_RETURN_IF_ERROR(
-      GetBool(value, "iteration_completed", &step->iteration_completed));
-  if (const JsonValue* record = value.Find("record")) {
-    VERITAS_RETURN_IF_ERROR(DecodeIterationRecord(*record, &step->record));
-  }
-  VERITAS_RETURN_IF_ERROR(
-      GetBool(value, "arrival_processed", &step->arrival_processed));
-  if (const JsonValue* arrival = value.Find("arrival")) {
-    VERITAS_RETURN_IF_ERROR(DecodeArrivalStats(*arrival, &step->arrival));
-  }
-  return Status::OK();
-}
-
-void EncodeGroundingView(const GroundingView& view, JsonWriter* w) {
-  w->BeginObject();
-  WriteByteVector(w, "grounding", view.grounding);
-  WriteDoubleVector(w, "probs", view.probs);
-  w->Key("precision").Double(view.precision);
-  w->Key("labeled").UInt(view.labeled);
-  w->Key("num_claims").UInt(view.num_claims);
-  w->EndObject();
-}
-
-Status DecodeGroundingView(const JsonValue& value, GroundingView* view) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "grounding view"));
-  VERITAS_RETURN_IF_ERROR(GetByteVector(value, "grounding", &view->grounding));
-  VERITAS_RETURN_IF_ERROR(GetDoubleVector(value, "probs", &view->probs));
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "precision", &view->precision));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "labeled", &view->labeled));
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "num_claims", &view->num_claims));
-  return Status::OK();
-}
-
-void EncodeValidationOutcome(const ValidationOutcome& outcome, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("state");
-  EncodeBeliefState(outcome.state, w);
-  WriteByteVector(w, "grounding", outcome.grounding);
-  w->Key("trace").BeginArray();
-  for (const IterationRecord& record : outcome.trace) {
-    EncodeIterationRecord(record, w);
-  }
-  w->EndArray();
-  w->Key("validations").UInt(outcome.validations);
-  w->Key("mistakes_made").UInt(outcome.mistakes_made);
-  w->Key("mistakes_detected").UInt(outcome.mistakes_detected);
-  w->Key("mistakes_repaired").UInt(outcome.mistakes_repaired);
-  w->Key("stop_reason").String(outcome.stop_reason);
-  w->Key("initial_precision").Double(outcome.initial_precision);
-  w->Key("final_precision").Double(outcome.final_precision);
-  w->EndObject();
-}
-
-Status DecodeValidationOutcome(const JsonValue& value,
-                               ValidationOutcome* outcome) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "outcome"));
-  if (const JsonValue* state = value.Find("state")) {
-    VERITAS_RETURN_IF_ERROR(DecodeBeliefState(*state, &outcome->state));
-  }
-  VERITAS_RETURN_IF_ERROR(GetByteVector(value, "grounding", &outcome->grounding));
-  if (const JsonValue* trace = value.Find("trace")) {
-    if (!trace->is_array()) {
-      return Status::InvalidArgument("trace: expected an array");
-    }
-    outcome->trace.clear();
-    outcome->trace.reserve(trace->items().size());
-    for (const JsonValue& item : trace->items()) {
-      IterationRecord record;
-      VERITAS_RETURN_IF_ERROR(DecodeIterationRecord(item, &record));
-      outcome->trace.push_back(std::move(record));
-    }
-  }
-  VERITAS_RETURN_IF_ERROR(GetSize(value, "validations", &outcome->validations));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "mistakes_made", &outcome->mistakes_made));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "mistakes_detected", &outcome->mistakes_detected));
-  VERITAS_RETURN_IF_ERROR(
-      GetSize(value, "mistakes_repaired", &outcome->mistakes_repaired));
-  VERITAS_RETURN_IF_ERROR(GetString(value, "stop_reason", &outcome->stop_reason));
-  VERITAS_RETURN_IF_ERROR(
-      GetDouble(value, "initial_precision", &outcome->initial_precision));
-  VERITAS_RETURN_IF_ERROR(
-      GetDouble(value, "final_precision", &outcome->final_precision));
-  return Status::OK();
-}
-
-void EncodeHistogramSnapshot(const HistogramSnapshot& hist, JsonWriter* w) {
-  w->BeginObject();
-  // The +Inf overflow bound has no JSON literal (the writer rejects
-  // non-finite doubles); the wire carries the finite bounds only and the
-  // decoder reappends +Inf — so "counts" has one more element than
-  // "bounds".
-  w->Key("bounds").BeginArray();
-  for (size_t i = 0; i + 1 < hist.upper_bounds.size(); ++i) {
-    w->Double(hist.upper_bounds[i]);
-  }
-  w->EndArray();
-  w->Key("counts").BeginArray();
-  for (const uint64_t c : hist.counts) w->UInt(c);
-  w->EndArray();
-  w->Key("sum").Double(hist.sum);
-  w->Key("count").UInt(hist.count);
-  w->EndObject();
-}
-
-Status DecodeHistogramSnapshot(const JsonValue& value, HistogramSnapshot* hist) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "histogram"));
-  hist->upper_bounds.clear();
-  VERITAS_RETURN_IF_ERROR(GetDoubleVector(value, "bounds", &hist->upper_bounds));
-  hist->upper_bounds.push_back(std::numeric_limits<double>::infinity());
-  hist->counts.clear();
-  if (const JsonValue* counts = value.Find("counts")) {
-    if (!counts->is_array()) {
-      return Status::InvalidArgument("counts: expected an array");
-    }
-    for (const JsonValue& item : counts->items()) {
-      auto parsed = item.AsU64();
-      if (!parsed.ok()) return Contextualize(parsed.status(), "counts");
-      hist->counts.push_back(parsed.value());
-    }
-  }
-  if (hist->counts.size() != hist->upper_bounds.size()) {
-    return Status::InvalidArgument("histogram: bounds/counts size mismatch");
-  }
-  VERITAS_RETURN_IF_ERROR(GetDouble(value, "sum", &hist->sum));
-  VERITAS_RETURN_IF_ERROR(GetU64(value, "count", &hist->count));
-  return Status::OK();
-}
-
-void EncodeMetricsSnapshot(const MetricsSnapshot& snapshot, JsonWriter* w) {
-  w->BeginObject();
-  w->Key("counters").BeginObject();
-  for (const auto& [name, value] : snapshot.counters) {
-    w->Key(name).UInt(value);
-  }
-  w->EndObject();
-  w->Key("gauges").BeginObject();
-  for (const auto& [name, value] : snapshot.gauges) {
-    w->Key(name).Int(value);
-  }
-  w->EndObject();
-  w->Key("histograms").BeginObject();
-  for (const auto& [name, hist] : snapshot.histograms) {
-    w->Key(name);
-    EncodeHistogramSnapshot(hist, w);
-  }
-  w->EndObject();
-  w->EndObject();
-}
-
-Status DecodeMetricsSnapshot(const JsonValue& value, MetricsSnapshot* snapshot) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "metrics"));
-  snapshot->counters.clear();
-  snapshot->gauges.clear();
-  snapshot->histograms.clear();
-  if (const JsonValue* counters = value.Find("counters")) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*counters, "counters"));
-    for (const auto& [name, member] : counters->members()) {
-      auto parsed = member.AsU64();
-      if (!parsed.ok()) return Contextualize(parsed.status(), name.c_str());
-      snapshot->counters[name] = parsed.value();
-    }
-  }
-  if (const JsonValue* gauges = value.Find("gauges")) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*gauges, "gauges"));
-    for (const auto& [name, member] : gauges->members()) {
-      auto parsed = member.AsI64();
-      if (!parsed.ok()) return Contextualize(parsed.status(), name.c_str());
-      snapshot->gauges[name] = parsed.value();
-    }
-  }
-  if (const JsonValue* histograms = value.Find("histograms")) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*histograms, "histograms"));
-    for (const auto& [name, member] : histograms->members()) {
-      HistogramSnapshot hist;
-      VERITAS_RETURN_IF_ERROR(DecodeHistogramSnapshot(member, &hist));
-      snapshot->histograms[name] = std::move(hist);
-    }
-  }
-  return Status::OK();
-}
+template void EncodeJson(const FactDatabase&, JsonWriter*);
+template void EncodeJson(const SessionSpec&, JsonWriter*);
+template void EncodeJson(const StepResult&, JsonWriter*);
+template void EncodeJson(const ValidationOutcome&, JsonWriter*);
+template Status DecodeJson(const JsonValue&, FactDatabase*);
+template Status DecodeJson(const JsonValue&, SessionSpec*);
+template Status DecodeJson(const JsonValue&, StepResult*);
+template Status DecodeJson(const JsonValue&, ValidationOutcome*);
 
 // ---- envelopes -------------------------------------------------------------
 
-namespace {
-
-/// The "result_type" tag naming the active response alternative.
-const char* ResultTypeName(const ApiResponse& response) {
-  switch (response.result.index()) {
-    case 1: return "create_session";
-    case 2: return "step";
-    case 3: return "ground";
-    case 4: return "checkpoint";
-    case 5: return "restore";
-    case 6: return "stats";
-    case 7: return "terminate";
-    case 8: return "metrics";
-    default: return "error";
-  }
-}
-
-}  // namespace
-
 Result<std::string> EncodeRequest(const ApiRequest& request) {
   JsonWriter w;
+  JsonOut out(&w);
   w.BeginObject();
-  w.Key("api_version").UInt(request.api_version);
-  w.Key("id").UInt(request.id);
+  out("api_version", request.api_version);
+  out("id", request.id);
   // Omitted entirely when empty: untraced envelopes stay byte-identical to
   // the pre-tracing protocol (the parity suites pin this).
-  if (!request.trace_id.empty()) w.Key("trace_id").String(request.trace_id);
+  if (!request.trace_id.empty()) out("trace_id", request.trace_id);
   // Dispatch key, not a defaultable enum field: DecodeRequest rejects a
   // missing or unknown method by hand.
   w.Key("method").String(ApiMethodName(request.method()));  // lint: enum-checked
-  w.Key("params");
+  w.Key("params").BeginObject();
   std::visit(
-      [&w](const auto& params) {
+      [&out](const auto& params) {
         using T = std::decay_t<decltype(params)>;
         if constexpr (std::is_same_v<T, CreateSessionRequest>) {
-          w.BeginObject();
-          w.Key("db");
-          EncodeFactDatabase(params.db, &w);
-          w.Key("spec");
-          EncodeSessionSpec(params.spec, &w);
-          w.EndObject();
+          out("db", params.db);
+          out("spec", params.spec);
         } else if constexpr (std::is_same_v<T, AnswerRequest>) {
-          w.BeginObject();
-          w.Key("session").UInt(params.session);
-          w.Key("answers");
-          EncodeStepAnswers(params.answers, &w);
-          w.EndObject();
+          out("session", params.session);
+          out("answers", params.answers);
         } else if constexpr (std::is_same_v<T, CheckpointRequest>) {
-          w.BeginObject();
-          w.Key("session").UInt(params.session);
-          w.Key("directory").String(params.directory);
-          w.EndObject();
+          out("session", params.session);
+          out("directory", params.directory);
         } else if constexpr (std::is_same_v<T, RestoreRequest>) {
-          w.BeginObject();
-          w.Key("directory").String(params.directory);
-          w.EndObject();
-        } else if constexpr (std::is_same_v<T, StatsRequest> ||
-                             std::is_same_v<T, MetricsRequest>) {
-          w.BeginObject();
-          w.EndObject();
-        } else {
+          out("directory", params.directory);
+        } else if constexpr (!std::is_same_v<T, StatsRequest> &&
+                             !std::is_same_v<T, MetricsRequest>) {
           // AdvanceRequest / GroundRequest / TerminateRequest: session only.
-          w.BeginObject();
-          w.Key("session").UInt(params.session);
-          w.EndObject();
+          out("session", params.session);
         }
       },
       request.params);
+  w.EndObject();
   w.EndObject();
   return w.Take();
 }
@@ -1191,28 +541,14 @@ Result<ApiRequest> DecodeRequest(const std::string& json, uint64_t* id_out) {
   VERITAS_RETURN_IF_ERROR(RequireObject(root, "request"));
 
   ApiRequest request;
-  VERITAS_RETURN_IF_ERROR(GetU64(root, "id", &request.id));
+  VERITAS_RETURN_IF_ERROR(ReadMember(root, "id", &request.id));
   if (id_out != nullptr) *id_out = request.id;
-  VERITAS_RETURN_IF_ERROR(GetString(root, "trace_id", &request.trace_id));
-
-  const JsonValue* version = root.Find("api_version");
-  if (version == nullptr) {
-    return Status::InvalidArgument("request: missing api_version");
-  }
-  auto version_value = version->AsU64();
-  if (!version_value.ok()) {
-    return Contextualize(version_value.status(), "api_version");
-  }
-  request.api_version = static_cast<uint32_t>(version_value.value());
-  if (request.api_version != kApiVersion) {
-    return Status::FailedPrecondition(
-        "request: unsupported api_version " +
-        std::to_string(request.api_version) + " (this server speaks " +
-        std::to_string(kApiVersion) + ")");
-  }
+  VERITAS_RETURN_IF_ERROR(ReadMember(root, "trace_id", &request.trace_id));
+  VERITAS_RETURN_IF_ERROR(
+      CheckApiVersion(root, "request", &request.api_version));
 
   std::string method;
-  VERITAS_RETURN_IF_ERROR(GetString(root, "method", &method));
+  VERITAS_RETURN_IF_ERROR(ReadMember(root, "method", &method));
   if (method.empty()) {
     return Status::InvalidArgument("request: missing method");
   }
@@ -1227,37 +563,33 @@ Result<ApiRequest> DecodeRequest(const std::string& json, uint64_t* id_out) {
 
   if (method == "create_session") {
     CreateSessionRequest create;
-    if (const JsonValue* db = params->Find("db")) {
-      VERITAS_RETURN_IF_ERROR(DecodeFactDatabase(*db, &create.db));
-    }
-    if (const JsonValue* spec = params->Find("spec")) {
-      VERITAS_RETURN_IF_ERROR(DecodeSessionSpec(*spec, &create.spec));
-    }
+    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "db", &create.db));
+    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "spec", &create.spec));
     request.params = std::move(create);
   } else if (method == "advance") {
     AdvanceRequest advance;
-    VERITAS_RETURN_IF_ERROR(GetU64(*params, "session", &advance.session));
+    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "session", &advance.session));
     request.params = advance;
   } else if (method == "answer") {
     AnswerRequest answer;
-    VERITAS_RETURN_IF_ERROR(GetU64(*params, "session", &answer.session));
-    if (const JsonValue* answers = params->Find("answers")) {
-      VERITAS_RETURN_IF_ERROR(DecodeStepAnswers(*answers, &answer.answers));
-    }
+    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "session", &answer.session));
+    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "answers", &answer.answers));
     request.params = std::move(answer);
   } else if (method == "ground") {
     GroundRequest ground;
-    VERITAS_RETURN_IF_ERROR(GetU64(*params, "session", &ground.session));
+    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "session", &ground.session));
     request.params = ground;
   } else if (method == "checkpoint") {
     CheckpointRequest checkpoint;
-    VERITAS_RETURN_IF_ERROR(GetU64(*params, "session", &checkpoint.session));
     VERITAS_RETURN_IF_ERROR(
-        GetString(*params, "directory", &checkpoint.directory));
+        ReadMember(*params, "session", &checkpoint.session));
+    VERITAS_RETURN_IF_ERROR(
+        ReadMember(*params, "directory", &checkpoint.directory));
     request.params = std::move(checkpoint);
   } else if (method == "restore") {
     RestoreRequest restore;
-    VERITAS_RETURN_IF_ERROR(GetString(*params, "directory", &restore.directory));
+    VERITAS_RETURN_IF_ERROR(
+        ReadMember(*params, "directory", &restore.directory));
     request.params = std::move(restore);
   } else if (method == "stats") {
     request.params = StatsRequest{};
@@ -1265,7 +597,8 @@ Result<ApiRequest> DecodeRequest(const std::string& json, uint64_t* id_out) {
     request.params = MetricsRequest{};
   } else if (method == "terminate") {
     TerminateRequest terminate;
-    VERITAS_RETURN_IF_ERROR(GetU64(*params, "session", &terminate.session));
+    VERITAS_RETURN_IF_ERROR(
+        ReadMember(*params, "session", &terminate.session));
     request.params = terminate;
   } else {
     return Status::Unimplemented("request: unknown method \"" + method + "\"");
@@ -1275,11 +608,12 @@ Result<ApiRequest> DecodeRequest(const std::string& json, uint64_t* id_out) {
 
 Result<std::string> EncodeResponse(const ApiResponse& response) {
   JsonWriter w;
+  JsonOut out(&w);
   w.BeginObject();
-  w.Key("api_version").UInt(response.api_version);
-  w.Key("id").UInt(response.id);
-  if (!response.trace_id.empty()) w.Key("trace_id").String(response.trace_id);
-  w.Key("ok").Bool(!IsError(response));
+  out("api_version", response.api_version);
+  out("id", response.id);
+  if (!response.trace_id.empty()) out("trace_id", response.trace_id);
+  out("ok", !IsError(response));
   if (IsError(response)) {
     const ErrorResponse& error = std::get<ErrorResponse>(response.result);
     w.Key("error").BeginObject();
@@ -1287,44 +621,36 @@ Result<std::string> EncodeResponse(const ApiResponse& response) {
     // Display duplicate of the numeric "code", which DecodeResponse
     // range-validates; the name is never read back.
     w.Key("status").String(StatusCodeName(error.code));  // lint: enum-checked
-    w.Key("message").String(error.message);
+    out("message", error.message);
     w.EndObject();
   } else {
     // Dispatch key: DecodeResponse rejects unknown result types by hand.
     w.Key("result_type").String(ResultTypeName(response));  // lint: enum-checked
     w.Key("result");
     std::visit(
-        [&w](const auto& result) {
+        [&w, &out](const auto& result) {
           using T = std::decay_t<decltype(result)>;
-          if constexpr (std::is_same_v<T, CreateSessionResponse>) {
+          if constexpr (std::is_same_v<T, CreateSessionResponse> ||
+                        std::is_same_v<T, RestoreResponse>) {
             w.BeginObject();
-            w.Key("session").UInt(result.session);
+            out("session", result.session);
             w.EndObject();
           } else if constexpr (std::is_same_v<T, StepResponse>) {
-            EncodeStepResult(result.step, &w);
+            out.Write(result.step);
           } else if constexpr (std::is_same_v<T, GroundResponse>) {
-            EncodeGroundingView(result.view, &w);
+            out.Write(result.view);
           } else if constexpr (std::is_same_v<T, CheckpointResponse>) {
             w.BeginObject();
             w.EndObject();
-          } else if constexpr (std::is_same_v<T, RestoreResponse>) {
-            w.BeginObject();
-            w.Key("session").UInt(result.session);
-            w.EndObject();
           } else if constexpr (std::is_same_v<T, StatsResponse>) {
             w.BeginObject();
-            w.Key("stats");
-            EncodeServiceStats(result.stats, &w);
-            w.Key("sessions").BeginArray();
-            for (const SessionInfo& info : result.sessions) {
-              EncodeSessionInfo(info, &w);
-            }
-            w.EndArray();
+            out("stats", result.stats);
+            out("sessions", result.sessions);
             w.EndObject();
           } else if constexpr (std::is_same_v<T, TerminateResponse>) {
-            EncodeValidationOutcome(result.outcome, &w);
+            out.Write(result.outcome);
           } else if constexpr (std::is_same_v<T, MetricsResponse>) {
-            EncodeMetricsSnapshot(result.snapshot, &w);
+            out.Write(result.snapshot);
           } else {
             w.Null();  // unreachable: the error branch handled index 0
           }
@@ -1342,25 +668,13 @@ Result<ApiResponse> DecodeResponse(const std::string& json) {
   VERITAS_RETURN_IF_ERROR(RequireObject(root, "response"));
 
   ApiResponse response;
-  VERITAS_RETURN_IF_ERROR(GetU64(root, "id", &response.id));
-  VERITAS_RETURN_IF_ERROR(GetString(root, "trace_id", &response.trace_id));
-  const JsonValue* version = root.Find("api_version");
-  if (version == nullptr) {
-    return Status::InvalidArgument("response: missing api_version");
-  }
-  auto version_value = version->AsU64();
-  if (!version_value.ok()) {
-    return Contextualize(version_value.status(), "api_version");
-  }
-  response.api_version = static_cast<uint32_t>(version_value.value());
-  if (response.api_version != kApiVersion) {
-    return Status::FailedPrecondition(
-        "response: unsupported api_version " +
-        std::to_string(response.api_version));
-  }
+  VERITAS_RETURN_IF_ERROR(ReadMember(root, "id", &response.id));
+  VERITAS_RETURN_IF_ERROR(ReadMember(root, "trace_id", &response.trace_id));
+  VERITAS_RETURN_IF_ERROR(
+      CheckApiVersion(root, "response", &response.api_version));
 
   bool ok = false;
-  VERITAS_RETURN_IF_ERROR(GetBool(root, "ok", &ok));
+  VERITAS_RETURN_IF_ERROR(ReadMember(root, "ok", &ok));
   if (!ok) {
     const JsonValue* error = root.Find("error");
     if (error == nullptr) {
@@ -1368,20 +682,20 @@ Result<ApiResponse> DecodeResponse(const std::string& json) {
     }
     VERITAS_RETURN_IF_ERROR(RequireObject(*error, "error"));
     uint64_t code = static_cast<uint64_t>(StatusCode::kInternal);
-    VERITAS_RETURN_IF_ERROR(GetU64(*error, "code", &code));
+    VERITAS_RETURN_IF_ERROR(ReadMember(*error, "code", &code));
     if (code > static_cast<uint64_t>(StatusCode::kUnavailable)) {
       return Status::InvalidArgument("error: unknown status code " +
                                      std::to_string(code));
     }
     ErrorResponse decoded;
     decoded.code = static_cast<StatusCode>(code);
-    VERITAS_RETURN_IF_ERROR(GetString(*error, "message", &decoded.message));
+    VERITAS_RETURN_IF_ERROR(ReadMember(*error, "message", &decoded.message));
     response.result = std::move(decoded);
     return response;
   }
 
   std::string result_type;
-  VERITAS_RETURN_IF_ERROR(GetString(root, "result_type", &result_type));
+  VERITAS_RETURN_IF_ERROR(ReadMember(root, "result_type", &result_type));
   const JsonValue* result = root.Find("result");
   if (result == nullptr) {
     return Status::InvalidArgument("response: missing result");
@@ -1389,47 +703,36 @@ Result<ApiResponse> DecodeResponse(const std::string& json) {
   if (result_type == "create_session") {
     CreateSessionResponse create;
     VERITAS_RETURN_IF_ERROR(RequireObject(*result, "result"));
-    VERITAS_RETURN_IF_ERROR(GetU64(*result, "session", &create.session));
+    VERITAS_RETURN_IF_ERROR(ReadMember(*result, "session", &create.session));
     response.result = create;
   } else if (result_type == "step") {
     StepResponse step;
-    VERITAS_RETURN_IF_ERROR(DecodeStepResult(*result, &step.step));
+    VERITAS_RETURN_IF_ERROR(ReadMember(root, "result", &step.step));
     response.result = std::move(step);
   } else if (result_type == "ground") {
     GroundResponse ground;
-    VERITAS_RETURN_IF_ERROR(DecodeGroundingView(*result, &ground.view));
+    VERITAS_RETURN_IF_ERROR(ReadMember(root, "result", &ground.view));
     response.result = std::move(ground);
   } else if (result_type == "checkpoint") {
     response.result = CheckpointResponse{};
   } else if (result_type == "restore") {
     RestoreResponse restore;
     VERITAS_RETURN_IF_ERROR(RequireObject(*result, "result"));
-    VERITAS_RETURN_IF_ERROR(GetU64(*result, "session", &restore.session));
+    VERITAS_RETURN_IF_ERROR(ReadMember(*result, "session", &restore.session));
     response.result = restore;
   } else if (result_type == "stats") {
     StatsResponse stats;
     VERITAS_RETURN_IF_ERROR(RequireObject(*result, "result"));
-    if (const JsonValue* s = result->Find("stats")) {
-      VERITAS_RETURN_IF_ERROR(DecodeServiceStats(*s, &stats.stats));
-    }
-    if (const JsonValue* sessions = result->Find("sessions")) {
-      if (!sessions->is_array()) {
-        return Status::InvalidArgument("sessions: expected an array");
-      }
-      for (const JsonValue& item : sessions->items()) {
-        SessionInfo info;
-        VERITAS_RETURN_IF_ERROR(DecodeSessionInfo(item, &info));
-        stats.sessions.push_back(info);
-      }
-    }
+    VERITAS_RETURN_IF_ERROR(ReadMember(*result, "stats", &stats.stats));
+    VERITAS_RETURN_IF_ERROR(ReadMember(*result, "sessions", &stats.sessions));
     response.result = std::move(stats);
   } else if (result_type == "terminate") {
     TerminateResponse terminate;
-    VERITAS_RETURN_IF_ERROR(DecodeValidationOutcome(*result, &terminate.outcome));
+    VERITAS_RETURN_IF_ERROR(ReadMember(root, "result", &terminate.outcome));
     response.result = std::move(terminate);
   } else if (result_type == "metrics") {
     MetricsResponse metrics;
-    VERITAS_RETURN_IF_ERROR(DecodeMetricsSnapshot(*result, &metrics.snapshot));
+    VERITAS_RETURN_IF_ERROR(ReadMember(root, "result", &metrics.snapshot));
     response.result = std::move(metrics);
   } else {
     return Status::Unimplemented("response: unknown result_type \"" +

@@ -1,18 +1,20 @@
 /// \file
 /// JSON codec of the wire protocol (DESIGN.md §10): encodes/decodes the
-/// api/wire.h envelopes and every embedded message, field by field, with
-/// lossless round trips — 64-bit integers stay exact decimals, doubles are
-/// emitted at max_digits10 and re-parsed bit-for-bit, free text goes
-/// through api/json.h escaping (the JSON analogue of data/io's TSV
-/// escaping rules), and non-finite doubles are rejected at encode time.
-/// Decoders ignore unknown JSON members (forward compatibility) and
-/// surface malformed input — truncated documents, type mismatches, unknown
-/// methods, version mismatches — as Status errors, never undefined
-/// behavior.
+/// api/wire.h envelopes and every embedded message with lossless round
+/// trips — 64-bit integers stay exact decimals, doubles are emitted at
+/// max_digits10 and re-parsed bit-for-bit, free text goes through api/json.h
+/// escaping (the JSON analogue of data/io's TSV escaping rules), and
+/// non-finite doubles are rejected at encode time. Decoders ignore unknown
+/// JSON members (forward compatibility) and surface malformed input —
+/// truncated documents, type mismatches, unknown methods or enum spellings,
+/// version mismatches — as Status errors, never undefined behavior.
 ///
-/// The sub-message codecs are exported so the round-trip property tests
-/// can hammer each message in isolation; production code uses only the
-/// four envelope functions.
+/// Embedded messages are not coded field by field: the JSON writer and
+/// reader are two visitors over each struct's VisitFields list and each
+/// enum's spelling table (common/fields.h), so a struct is an object keyed
+/// by its field names in VisitFields order. Only the envelopes and the
+/// FactDatabase, BeliefState and metrics-snapshot shapes are written by
+/// hand.
 
 #ifndef VERITAS_API_CODEC_H_
 #define VERITAS_API_CODEC_H_
@@ -45,39 +47,16 @@ Result<std::string> EncodeResponse(const ApiResponse& response);
 /// Parses a response envelope (the client half).
 Result<ApiResponse> DecodeResponse(const std::string& json);
 
-// ---- sub-message codecs (exported for the property tests) ------------------
+// ---- message codecs (exported for the property tests) ----------------------
 
-void EncodeFactDatabase(const FactDatabase& db, JsonWriter* writer);
-Status DecodeFactDatabase(const JsonValue& value, FactDatabase* db);
-
-void EncodeSessionSpec(const SessionSpec& spec, JsonWriter* writer);
-Status DecodeSessionSpec(const JsonValue& value, SessionSpec* spec);
-
-void EncodeStepAnswers(const StepAnswers& answers, JsonWriter* writer);
-Status DecodeStepAnswers(const JsonValue& value, StepAnswers* answers);
-
-void EncodeIterationRecord(const IterationRecord& record, JsonWriter* writer);
-Status DecodeIterationRecord(const JsonValue& value, IterationRecord* record);
-
-void EncodeStepResult(const StepResult& step, JsonWriter* writer);
-Status DecodeStepResult(const JsonValue& value, StepResult* step);
-
-void EncodeGroundingView(const GroundingView& view, JsonWriter* writer);
-Status DecodeGroundingView(const JsonValue& value, GroundingView* view);
-
-void EncodeValidationOutcome(const ValidationOutcome& outcome,
-                             JsonWriter* writer);
-Status DecodeValidationOutcome(const JsonValue& value,
-                               ValidationOutcome* outcome);
-
-/// The wire carries a histogram's finite bounds only (JSON has no Infinity
-/// literal); the decoder reappends the +Inf overflow bound, so `counts`
-/// always has one more element than the encoded `bounds` array.
-void EncodeHistogramSnapshot(const HistogramSnapshot& hist, JsonWriter* writer);
-Status DecodeHistogramSnapshot(const JsonValue& value, HistogramSnapshot* hist);
-
-void EncodeMetricsSnapshot(const MetricsSnapshot& snapshot, JsonWriter* writer);
-Status DecodeMetricsSnapshot(const JsonValue& value, MetricsSnapshot* snapshot);
+/// Encodes / decodes one embedded message — FactDatabase, SessionSpec,
+/// StepResult or ValidationOutcome — exactly as the envelopes do, so the
+/// property tests can hammer each in isolation; production code uses only
+/// the four envelope functions.
+template <typename T>
+void EncodeJson(const T& value, JsonWriter* writer);
+template <typename T>
+Status DecodeJson(const JsonValue& value, T* out);
 
 }  // namespace veritas
 

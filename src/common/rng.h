@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/fields.h"
+
 namespace veritas {
 
 /// Snapshot of the full generator state: the four xoshiro256** words plus
@@ -16,6 +18,13 @@ struct RngState {
   bool has_cached_normal = false;
   double cached_normal = 0.0;
 };
+
+template <typename V, typename S>
+FieldsOf<S, RngState> VisitFields(V& v, S& r) {
+  v("s", r.s);
+  v("has_cached_normal", r.has_cached_normal);
+  v("cached_normal", r.cached_normal);
+}
 
 /// Deterministic, seedable pseudo-random generator (xoshiro256**) with the
 /// distribution helpers the framework needs. All stochastic components of the

@@ -17,6 +17,7 @@
 
 #include <memory>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -52,6 +53,19 @@ struct ICrfOptions {
   /// may run a cheaper backend than the committed E-step.
   CrfBackend hypothetical_backend = CrfBackend::kAuto;
 };
+
+template <typename V, typename S>
+FieldsOf<S, ICrfOptions> VisitFields(V& v, S& o) {
+  v("crf", o.crf);
+  v("gibbs", o.gibbs);
+  v("hypothetical_gibbs", o.hypothetical_gibbs);
+  v("tron", o.tron);
+  v("max_em_iterations", o.max_em_iterations);
+  v("em_tolerance", o.em_tolerance);
+  v("fit_weights", o.fit_weights);
+  v("backend", o.backend);
+  v("hypothetical_backend", o.hypothetical_backend);
+}
 
 /// Statistics of one Infer() call.
 struct InferenceStats {

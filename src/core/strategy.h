@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -31,8 +32,17 @@ namespace veritas {
 ///                     candidates + neighborhood-partitioned re-inference.
 enum class GuidanceVariant { kOrigin, kScalable, kParallelPartition };
 
+constexpr Spellings<3> EnumSpellings(GuidanceVariant) {
+  return {"origin", "scalable", "parallel_partition"};
+}
+
 /// The five selection policies compared in §8.4 / Fig. 6.
 enum class StrategyKind { kRandom, kUncertainty, kInfoGain, kSource, kHybrid };
+
+/// Wire spellings; StrategyName below gives the shorter display names.
+constexpr Spellings<5> EnumSpellings(StrategyKind) {
+  return {"random", "uncertainty", "info_gain", "source", "hybrid"};
+}
 
 const char* StrategyName(StrategyKind kind);
 
@@ -46,6 +56,10 @@ const char* StrategyName(StrategyKind kind);
 ///                  (FanoutWorker). Same scoring semantics, far fewer and
 ///                  cheaper sweeps per candidate.
 enum class FanoutKernel { kPerCandidate, kBatched };
+
+constexpr Spellings<2> EnumSpellings(FanoutKernel) {
+  return {"per_candidate", "batched"};
+}
 
 /// Knobs shared by the guidance strategies.
 struct GuidanceConfig {
@@ -73,6 +87,21 @@ struct GuidanceConfig {
   size_t fanout_burn_in = 2;
   size_t fanout_samples = 8;
 };
+
+template <typename V, typename S>
+FieldsOf<S, GuidanceConfig> VisitFields(V& v, S& g) {
+  v("variant", g.variant);
+  v("candidate_pool", g.candidate_pool);
+  v("neighborhood_radius", g.neighborhood_radius);
+  v("neighborhood_cap", g.neighborhood_cap);
+  v("num_threads", g.num_threads);
+  v("max_enumeration_claims", g.max_enumeration_claims);
+  v("seed", g.seed);
+  v("fanout", g.fanout);
+  v("fanout_base_sweeps", g.fanout_base_sweeps);
+  v("fanout_burn_in", g.fanout_burn_in);
+  v("fanout_samples", g.fanout_samples);
+}
 
 /// A claim-selection policy (step 1 of the validation process, §2.3).
 class SelectionStrategy {

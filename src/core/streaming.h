@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 #include "core/icrf.h"
 #include "data/model.h"
@@ -36,12 +37,30 @@ struct StreamingOptions {
   uint64_t seed = 99;
 };
 
+template <typename V, typename S>
+FieldsOf<S, StreamingOptions> VisitFields(V& v, S& o) {
+  v("icrf", o.icrf);
+  v("step_a", o.step_a);
+  v("step_t0", o.step_t0);
+  v("step_kappa", o.step_kappa);
+  v("window_cap", o.window_cap);
+  v("tron_iterations_per_arrival", o.tron_iterations_per_arrival);
+  v("seed", o.seed);
+}
+
 /// Statistics of one arrival update.
 struct ArrivalStats {
   ClaimId claim = 0;
   double update_seconds = 0.0;  ///< model-update time (the §8.8 metric)
   double initial_prob = 0.5;    ///< educated guess for the new claim
 };
+
+template <typename V, typename S>
+FieldsOf<S, ArrivalStats> VisitFields(V& v, S& a) {
+  v("claim", a.claim);
+  v("update_seconds", a.update_seconds);
+  v("initial_prob", a.initial_prob);
+}
 
 /// One retained example of the online-EM surrogate objective. Public (and
 /// checkpointable, src/service/checkpoint.h) because warm-starting a
@@ -52,6 +71,13 @@ struct StreamingWindowExample {
   double log_weight = 0.0;  ///< log of gamma_t at insertion
 };
 
+template <typename V, typename S>
+FieldsOf<S, StreamingWindowExample> VisitFields(V& v, S& e) {
+  v("features", e.features);
+  v("target", e.target);
+  v("log_weight", e.log_weight);
+}
+
 /// Complete online-EM state of a StreamingFactChecker between arrivals:
 /// restoring it (plus the database, weights and belief state) resumes the
 /// stochastic-approximation stream exactly where the exported run stood.
@@ -60,6 +86,13 @@ struct StreamingEmState {
   double log_scale = 0.0;  ///< cumulative log prod (1 - gamma_t)
   uint64_t arrivals = 0;
 };
+
+template <typename V, typename S>
+FieldsOf<S, StreamingEmState> VisitFields(V& v, S& em) {
+  v("window", em.window);
+  v("log_scale", em.log_scale);
+  v("arrivals", em.arrivals);
+}
 
 /// Streaming fact checker (Algorithm 2): owns a growing fact database and
 /// maintains the CRF weights by online EM with stochastic approximation

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 #include "core/grounding.h"
 #include "core/icrf.h"
@@ -38,6 +39,23 @@ struct TerminationOptions {
   size_t pir_interval = 10;     ///< iterations between cross-validations
   size_t pir_patience = 2;
 };
+
+template <typename V, typename S>
+FieldsOf<S, TerminationOptions> VisitFields(V& v, S& t) {
+  v("enable_urr", t.enable_urr);
+  v("urr_threshold", t.urr_threshold);
+  v("urr_patience", t.urr_patience);
+  v("enable_cng", t.enable_cng);
+  v("cng_threshold", t.cng_threshold);
+  v("cng_patience", t.cng_patience);
+  v("enable_pre", t.enable_pre);
+  v("pre_streak", t.pre_streak);
+  v("enable_pir", t.enable_pir);
+  v("pir_threshold", t.pir_threshold);
+  v("pir_folds", t.pir_folds);
+  v("pir_interval", t.pir_interval);
+  v("pir_patience", t.pir_patience);
+}
 
 /// Per-iteration convergence signals fed to the monitor by the validation
 /// loop. `cv_precision` is negative when cross-validation was not run this
@@ -65,6 +83,20 @@ struct TerminationMonitorState {
   bool pir_available = false;
   uint64_t pir_calm_rounds = 0;
 };
+
+template <typename V, typename S>
+FieldsOf<S, TerminationMonitorState> VisitFields(V& v, S& m) {
+  v("previous_entropy", m.previous_entropy);
+  v("last_urr", m.last_urr);
+  v("urr_calm_rounds", m.urr_calm_rounds);
+  v("last_cng_rate", m.last_cng_rate);
+  v("cng_calm_rounds", m.cng_calm_rounds);
+  v("prediction_streak", m.prediction_streak);
+  v("previous_cv_precision", m.previous_cv_precision);
+  v("last_pir", m.last_pir);
+  v("pir_available", m.pir_available);
+  v("pir_calm_rounds", m.pir_calm_rounds);
+}
 
 /// Tracks the four convergence indicators of §6.1 (URR, CNG, PRE, PIR) and
 /// decides when the validation process may stop early.

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -59,6 +60,21 @@ struct ValidationOptions {
   uint64_t seed = 42;
 };
 
+template <typename V, typename S>
+FieldsOf<S, ValidationOptions> VisitFields(V& v, S& o) {
+  v("icrf", o.icrf);
+  v("guidance", o.guidance);
+  v("strategy", o.strategy);
+  v("budget", o.budget);
+  v("target_precision", o.target_precision);
+  v("batch_size", o.batch_size);
+  v("batch_benefit_weight", o.batch_benefit_weight);
+  v("confirmation_interval", o.confirmation_interval);
+  v("termination", o.termination);
+  v("exact_entropy_trace", o.exact_entropy_trace);
+  v("seed", o.seed);
+}
+
 /// The selection half of one iteration of Algorithm 1: which claims the
 /// guidance stage wants validated next, or the stop decision. Produced by
 /// ValidationProcess::PlanStep(); the caller elicits the verdicts (from a
@@ -83,6 +99,13 @@ struct StepAnswers {
   std::vector<uint8_t> answers;  ///< 1 = credible
   size_t skips = 0;              ///< ranked candidates skipped beforehand
 };
+
+template <typename V, typename S>
+FieldsOf<S, StepAnswers> VisitFields(V& v, S& a) {
+  v("claims", a.claims);
+  v("answers", a.answers);
+  v("skips", a.skips);
+}
 
 /// Everything recorded about one iteration of Algorithm 1 (the raw series
 /// behind Figs. 3-9).
@@ -110,6 +133,28 @@ struct IterationRecord {
   double pir = 0.0;
 };
 
+template <typename V, typename S>
+FieldsOf<S, IterationRecord> VisitFields(V& v, S& r) {
+  v("iteration", r.iteration);
+  v("claims", r.claims);
+  v("answers", r.answers);
+  v("seconds", r.seconds);
+  v("entropy", r.entropy);
+  v("precision", r.precision);
+  v("effort", r.effort);
+  v("error_rate", r.error_rate);
+  v("z_score", r.z_score);
+  v("unreliable_ratio", r.unreliable_ratio);
+  v("repairs", r.repairs);
+  v("skips", r.skips);
+  v("flagged", r.flagged);
+  v("prediction_matched", r.prediction_matched);
+  v("urr", r.urr);
+  v("cng", r.cng);
+  v("pre_streak", r.pre_streak);
+  v("pir", r.pir);
+}
+
 /// Outcome of a validation run.
 struct ValidationOutcome {
   BeliefState state;
@@ -123,6 +168,20 @@ struct ValidationOutcome {
   double initial_precision = 0.0;
   double final_precision = 0.0;
 };
+
+template <typename V, typename S>
+FieldsOf<S, ValidationOutcome> VisitFields(V& v, S& o) {
+  v("state", o.state);
+  v("grounding", o.grounding);
+  v("trace", o.trace);
+  v("validations", o.validations);
+  v("mistakes_made", o.mistakes_made);
+  v("mistakes_detected", o.mistakes_detected);
+  v("mistakes_repaired", o.mistakes_repaired);
+  v("stop_reason", o.stop_reason);
+  v("initial_precision", o.initial_precision);
+  v("final_precision", o.final_precision);
+}
 
 /// Complete mutable state of a ValidationProcess between iterations,
 /// exported for session checkpoints (src/service/checkpoint.h). Together
@@ -145,6 +204,24 @@ struct ValidationSessionState {
   RngState strategy_rng;
   std::vector<double> weights;  ///< log-linear CRF weights (warm start)
 };
+
+template <typename V, typename S>
+FieldsOf<S, ValidationSessionState> VisitFields(V& v, S& s) {
+  v("initialized", s.initialized);
+  v("iteration", s.iteration);
+  v("last_error_rate", s.last_error_rate);
+  v("validations_since_confirmation", s.validations_since_confirmation);
+  v("confirmed_labels", s.confirmed_labels);
+  v("hybrid_z", s.hybrid_z);
+  v("monitor", s.monitor);
+  v("state", s.state);
+  v("grounding", s.grounding);
+  v("outcome", s.outcome);
+  v("icrf_rng", s.icrf_rng);
+  v("has_strategy_rng", s.has_strategy_rng);
+  v("strategy_rng", s.strategy_rng);
+  v("weights", s.weights);
+}
 
 /// The complete validation process for fact checking (Algorithm 1, §5.1):
 /// iteratively selects claims (strategy of §4), elicits user input, runs

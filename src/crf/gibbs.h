@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "crf/mrf.h"
@@ -23,6 +24,14 @@ struct GibbsOptions {
   /// sampler's, so flipping this knob changes (not degrades) results.
   size_t num_threads = 0;
 };
+
+template <typename V, typename S>
+FieldsOf<S, GibbsOptions> VisitFields(V& v, S& o) {
+  v("burn_in", o.burn_in);
+  v("num_samples", o.num_samples);
+  v("thin", o.thin);
+  v("num_threads", o.num_threads);
+}
 
 /// A set of Gibbs configurations Omega (Eq. 6/7) plus derived statistics.
 class SampleSet {

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 #include "crf/mrf.h"
 #include "data/model.h"
@@ -43,6 +44,19 @@ struct CrfConfig {
   /// connectivity (documented approximation, see DESIGN.md).
   size_t max_pairs_per_source = 200;
 };
+
+template <typename V, typename S>
+FieldsOf<S, CrfConfig> VisitFields(V& v, S& c) {
+  v("l2_lambda", c.l2_lambda);
+  v("coupling", c.coupling);
+  v("prior_weight", c.prior_weight);
+  v("prior_clamp", c.prior_clamp);
+  v("labeled_weight", c.labeled_weight);
+  v("unlabeled_weight_floor", c.unlabeled_weight_floor);
+  v("unlabeled_confidence_scale", c.unlabeled_confidence_scale);
+  v("unlabeled_mass_cap_ratio", c.unlabeled_mass_cap_ratio);
+  v("max_pairs_per_source", c.max_pairs_per_source);
+}
 
 /// The log-linear weights of the CRF (Eq. 2). Weights are shared across
 /// cliques per credibility class; for a binary output only the difference

@@ -84,7 +84,9 @@ Result<std::vector<double>> ExactComponentMarginals(const SubProblem& sub,
 
 class GibbsSolver : public CrfSolver {
  public:
-  const char* name() const override { return "gibbs"; }
+  const char* name() const override {
+    return CrfBackendName(CrfBackend::kGibbs);
+  }
   SolverCaps caps() const override { return {false, false, 0}; }
 
   Result<MarginalSet> Marginals(const ClaimMrf& mrf, const BeliefState& state,
@@ -104,7 +106,9 @@ class GibbsSolver : public CrfSolver {
 
 class ChromaticSolver : public CrfSolver {
  public:
-  const char* name() const override { return "chromatic"; }
+  const char* name() const override {
+    return CrfBackendName(CrfBackend::kChromatic);
+  }
   SolverCaps caps() const override { return {false, true, 0}; }
 
   Result<MarginalSet> Marginals(const ClaimMrf& mrf, const BeliefState& state,
@@ -127,7 +131,9 @@ class ChromaticSolver : public CrfSolver {
 
 class ExactSolver : public CrfSolver {
  public:
-  const char* name() const override { return "exact"; }
+  const char* name() const override {
+    return CrfBackendName(CrfBackend::kExact);
+  }
   SolverCaps caps() const override { return {true, false, 20}; }
 
   Result<MarginalSet> Marginals(const ClaimMrf& mrf, const BeliefState& state,
@@ -161,7 +167,9 @@ class ExactSolver : public CrfSolver {
 
 class MeanFieldSolver : public CrfSolver {
  public:
-  const char* name() const override { return "mean_field"; }
+  const char* name() const override {
+    return CrfBackendName(CrfBackend::kMeanField);
+  }
   SolverCaps caps() const override { return {false, false, 0}; }
 
   Result<MarginalSet> Marginals(const ClaimMrf& mrf, const BeliefState& state,
@@ -252,7 +260,9 @@ constexpr uint64_t kDispatchSeedStream = 0x9e6b1a5d4f3c2b17ULL;
 
 class DispatchSolver : public CrfSolver {
  public:
-  const char* name() const override { return "dispatch"; }
+  const char* name() const override {
+    return CrfBackendName(CrfBackend::kDispatch);
+  }
   SolverCaps caps() const override { return {false, true, 0}; }
 
   Result<MarginalSet> Marginals(const ClaimMrf& mrf, const BeliefState& state,
@@ -336,17 +346,7 @@ class DispatchSolver : public CrfSolver {
 
 }  // namespace
 
-const char* CrfBackendName(CrfBackend backend) {
-  switch (backend) {
-    case CrfBackend::kAuto: return "auto";
-    case CrfBackend::kGibbs: return "gibbs";
-    case CrfBackend::kChromatic: return "chromatic";
-    case CrfBackend::kExact: return "exact";
-    case CrfBackend::kMeanField: return "mean_field";
-    case CrfBackend::kDispatch: return "dispatch";
-  }
-  return "auto";
-}
+const char* CrfBackendName(CrfBackend backend) { return EnumName(backend); }
 
 const CrfSolver& SolverFor(CrfBackend backend) {
   static const GibbsSolver gibbs;

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "crf/chromatic.h"
@@ -43,9 +44,9 @@
 
 namespace veritas {
 
-/// Backend selector carried by ICrfOptions (and the wire protocol, where it
-/// is spelled "auto" / "gibbs" / "chromatic" / "exact" / "mean_field" /
-/// "dispatch"; unknown spellings are rejected, a missing key means kAuto).
+/// Backend selector carried by ICrfOptions (and the wire protocol, which
+/// spells it through the table below; unknown spellings are rejected, a
+/// missing key means kAuto).
 enum class CrfBackend {
   kAuto,       ///< legacy rule: num_threads == 0 -> kGibbs, >= 1 -> kChromatic
   kGibbs,      ///< sequential Gibbs sampler
@@ -54,6 +55,10 @@ enum class CrfBackend {
   kMeanField,  ///< damped mean-field fixed point
   kDispatch,   ///< exact where tractable, chromatic sampling elsewhere
 };
+
+constexpr Spellings<6> EnumSpellings(CrfBackend) {
+  return {"auto", "gibbs", "chromatic", "exact", "mean_field", "dispatch"};
+}
 
 /// Canonical wire spelling of a backend (codec, diagnostics, bench tables).
 const char* CrfBackendName(CrfBackend backend);

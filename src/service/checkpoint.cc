@@ -1,6 +1,7 @@
 #include "service/checkpoint.h"
 
 #include <filesystem>
+#include <type_traits>
 
 #include "data/io.h"
 #include "obs/metrics.h"
@@ -36,327 +37,137 @@ const CheckpointMetrics& Metrics() {
   return metrics;
 }
 
-// ---- options ---------------------------------------------------------------
-// Field-by-field framing: the format is defined by the write order below and
-// guarded by kCheckpointVersion. Any layout change bumps the version.
+// ---- the binary archive ----------------------------------------------------
+// Both directions are visitors over each struct's VisitFields
+// (common/fields.h). The layout is the fields in visit order, untagged: a
+// struct is its fields inline, a bool one byte, an enum its value in one
+// byte, any other integer a u64, a double its IEEE-754 bits, a string or
+// vector a u64 count then its items, a fixed array its items. That is the
+// v2 layout exactly; a change to any visited field list changes the layout
+// and must bump kCheckpointVersion. BeliefState keeps a hand-written record.
 
-void WriteGibbs(BinaryWriter* w, const GibbsOptions& g) {
-  w->U64(g.burn_in);
-  w->U64(g.num_samples);
-  w->U64(g.thin);
-  w->U64(g.num_threads);  // v2: was silently dropped — restores reset to 0
-}
+class BinaryOut {
+ public:
+  explicit BinaryOut(BinaryWriter* w) : w_(w) {}
 
-Status ReadGibbs(BinaryReader* r, GibbsOptions* g) {
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->burn_in = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->num_samples = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->thin = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->num_threads = static_cast<size_t>(v);
-  return Status::OK();
-}
-
-void WriteBackend(BinaryWriter* w, CrfBackend backend) {
-  w->U8(static_cast<uint8_t>(backend));
-}
-
-Status ReadBackend(BinaryReader* r, CrfBackend* backend) {
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(CrfBackend::kDispatch)) {
-    return Status::InvalidArgument("checkpoint: bad crf backend");
+  template <typename T>
+  void operator()(const char* /*key*/, const T& value) {
+    Write(value);
   }
-  *backend = static_cast<CrfBackend>(b);
-  return Status::OK();
-}
 
-void WriteIcrfOptions(BinaryWriter* w, const ICrfOptions& o) {
-  const CrfConfig& c = o.crf;
-  w->F64(c.l2_lambda);
-  w->F64(c.coupling);
-  w->F64(c.prior_weight);
-  w->F64(c.prior_clamp);
-  w->F64(c.labeled_weight);
-  w->F64(c.unlabeled_weight_floor);
-  w->F64(c.unlabeled_confidence_scale);
-  w->F64(c.unlabeled_mass_cap_ratio);
-  w->U64(c.max_pairs_per_source);
-  WriteGibbs(w, o.gibbs);
-  WriteGibbs(w, o.hypothetical_gibbs);
-  const TronOptions& t = o.tron;
-  w->U64(t.max_iterations);
-  w->F64(t.gradient_tolerance);
-  w->F64(t.initial_radius);
-  w->U64(t.cg_max_iterations);
-  w->F64(t.cg_tolerance);
-  w->F64(t.eta0);
-  w->F64(t.eta1);
-  w->F64(t.eta2);
-  w->F64(t.sigma1);
-  w->F64(t.sigma2);
-  w->F64(t.sigma3);
-  w->U64(o.max_em_iterations);
-  w->F64(o.em_tolerance);
-  w->U8(o.fit_weights ? 1 : 0);
-  WriteBackend(w, o.backend);               // v2
-  WriteBackend(w, o.hypothetical_backend);  // v2
-}
+  void Write(bool value) { w_->U8(value ? 1 : 0); }
+  void Write(double value) { w_->F64(value); }
+  void Write(const std::string& value) { w_->Str(value); }
+  void Write(const std::vector<uint8_t>& values) { w_->VecU8(values); }
+  void Write(const std::vector<uint32_t>& values) { w_->VecU32(values); }
+  void Write(const std::vector<double>& values) { w_->VecF64(values); }
+  void Write(const BeliefState& state);
 
-Status ReadIcrfOptions(BinaryReader* r, ICrfOptions* o) {
-  CrfConfig& c = o->crf;
-  uint64_t v = 0;
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.l2_lambda));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.coupling));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.prior_weight));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.prior_clamp));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.labeled_weight));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.unlabeled_weight_floor));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.unlabeled_confidence_scale));
-  VERITAS_RETURN_IF_ERROR(r->F64(&c.unlabeled_mass_cap_ratio));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  c.max_pairs_per_source = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(ReadGibbs(r, &o->gibbs));
-  VERITAS_RETURN_IF_ERROR(ReadGibbs(r, &o->hypothetical_gibbs));
-  TronOptions& t = o->tron;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t.max_iterations = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.gradient_tolerance));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.initial_radius));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t.cg_max_iterations = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.cg_tolerance));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.eta0));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.eta1));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.eta2));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.sigma1));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.sigma2));
-  VERITAS_RETURN_IF_ERROR(r->F64(&t.sigma3));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->max_em_iterations = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->em_tolerance));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  o->fit_weights = b != 0;
-  VERITAS_RETURN_IF_ERROR(ReadBackend(r, &o->backend));
-  VERITAS_RETURN_IF_ERROR(ReadBackend(r, &o->hypothetical_backend));
-  return Status::OK();
-}
-
-void WriteGuidance(BinaryWriter* w, const GuidanceConfig& g) {
-  w->U8(static_cast<uint8_t>(g.variant));
-  w->U64(g.candidate_pool);
-  w->U64(g.neighborhood_radius);
-  w->U64(g.neighborhood_cap);
-  w->U64(g.num_threads);
-  w->U64(g.max_enumeration_claims);
-  w->U64(g.seed);
-  // v2: the fan-out kernel selection and its schedule were silently dropped,
-  // so a restored session could resume with a different guidance kernel than
-  // the one it checkpointed under.
-  w->U8(static_cast<uint8_t>(g.fanout));
-  w->U64(g.fanout_base_sweeps);
-  w->U64(g.fanout_burn_in);
-  w->U64(g.fanout_samples);
-}
-
-Status ReadGuidance(BinaryReader* r, GuidanceConfig* g) {
-  uint8_t b = 0;
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(GuidanceVariant::kParallelPartition)) {
-    return Status::InvalidArgument("checkpoint: bad guidance variant");
+  template <typename T>
+  void Write(const std::vector<T>& items) {
+    w_->U64(items.size());
+    for (const T& item : items) Write(item);
   }
-  g->variant = static_cast<GuidanceVariant>(b);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->candidate_pool = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->neighborhood_radius = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->neighborhood_cap = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->num_threads = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->max_enumeration_claims = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&g->seed));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(FanoutKernel::kBatched)) {
-    return Status::InvalidArgument("checkpoint: bad fanout kernel");
+
+  template <typename T, size_t N>
+  void Write(const T (&items)[N]) {
+    for (const T& item : items) Write(item);
   }
-  g->fanout = static_cast<FanoutKernel>(b);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->fanout_base_sweeps = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->fanout_burn_in = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  g->fanout_samples = static_cast<size_t>(v);
-  return Status::OK();
-}
 
-void WriteTermination(BinaryWriter* w, const TerminationOptions& t) {
-  w->U8(t.enable_urr ? 1 : 0);
-  w->F64(t.urr_threshold);
-  w->U64(t.urr_patience);
-  w->U8(t.enable_cng ? 1 : 0);
-  w->F64(t.cng_threshold);
-  w->U64(t.cng_patience);
-  w->U8(t.enable_pre ? 1 : 0);
-  w->U64(t.pre_streak);
-  w->U8(t.enable_pir ? 1 : 0);
-  w->F64(t.pir_threshold);
-  w->U64(t.pir_folds);
-  w->U64(t.pir_interval);
-  w->U64(t.pir_patience);
-}
-
-Status ReadTermination(BinaryReader* r, TerminationOptions* t) {
-  uint8_t b = 0;
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  t->enable_urr = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&t->urr_threshold));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->urr_patience = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  t->enable_cng = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&t->cng_threshold));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->cng_patience = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  t->enable_pre = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->pre_streak = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  t->enable_pir = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&t->pir_threshold));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->pir_folds = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->pir_interval = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  t->pir_patience = static_cast<size_t>(v);
-  return Status::OK();
-}
-
-void WriteValidationOptions(BinaryWriter* w, const ValidationOptions& o) {
-  WriteIcrfOptions(w, o.icrf);
-  WriteGuidance(w, o.guidance);
-  w->U8(static_cast<uint8_t>(o.strategy));
-  w->U64(o.budget);
-  w->F64(o.target_precision);
-  w->U64(o.batch_size);
-  w->F64(o.batch_benefit_weight);
-  w->U64(o.confirmation_interval);
-  WriteTermination(w, o.termination);
-  w->U8(o.exact_entropy_trace ? 1 : 0);
-  w->U64(o.seed);
-}
-
-Status ReadValidationOptions(BinaryReader* r, ValidationOptions* o) {
-  VERITAS_RETURN_IF_ERROR(ReadIcrfOptions(r, &o->icrf));
-  VERITAS_RETURN_IF_ERROR(ReadGuidance(r, &o->guidance));
-  uint8_t b = 0;
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(StrategyKind::kHybrid)) {
-    return Status::InvalidArgument("checkpoint: bad strategy kind");
+  template <typename T>
+  void Write(const T& value) {
+    if constexpr (std::is_enum_v<T>) {
+      w_->U8(static_cast<uint8_t>(value));
+    } else if constexpr (std::is_integral_v<T>) {
+      w_->U64(value);
+    } else {
+      VisitFields(*this, value);
+    }
   }
-  o->strategy = static_cast<StrategyKind>(b);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->budget = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->target_precision));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->batch_size = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->batch_benefit_weight));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->confirmation_interval = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(ReadTermination(r, &o->termination));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  o->exact_entropy_trace = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&o->seed));
-  return Status::OK();
-}
 
-void WriteStreamingOptions(BinaryWriter* w, const StreamingOptions& o) {
-  WriteIcrfOptions(w, o.icrf);
-  w->F64(o.step_a);
-  w->F64(o.step_t0);
-  w->F64(o.step_kappa);
-  w->U64(o.window_cap);
-  w->U64(o.tron_iterations_per_arrival);
-  w->U64(o.seed);
-}
+ private:
+  BinaryWriter* w_;
+};
 
-Status ReadStreamingOptions(BinaryReader* r, StreamingOptions* o) {
-  VERITAS_RETURN_IF_ERROR(ReadIcrfOptions(r, &o->icrf));
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->step_a));
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->step_t0));
-  VERITAS_RETURN_IF_ERROR(r->F64(&o->step_kappa));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->window_cap = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  o->tron_iterations_per_arrival = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&o->seed));
-  return Status::OK();
-}
+/// The reader visitor: the first failure sticks, and every count, size and
+/// enum value is range-checked before it is used.
+class BinaryIn {
+ public:
+  explicit BinaryIn(BinaryReader* r) : r_(r) {}
 
-void WriteSpec(BinaryWriter* w, const SessionSpec& spec) {
-  w->U8(static_cast<uint8_t>(spec.mode));
-  w->U8(static_cast<uint8_t>(spec.user.kind));
-  w->F64(spec.user.rate);
-  w->U64(spec.user.seed);
-  w->F64(spec.user.latency_ms);
-  w->U64(spec.streaming_label_interval);
-  WriteValidationOptions(w, spec.validation);
-  WriteStreamingOptions(w, spec.streaming);
-}
-
-Status ReadSpec(BinaryReader* r, SessionSpec* spec) {
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(SessionMode::kStreaming)) {
-    return Status::InvalidArgument("checkpoint: bad session mode");
+  template <typename T>
+  void operator()(const char* /*key*/, T& field) {
+    if (status_.ok()) status_ = Read(&field);
   }
-  spec->mode = static_cast<SessionMode>(b);
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  if (b > static_cast<uint8_t>(UserSpec::Kind::kSkipping)) {
-    return Status::InvalidArgument("checkpoint: bad user kind");
+
+  const Status& status() const { return status_; }
+
+  Status Read(bool* out) {
+    uint8_t b = 0;
+    VERITAS_RETURN_IF_ERROR(r_->U8(&b));
+    *out = b != 0;
+    return Status::OK();
   }
-  spec->user.kind = static_cast<UserSpec::Kind>(b);
-  VERITAS_RETURN_IF_ERROR(r->F64(&spec->user.rate));
-  VERITAS_RETURN_IF_ERROR(r->U64(&spec->user.seed));
-  VERITAS_RETURN_IF_ERROR(r->F64(&spec->user.latency_ms));
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  spec->streaming_label_interval = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(ReadValidationOptions(r, &spec->validation));
-  VERITAS_RETURN_IF_ERROR(ReadStreamingOptions(r, &spec->streaming));
-  return Status::OK();
-}
+  Status Read(double* out) { return r_->F64(out); }
+  Status Read(std::string* out) { return r_->Str(out); }
+  Status Read(std::vector<uint8_t>* out) { return r_->VecU8(out); }
+  Status Read(std::vector<uint32_t>* out) { return r_->VecU32(out); }
+  Status Read(std::vector<double>* out) { return r_->VecF64(out); }
+  Status Read(BeliefState* state);
 
-// ---- state pieces ----------------------------------------------------------
+  template <typename T>
+  Status Read(std::vector<T>* items) {
+    static_assert(std::is_class_v<T>, "scalar vectors have their own framing");
+    uint64_t count = 0;
+    VERITAS_RETURN_IF_ERROR(r_->U64(&count));
+    // Every struct item occupies well over 8 bytes; this bound rejects
+    // corrupt counts before the resize below can balloon.
+    if (count > r_->remaining() / 8) {
+      return Status::OutOfRange("checkpoint: truncated list");
+    }
+    items->resize(static_cast<size_t>(count));
+    for (T& item : *items) VERITAS_RETURN_IF_ERROR(Read(&item));
+    return Status::OK();
+  }
 
-void WriteRng(BinaryWriter* w, const RngState& rng) {
-  for (int i = 0; i < 4; ++i) w->U64(rng.s[i]);
-  w->U8(rng.has_cached_normal ? 1 : 0);
-  w->F64(rng.cached_normal);
-}
+  template <typename T, size_t N>
+  Status Read(T (*items)[N]) {
+    for (T& item : *items) VERITAS_RETURN_IF_ERROR(Read(&item));
+    return Status::OK();
+  }
 
-Status ReadRng(BinaryReader* r, RngState* rng) {
-  for (int i = 0; i < 4; ++i) VERITAS_RETURN_IF_ERROR(r->U64(&rng->s[i]));
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  rng->has_cached_normal = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&rng->cached_normal));
-  return Status::OK();
-}
+  template <typename T>
+  Status Read(T* out) {
+    if constexpr (std::is_enum_v<T>) {
+      uint8_t value = 0;
+      VERITAS_RETURN_IF_ERROR(r_->U8(&value));
+      if (!EnumFromIndex(value, out)) {
+        return Status::InvalidArgument("checkpoint: enum value " +
+                                       std::to_string(value) +
+                                       " out of range");
+      }
+      return Status::OK();
+    } else if constexpr (std::is_integral_v<T>) {
+      uint64_t value = 0;
+      VERITAS_RETURN_IF_ERROR(r_->U64(&value));
+      *out = static_cast<T>(value);
+      return Status::OK();
+    } else {
+      BinaryIn fields(r_);
+      VisitFields(fields, *out);
+      return fields.status();
+    }
+  }
 
-void WriteBelief(BinaryWriter* w, const BeliefState& state) {
-  w->VecF64(state.probs());
+ private:
+  BinaryReader* r_;
+  Status status_;
+};
+
+// ---- hand-written shapes ---------------------------------------------------
+
+void BinaryOut::Write(const BeliefState& state) {
+  w_->VecF64(state.probs());
   std::vector<uint8_t> labels(state.num_claims());
   for (size_t c = 0; c < labels.size(); ++c) {
     switch (state.label(static_cast<ClaimId>(c))) {
@@ -365,14 +176,14 @@ void WriteBelief(BinaryWriter* w, const BeliefState& state) {
       case ClaimLabel::kUnlabeled: labels[c] = 2; break;
     }
   }
-  w->VecU8(labels);
+  w_->VecU8(labels);
 }
 
-Status ReadBelief(BinaryReader* r, BeliefState* state) {
+Status BinaryIn::Read(BeliefState* state) {
   std::vector<double> probs;
   std::vector<uint8_t> labels;
-  VERITAS_RETURN_IF_ERROR(r->VecF64(&probs));
-  VERITAS_RETURN_IF_ERROR(r->VecU8(&labels));
+  VERITAS_RETURN_IF_ERROR(r_->VecF64(&probs));
+  VERITAS_RETURN_IF_ERROR(r_->VecU8(&labels));
   if (probs.size() != labels.size()) {
     return Status::InvalidArgument("checkpoint: probs/labels size mismatch");
   }
@@ -388,154 +199,6 @@ Status ReadBelief(BinaryReader* r, BeliefState* state) {
     }
   }
   *state = std::move(out);
-  return Status::OK();
-}
-
-void WriteRecord(BinaryWriter* w, const IterationRecord& rec) {
-  w->U64(rec.iteration);
-  w->VecU32(rec.claims);
-  w->VecU8(rec.answers);
-  w->F64(rec.seconds);
-  w->F64(rec.entropy);
-  w->F64(rec.precision);
-  w->F64(rec.effort);
-  w->F64(rec.error_rate);
-  w->F64(rec.z_score);
-  w->F64(rec.unreliable_ratio);
-  w->U64(rec.repairs);
-  w->U64(rec.skips);
-  w->VecU32(rec.flagged);
-  w->U8(rec.prediction_matched ? 1 : 0);
-  w->F64(rec.urr);
-  w->F64(rec.cng);
-  w->U64(rec.pre_streak);
-  w->F64(rec.pir);
-}
-
-Status ReadRecord(BinaryReader* r, IterationRecord* rec) {
-  uint64_t v = 0;
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  rec->iteration = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->VecU32(&rec->claims));
-  VERITAS_RETURN_IF_ERROR(r->VecU8(&rec->answers));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->seconds));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->entropy));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->precision));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->effort));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->error_rate));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->z_score));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->unreliable_ratio));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  rec->repairs = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  rec->skips = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->VecU32(&rec->flagged));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  rec->prediction_matched = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->urr));
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->cng));
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  rec->pre_streak = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->F64(&rec->pir));
-  return Status::OK();
-}
-
-void WriteOutcome(BinaryWriter* w, const ValidationOutcome& outcome) {
-  WriteBelief(w, outcome.state);
-  w->VecU8(outcome.grounding);
-  w->U64(outcome.trace.size());
-  for (const IterationRecord& rec : outcome.trace) WriteRecord(w, rec);
-  w->U64(outcome.validations);
-  w->U64(outcome.mistakes_made);
-  w->U64(outcome.mistakes_detected);
-  w->U64(outcome.mistakes_repaired);
-  w->Str(outcome.stop_reason);
-  w->F64(outcome.initial_precision);
-  w->F64(outcome.final_precision);
-}
-
-Status ReadOutcome(BinaryReader* r, ValidationOutcome* outcome) {
-  VERITAS_RETURN_IF_ERROR(ReadBelief(r, &outcome->state));
-  VERITAS_RETURN_IF_ERROR(r->VecU8(&outcome->grounding));
-  uint64_t count = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&count));
-  // Each record occupies well over 8 bytes; this bound rejects corrupt
-  // counts before the resize below can balloon.
-  if (count > r->remaining() / 8) {
-    return Status::OutOfRange("checkpoint: truncated trace");
-  }
-  outcome->trace.resize(static_cast<size_t>(count));
-  for (auto& rec : outcome->trace) VERITAS_RETURN_IF_ERROR(ReadRecord(r, &rec));
-  uint64_t v = 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  outcome->validations = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  outcome->mistakes_made = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  outcome->mistakes_detected = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->U64(&v));
-  outcome->mistakes_repaired = static_cast<size_t>(v);
-  VERITAS_RETURN_IF_ERROR(r->Str(&outcome->stop_reason));
-  VERITAS_RETURN_IF_ERROR(r->F64(&outcome->initial_precision));
-  VERITAS_RETURN_IF_ERROR(r->F64(&outcome->final_precision));
-  return Status::OK();
-}
-
-void WriteValidationState(BinaryWriter* w, const ValidationSessionState& s) {
-  w->U8(s.initialized ? 1 : 0);
-  w->U64(s.iteration);
-  w->F64(s.last_error_rate);
-  w->U64(s.validations_since_confirmation);
-  w->VecU32(s.confirmed_labels);
-  w->F64(s.hybrid_z);
-  w->F64(s.monitor.previous_entropy);
-  w->F64(s.monitor.last_urr);
-  w->U64(s.monitor.urr_calm_rounds);
-  w->F64(s.monitor.last_cng_rate);
-  w->U64(s.monitor.cng_calm_rounds);
-  w->U64(s.monitor.prediction_streak);
-  w->F64(s.monitor.previous_cv_precision);
-  w->F64(s.monitor.last_pir);
-  w->U8(s.monitor.pir_available ? 1 : 0);
-  w->U64(s.monitor.pir_calm_rounds);
-  WriteBelief(w, s.state);
-  w->VecU8(s.grounding);
-  WriteOutcome(w, s.outcome);
-  WriteRng(w, s.icrf_rng);
-  w->U8(s.has_strategy_rng ? 1 : 0);
-  WriteRng(w, s.strategy_rng);
-  w->VecF64(s.weights);
-}
-
-Status ReadValidationState(BinaryReader* r, ValidationSessionState* s) {
-  uint8_t b = 0;
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  s->initialized = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->iteration));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->last_error_rate));
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->validations_since_confirmation));
-  VERITAS_RETURN_IF_ERROR(r->VecU32(&s->confirmed_labels));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->hybrid_z));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.previous_entropy));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.last_urr));
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->monitor.urr_calm_rounds));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.last_cng_rate));
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->monitor.cng_calm_rounds));
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->monitor.prediction_streak));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.previous_cv_precision));
-  VERITAS_RETURN_IF_ERROR(r->F64(&s->monitor.last_pir));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  s->monitor.pir_available = b != 0;
-  VERITAS_RETURN_IF_ERROR(r->U64(&s->monitor.pir_calm_rounds));
-  VERITAS_RETURN_IF_ERROR(ReadBelief(r, &s->state));
-  VERITAS_RETURN_IF_ERROR(r->VecU8(&s->grounding));
-  VERITAS_RETURN_IF_ERROR(ReadOutcome(r, &s->outcome));
-  VERITAS_RETURN_IF_ERROR(ReadRng(r, &s->icrf_rng));
-  VERITAS_RETURN_IF_ERROR(r->U8(&b));
-  s->has_strategy_rng = b != 0;
-  VERITAS_RETURN_IF_ERROR(ReadRng(r, &s->strategy_rng));
-  VERITAS_RETURN_IF_ERROR(r->VecF64(&s->weights));
   return Status::OK();
 }
 
@@ -565,42 +228,35 @@ Status SaveSessionCheckpoint(const Session& session,
   }
 
   BinaryWriter w;
+  BinaryOut out(&w);
   for (const uint8_t m : kMagic) w.U8(m);
   w.U32(kCheckpointVersion);
-  WriteSpec(&w, session.spec_);
+  out.Write(session.spec_);
 
-  if (session.spec_.mode == SessionMode::kBatch) {
+  if (session.mode() == SessionMode::kBatch) {
     VERITAS_RETURN_IF_ERROR(SaveFactDatabase(*session.db_, directory + "/db"));
-    WriteValidationState(&w, session.process_->ExportSessionState());
-    w.U8(session.awaiting_answers_ ? 1 : 0);
-    w.VecU32(session.pending_plan_.candidates);
-    w.U8(session.pending_plan_.batch ? 1 : 0);
+    out.Write(session.process_->ExportSessionState());
+    out.Write(session.awaiting_answers_);
+    out.Write(session.pending_plan_.candidates);
+    out.Write(session.pending_plan_.batch);
   } else {
     VERITAS_RETURN_IF_ERROR(
         SaveFactDatabase(*session.source_corpus_, directory + "/db"));
-    w.U64(session.next_arrival_);
-    w.U8(session.stream_synced_ ? 1 : 0);
-    const StreamingEmState em = session.checker_->ExportEmState();
-    w.U64(em.window.size());
-    for (const StreamingWindowExample& example : em.window) {
-      w.VecF64(example.features);
-      w.F64(example.target);
-      w.F64(example.log_weight);
-    }
-    w.F64(em.log_scale);
-    w.U64(em.arrivals);
-    WriteBelief(&w, session.checker_->state());
-    w.VecF64(session.checker_->weights());
-    WriteRng(&w, session.checker_->icrf()->rng_state());
+    out.Write(session.next_arrival_);
+    out.Write(session.stream_synced_);
+    out.Write(session.checker_->ExportEmState());
+    out.Write(session.checker_->state());
+    out.Write(session.checker_->weights());
+    out.Write(session.checker_->icrf()->rng_state());
   }
 
   // The simulated validator's stream, when it has one.
   Rng* user_rng =
       session.user_ != nullptr ? session.user_->mutable_rng() : nullptr;
-  w.U8(user_rng != nullptr ? 1 : 0);
-  WriteRng(&w, user_rng != nullptr ? user_rng->SaveState() : RngState());
+  out.Write(user_rng != nullptr);
+  out.Write(user_rng != nullptr ? user_rng->SaveState() : RngState());
 
-  w.U64(session.steps_served_);
+  out.Write(session.steps_served_);
   const Status written = w.WriteFile(directory + "/session.bin");
   if (written.ok()) {
     Metrics().saves->Increment();
@@ -631,8 +287,9 @@ Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
         "LoadSessionCheckpoint: unsupported checkpoint version " +
         std::to_string(version));
   }
+  BinaryIn in(&r);
   SessionSpec spec;
-  VERITAS_RETURN_IF_ERROR(ReadSpec(&r, &spec));
+  VERITAS_RETURN_IF_ERROR(in.Read(&spec));
 
   auto db = LoadFactDatabase(directory + "/db");
   if (!db.ok()) return db.status();
@@ -641,45 +298,30 @@ Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
   if (!created.ok()) return created.status();
   std::unique_ptr<Session> session = std::move(created).value();
 
-  if (spec.mode == SessionMode::kBatch) {
+  if (session->mode() == SessionMode::kBatch) {
     ValidationSessionState state;
-    VERITAS_RETURN_IF_ERROR(ReadValidationState(&r, &state));
+    VERITAS_RETURN_IF_ERROR(in.Read(&state));
     VERITAS_RETURN_IF_ERROR(session->process_->RestoreSessionState(state));
-    uint8_t b = 0;
-    VERITAS_RETURN_IF_ERROR(r.U8(&b));
-    session->awaiting_answers_ = b != 0;
-    VERITAS_RETURN_IF_ERROR(r.VecU32(&session->pending_plan_.candidates));
-    VERITAS_RETURN_IF_ERROR(r.U8(&b));
-    session->pending_plan_.batch = b != 0;
+    VERITAS_RETURN_IF_ERROR(in.Read(&session->awaiting_answers_));
+    VERITAS_RETURN_IF_ERROR(in.Read(&session->pending_plan_.candidates));
+    VERITAS_RETURN_IF_ERROR(in.Read(&session->pending_plan_.batch));
   } else {
     uint64_t next_arrival = 0;
-    uint8_t synced = 0;
-    VERITAS_RETURN_IF_ERROR(r.U64(&next_arrival));
-    VERITAS_RETURN_IF_ERROR(r.U8(&synced));
+    bool synced = false;
+    VERITAS_RETURN_IF_ERROR(in.Read(&next_arrival));
+    VERITAS_RETURN_IF_ERROR(in.Read(&synced));
     if (next_arrival > session->source_corpus_->num_claims()) {
       return Status::InvalidArgument(
           "LoadSessionCheckpoint: arrival cursor past the corpus");
     }
     StreamingEmState em;
-    uint64_t window = 0;
-    VERITAS_RETURN_IF_ERROR(r.U64(&window));
-    if (window > r.remaining() / 8) {
-      return Status::OutOfRange("LoadSessionCheckpoint: truncated EM window");
-    }
-    em.window.resize(static_cast<size_t>(window));
-    for (auto& example : em.window) {
-      VERITAS_RETURN_IF_ERROR(r.VecF64(&example.features));
-      VERITAS_RETURN_IF_ERROR(r.F64(&example.target));
-      VERITAS_RETURN_IF_ERROR(r.F64(&example.log_weight));
-    }
-    VERITAS_RETURN_IF_ERROR(r.F64(&em.log_scale));
-    VERITAS_RETURN_IF_ERROR(r.U64(&em.arrivals));
     BeliefState belief;
-    VERITAS_RETURN_IF_ERROR(ReadBelief(&r, &belief));
     std::vector<double> weights;
-    VERITAS_RETURN_IF_ERROR(r.VecF64(&weights));
     RngState icrf_rng;
-    VERITAS_RETURN_IF_ERROR(ReadRng(&r, &icrf_rng));
+    VERITAS_RETURN_IF_ERROR(in.Read(&em));
+    VERITAS_RETURN_IF_ERROR(in.Read(&belief));
+    VERITAS_RETURN_IF_ERROR(in.Read(&weights));
+    VERITAS_RETURN_IF_ERROR(in.Read(&icrf_rng));
     if (belief.num_claims() != next_arrival) {
       return Status::InvalidArgument(
           "LoadSessionCheckpoint: belief state does not match arrivals");
@@ -711,7 +353,7 @@ Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
     session->checker_->SetWeights(weights);
     session->checker_->icrf()->restore_rng_state(icrf_rng);
     session->next_arrival_ = static_cast<size_t>(next_arrival);
-    session->stream_synced_ = synced != 0;
+    session->stream_synced_ = synced;
     if (session->stream_synced_) {
       // Rebind the engine exactly as the pre-checkpoint Sync left it; no
       // inference runs, so the restored RNG stream stays aligned.
@@ -720,16 +362,20 @@ Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
     }
   }
 
-  uint8_t has_user_rng = 0;
-  VERITAS_RETURN_IF_ERROR(r.U8(&has_user_rng));
+  bool has_user_rng = false;
   RngState user_rng;
-  VERITAS_RETURN_IF_ERROR(ReadRng(&r, &user_rng));
-  if (has_user_rng != 0 && session->user_ != nullptr) {
+  VERITAS_RETURN_IF_ERROR(in.Read(&has_user_rng));
+  VERITAS_RETURN_IF_ERROR(in.Read(&user_rng));
+  if (has_user_rng && session->user_ != nullptr) {
     if (Rng* rng = session->user_->mutable_rng()) rng->RestoreState(user_rng);
   }
-  uint64_t steps = 0;
-  VERITAS_RETURN_IF_ERROR(r.U64(&steps));
-  session->steps_served_ = static_cast<size_t>(steps);
+  VERITAS_RETURN_IF_ERROR(in.Read(&session->steps_served_));
+  // Bytes past the record mean the writer and this reader disagree on the
+  // layout; loading them would misread state, so refuse.
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument(
+        "LoadSessionCheckpoint: trailing bytes after the session record");
+  }
   Metrics().loads->Increment();
   return session;
 }

@@ -15,7 +15,12 @@
 ///                 un-arrived)
 ///   session.bin   versioned binary record (BinaryWriter framing):
 ///                 magic "VCKP", format version, the SessionSpec, and the
-///                 mode-specific numeric state.
+///                 mode-specific numeric state, with nothing after it.
+///
+/// The record is written and read by two visitors over the VisitFields
+/// lists the wire codec also uses (common/fields.h): each struct's fields
+/// in visit order, untagged. Only BeliefState and the session's own tail
+/// (pending plan, arrival cursor, step counter) are laid out by hand.
 
 #ifndef VERITAS_SERVICE_CHECKPOINT_H_
 #define VERITAS_SERVICE_CHECKPOINT_H_

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 #include "core/streaming.h"
 #include "core/user_model.h"
@@ -26,6 +27,10 @@ namespace veritas {
 
 /// Which algorithm a session hosts.
 enum class SessionMode : uint8_t { kBatch = 0, kStreaming = 1 };
+
+constexpr Spellings<2> EnumSpellings(SessionMode) {
+  return {"batch", "streaming"};
+}
 
 /// The session's validator. kNone means answers arrive externally through
 /// Answer() — the deployment shape, where a human sits on the other side of
@@ -44,6 +49,18 @@ struct UserSpec {
   double latency_ms = 0.0;
 };
 
+constexpr Spellings<4> EnumSpellings(UserSpec::Kind) {
+  return {"none", "oracle", "erroneous", "skipping"};
+}
+
+template <typename V, typename S>
+FieldsOf<S, UserSpec> VisitFields(V& v, S& u) {
+  v("kind", u.kind);
+  v("rate", u.rate);
+  v("seed", u.seed);
+  v("latency_ms", u.latency_ms);
+}
+
 /// Everything needed to start (or restore) a session.
 struct SessionSpec {
   SessionMode mode = SessionMode::kBatch;
@@ -54,6 +71,15 @@ struct SessionSpec {
   size_t streaming_label_interval = 0;
   UserSpec user;
 };
+
+template <typename V, typename S>
+FieldsOf<S, SessionSpec> VisitFields(V& v, S& spec) {
+  v("mode", spec.mode);
+  v("user", spec.user);
+  v("streaming_label_interval", spec.streaming_label_interval);
+  v("validation", spec.validation);
+  v("streaming", spec.streaming);
+}
 
 /// Outcome of one Advance()/Answer() call.
 struct StepResult {
@@ -72,6 +98,19 @@ struct StepResult {
   ArrivalStats arrival;
 };
 
+template <typename V, typename S>
+FieldsOf<S, StepResult> VisitFields(V& v, S& step) {
+  v("done", step.done);
+  v("stop_reason", step.stop_reason);
+  v("awaiting_answers", step.awaiting_answers);
+  v("candidates", step.candidates);
+  v("batch", step.batch);
+  v("iteration_completed", step.iteration_completed);
+  v("record", step.record);
+  v("arrival_processed", step.arrival_processed);
+  v("arrival", step.arrival);
+}
+
 /// Snapshot of a session's current grounding (the Ground() lifecycle call).
 struct GroundingView {
   Grounding grounding;
@@ -80,6 +119,15 @@ struct GroundingView {
   size_t labeled = 0;
   size_t num_claims = 0;
 };
+
+template <typename V, typename S>
+FieldsOf<S, GroundingView> VisitFields(V& v, S& view) {
+  v("grounding", view.grounding);
+  v("probs", view.probs);
+  v("precision", view.precision);
+  v("labeled", view.labeled);
+  v("num_claims", view.num_claims);
+}
 
 /// A hosted fact-checking session. Not internally synchronized: callers
 /// serialize access through mutex() (the SessionManager's per-session

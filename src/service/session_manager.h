@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 #include "service/session.h"
 
@@ -58,6 +59,20 @@ struct SessionManagerStats {
   size_t peak_resident_bytes = 0;
 };
 
+template <typename V, typename S>
+FieldsOf<S, SessionManagerStats> VisitFields(V& v, S& stats) {
+  v("sessions_created", stats.sessions_created);
+  v("sessions_active", stats.sessions_active);
+  v("sessions_resident", stats.sessions_resident);
+  v("sessions_spilled", stats.sessions_spilled);
+  v("evictions", stats.evictions);
+  v("spill_restores", stats.spill_restores);
+  v("resident_bytes", stats.resident_bytes);
+  v("steps_served", stats.steps_served);
+  v("spill_bytes", stats.spill_bytes);
+  v("peak_resident_bytes", stats.peak_resident_bytes);
+}
+
 /// The per-manager snapshot name the wire API uses (api/wire.h).
 using ServiceStats = SessionManagerStats;
 
@@ -70,6 +85,15 @@ struct SessionInfo {
   size_t steps_served = 0;    ///< as of the session's last completed step
   size_t footprint_bytes = 0; ///< last MemoryFootprintBytes() estimate
 };
+
+template <typename V, typename S>
+FieldsOf<S, SessionInfo> VisitFields(V& v, S& info) {
+  v("id", info.id);
+  v("mode", info.mode);
+  v("resident", info.resident);
+  v("steps_served", info.steps_served);
+  v("footprint_bytes", info.footprint_bytes);
+}
 
 /// Thread-safe multi-session host. All public methods may be called
 /// concurrently from any thread.

@@ -243,7 +243,7 @@ TEST(CodecRoundTripTest, SessionSpecEveryFieldSurvives) {
   for (int trial = 0; trial < 50; ++trial) {
     const SessionSpec spec = RandomSpec(&rng);
     const SessionSpec decoded =
-        RoundTrip(spec, EncodeSessionSpec, DecodeSessionSpec);
+        RoundTrip(spec, EncodeJson<SessionSpec>, DecodeJson<SessionSpec>);
     EXPECT_EQ(decoded.mode, spec.mode);
     EXPECT_EQ(decoded.user.kind, spec.user.kind);
     EXPECT_TRUE(BitEqual(decoded.user.rate, spec.user.rate));
@@ -282,7 +282,7 @@ TEST(CodecRoundTripTest, StepResultAndRecordSurvive) {
   for (int trial = 0; trial < 100; ++trial) {
     const StepResult step = RandomStep(&rng);
     const StepResult decoded =
-        RoundTrip(step, EncodeStepResult, DecodeStepResult);
+        RoundTrip(step, EncodeJson<StepResult>, DecodeJson<StepResult>);
     EXPECT_EQ(decoded.done, step.done);
     EXPECT_EQ(decoded.stop_reason, step.stop_reason);
     EXPECT_EQ(decoded.awaiting_answers, step.awaiting_answers);
@@ -315,8 +315,8 @@ TEST(CodecRoundTripTest, FactDatabaseSurvivesWithNastyText) {
   nasty.SetGroundTruth(3, false);
 
   for (const FactDatabase* original : {&db, &nasty}) {
-    const FactDatabase decoded =
-        RoundTrip(*original, EncodeFactDatabase, DecodeFactDatabase);
+    const FactDatabase decoded = RoundTrip(
+        *original, EncodeJson<FactDatabase>, DecodeJson<FactDatabase>);
     ASSERT_EQ(decoded.num_sources(), original->num_sources());
     ASSERT_EQ(decoded.num_documents(), original->num_documents());
     ASSERT_EQ(decoded.num_claims(), original->num_claims());
@@ -430,8 +430,8 @@ TEST(CodecRoundTripTest, ValidationOutcomeSurvives) {
   outcome.initial_precision = 0.25;
   outcome.final_precision = 1.0 / 3.0;
 
-  const ValidationOutcome decoded =
-      RoundTrip(outcome, EncodeValidationOutcome, DecodeValidationOutcome);
+  const ValidationOutcome decoded = RoundTrip(
+      outcome, EncodeJson<ValidationOutcome>, DecodeJson<ValidationOutcome>);
   EXPECT_EQ(decoded.state.probs(), outcome.state.probs());
   EXPECT_EQ(decoded.state.labeled_count(), outcome.state.labeled_count());
   EXPECT_EQ(decoded.state.label(1), ClaimLabel::kCredible);
@@ -451,7 +451,7 @@ TEST(CodecRejectionTest, NonFiniteDoublesRejectedAtEncode) {
   SessionSpec spec;
   spec.validation.target_precision = std::numeric_limits<double>::quiet_NaN();
   JsonWriter w;
-  EncodeSessionSpec(spec, &w);
+  EncodeJson(spec, &w);
   EXPECT_FALSE(w.Take().ok());
 
   StepResult step;
@@ -519,7 +519,7 @@ TEST(CodecRejectionTest, UnknownEnumValuesRejectedNotCoerced) {
     auto parsed = ParseJson(test_case.json);
     ASSERT_TRUE(parsed.ok()) << test_case.json;
     SessionSpec spec;
-    const Status status = DecodeSessionSpec(parsed.value(), &spec);
+    const Status status = DecodeJson(parsed.value(), &spec);
     EXPECT_FALSE(status.ok()) << test_case.json;
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << test_case.json;
   }
@@ -535,7 +535,7 @@ TEST(CodecRejectionTest, WrongTypeEnumValuesRejected) {
     auto parsed = ParseJson(json);
     ASSERT_TRUE(parsed.ok()) << json;
     SessionSpec spec;
-    EXPECT_FALSE(DecodeSessionSpec(parsed.value(), &spec).ok()) << json;
+    EXPECT_FALSE(DecodeJson(parsed.value(), &spec).ok()) << json;
   }
 }
 
@@ -546,7 +546,7 @@ TEST(CodecRoundTripTest, MissingBackendKeysDecodeToDefaults) {
       "{\"validation\":{\"icrf\":{\"max_em_iterations\":3}}}");
   ASSERT_TRUE(parsed.ok());
   SessionSpec spec;
-  ASSERT_TRUE(DecodeSessionSpec(parsed.value(), &spec).ok());
+  ASSERT_TRUE(DecodeJson(parsed.value(), &spec).ok());
   EXPECT_EQ(spec.validation.icrf.backend, CrfBackend::kAuto);
   EXPECT_EQ(spec.validation.icrf.hypothetical_backend, CrfBackend::kAuto);
   EXPECT_EQ(spec.validation.icrf.max_em_iterations, 3u);
@@ -557,7 +557,7 @@ TEST(CodecRoundTripTest, MissingBackendKeysDecodeToDefaults) {
       "\"hypothetical_backend\":\"mean_field\"}}}");
   ASSERT_TRUE(explicit_json.ok());
   SessionSpec explicit_spec;
-  ASSERT_TRUE(DecodeSessionSpec(explicit_json.value(), &explicit_spec).ok());
+  ASSERT_TRUE(DecodeJson(explicit_json.value(), &explicit_spec).ok());
   EXPECT_EQ(explicit_spec.validation.icrf.backend, CrfBackend::kDispatch);
   EXPECT_EQ(explicit_spec.validation.icrf.hypothetical_backend,
             CrfBackend::kMeanField);
@@ -582,7 +582,7 @@ TEST(CodecRejectionTest, UnknownMembersAreTolerated) {
   auto parsed = ParseJson(w.Take().value());
   ASSERT_TRUE(parsed.ok());
   StepResult step;
-  EXPECT_TRUE(DecodeStepResult(parsed.value(), &step).ok());
+  EXPECT_TRUE(DecodeJson(parsed.value(), &step).ok());
   EXPECT_TRUE(step.done);
   EXPECT_EQ(step.stop_reason, "ok");
 }

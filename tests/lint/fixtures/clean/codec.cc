@@ -1,5 +1,5 @@
-// Clean fixture, never compiled: full coverage, rejecting enum parser,
-// GetEnum pairing with a missing-key default.
+// Clean fixture, never compiled: full envelope coverage, a rejecting enum
+// parser, and a GetEnum pairing with a missing-key default.
 
 Status ParseShade(const std::string& name, Shade* out) {
   if (name == "light") {
@@ -24,19 +24,10 @@ Status GetEnum(const JsonValue& obj, const char* key, Parser parser,
 
 void EncodeDemoMessage(JsonWriter* w, const DemoMessage& message) {
   w->Key("alpha").UInt(message.alpha);
+  w->Key("shade").String(ShadeName(message.shade));
 }
 
 Status DecodeDemoMessage(const JsonValue& value, DemoMessage* out) {
   GetU64(value, "alpha", &out->alpha);
-  return Status::OK();
-}
-
-void EncodeDemoOptions(JsonWriter* w, const DemoOptions& options) {
-  w->Key("gamma").UInt(options.gamma);
-  w->Key("shade").String(ShadeName(options.shade));
-}
-
-Status DecodeDemoOptions(const JsonValue& value, DemoOptions* out) {
-  GetU64(value, "gamma", &out->gamma);
   return GetEnum(value, "shade", ParseShade, &out->shade);
 }

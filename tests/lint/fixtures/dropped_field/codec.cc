@@ -1,5 +1,5 @@
-// Known-bad fixture, never compiled: covers DemoMessage fully and
-// DemoOptions::gamma only — delta is missing from both directions.
+// Known-bad fixture, never compiled: codes the DemoMessage envelope by hand,
+// both members in both directions.
 
 void EncodeDemoMessage(JsonWriter* w, const DemoMessage& message) {
   w->Key("alpha").UInt(message.alpha);
@@ -9,14 +9,5 @@ void EncodeDemoMessage(JsonWriter* w, const DemoMessage& message) {
 Status DecodeDemoMessage(const JsonValue& value, DemoMessage* out) {
   GetU64(value, "alpha", &out->alpha);
   GetU64(value, "beta", &out->beta);
-  return Status::OK();
-}
-
-void EncodeDemoOptions(JsonWriter* w, const DemoOptions& options) {
-  w->Key("gamma").UInt(options.gamma);
-}
-
-Status DecodeDemoOptions(const JsonValue& value, DemoOptions* out) {
-  GetU64(value, "gamma", &out->gamma);
   return Status::OK();
 }

@@ -1,7 +1,7 @@
-// Known-bad field-coverage fixture, never compiled: the message struct is
-// fully covered, but DemoOptions (see options.h) drops a field.
+// Known-bad field-coverage fixture, never compiled: the envelope struct is
+// fully covered by the codec, but DemoOptions (see options.h) drops a field.
 
-struct DemoMessage {  // lint: wire-only
+struct DemoMessage {
   int alpha = 0;
   int beta = 0;
 };

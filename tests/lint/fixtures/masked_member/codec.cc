@@ -1,0 +1,1 @@
+// Fixture codec, never compiled: no envelopes to code.

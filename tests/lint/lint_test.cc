@@ -55,13 +55,13 @@ TEST(LintTest, FlagsDroppedField) {
   const RunResult r = RunLint(
       "--repo " + Fixture("dropped_field") +
       " --check field-coverage --wire-header wire.h --codec codec.cc"
-      " --checkpoint checkpoint.cc --no-default-structs"
-      " --option-struct DemoOptions=options.h");
+      " --schema-dir .");
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("DemoOptions::delta"), std::string::npos)
       << r.output;
-  // The drop must be reported on every uncovered path: codec encode,
-  // codec decode, checkpoint write, checkpoint read.
+  // The one field list drives every archive, so the finding names every
+  // path that loses the member: codec encode, codec decode, checkpoint
+  // write, checkpoint read.
   EXPECT_NE(r.output.find("encode"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("decode"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("checkpoint"), std::string::npos) << r.output;
@@ -69,6 +69,37 @@ TEST(LintTest, FlagsDroppedField) {
   EXPECT_EQ(r.output.find("DemoOptions::gamma"), std::string::npos)
       << r.output;
   EXPECT_EQ(r.output.find("DemoMessage::alpha"), std::string::npos)
+      << r.output;
+}
+
+// A member dropped from its own visitor is flagged even when another struct
+// visits a member of the same name (GibbsOptions::num_threads used to mask
+// a drop of GuidanceConfig::num_threads).
+TEST(LintTest, FlagsDropMaskedBySameNamedMember) {
+  const RunResult r = RunLint(
+      "--repo " + Fixture("masked_member") +
+      " --check field-coverage --wire-header wire.h --codec codec.cc"
+      " --schema-dir .");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("GuidanceConfig::num_threads"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("GibbsOptions::num_threads"), std::string::npos)
+      << r.output;
+}
+
+// A struct is tracked because it has a visitor, not because a list names
+// it (TerminationOptions was on no list, so its drops went unseen).
+TEST(LintTest, FlagsDropInStructNamedByNoList) {
+  const RunResult r = RunLint(
+      "--repo " + Fixture("unlisted_struct") +
+      " --check field-coverage --wire-header wire.h --codec codec.cc"
+      " --schema-dir .");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("TerminationOptions::pir_patience"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("TerminationOptions::pir_interval"),
+            std::string::npos)
       << r.output;
 }
 
@@ -108,8 +139,7 @@ TEST(LintTest, CleanFixturePasses) {
   const RunResult r = RunLint(
       "--repo " + Fixture("clean") +
       " --wire-header wire.h --codec codec.cc --checkpoint checkpoint.cc"
-      " --no-default-structs --option-struct DemoOptions=options.h"
-      " --determinism-dir det --enum-dir .");
+      " --schema-dir . --determinism-dir det --enum-dir .");
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 

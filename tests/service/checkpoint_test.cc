@@ -271,6 +271,24 @@ TEST_F(CheckpointTest, BadMagicAndTruncationAreRejectedNotCrashes) {
   auto truncated = LoadSessionCheckpoint(dir_);
   ASSERT_FALSE(truncated.ok());
 
+  {  // one byte past a valid record: a writer/reader layout mismatch
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes << '\0';
+  }
+  auto trailing = LoadSessionCheckpoint(dir_);
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(trailing.status().code(), StatusCode::kInvalidArgument);
+
+  {  // out-of-range enum: the session mode byte follows magic and version
+    std::string patched = bytes;
+    patched[8] = 7;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << patched;
+  }
+  auto bad_enum = LoadSessionCheckpoint(dir_);
+  ASSERT_FALSE(bad_enum.ok());
+  EXPECT_EQ(bad_enum.status().code(), StatusCode::kInvalidArgument);
+
   auto missing = LoadSessionCheckpoint(dir_ + "/nope");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);

@@ -100,12 +100,6 @@ bool IsControlKeyword(const std::string& ident) {
   return kKeywords.count(ident) != 0;
 }
 
-const std::set<std::string>& CoverageTags() {
-  static const std::set<std::string> kTags = {"wire-only", "checkpoint-only",
-                                              "ephemeral"};
-  return kTags;
-}
-
 }  // namespace
 
 bool SourceFile::Tagged(size_t line, const std::string& tag) const {
@@ -241,16 +235,29 @@ size_t SkipSpaces(const std::string& text, size_t i) {
   return i;
 }
 
-std::set<std::string> TagsAround(const SourceFile& file, size_t line) {
-  std::set<std::string> tags;
-  const auto merge = [&](size_t l) {
-    if (l >= 1 && l <= file.tags.size()) {
-      tags.insert(file.tags[l - 1].begin(), file.tags[l - 1].end());
+/// Splits a member statement at its top-level commas, so
+/// `double eta0 = 1e-4, eta1 = 0.25;` yields one piece per declarator.
+/// Angle brackets nest only outside initializers, where `<` may compare.
+std::vector<std::string> SplitDeclarators(const std::string& statement) {
+  std::vector<std::string> pieces(1);
+  int depth = 0;
+  bool initializer = false;
+  for (const char c : statement) {
+    if (c == '(' || c == '[' || c == '{' || (!initializer && c == '<')) {
+      ++depth;
+    } else if (c == ')' || c == ']' || c == '}' ||
+               (!initializer && c == '>')) {
+      --depth;
+    } else if (c == '=' && depth == 0) {
+      initializer = true;
+    } else if (c == ',' && depth == 0) {
+      pieces.emplace_back();
+      initializer = false;
+      continue;
     }
-  };
-  merge(line);
-  if (line > 1) merge(line - 1);
-  return tags;
+    pieces.back() += c;
+  }
+  return pieces;
 }
 
 /// Parses one member statement collected at struct depth. Returns false
@@ -336,7 +343,6 @@ std::vector<StructDecl> ParseStructs(const SourceFile& file) {
     StructDecl decl;
     decl.name = name;
     decl.line = keyword_line;
-    decl.tags = TagsAround(file, keyword_line);
 
     std::string buffer;
     size_t buffer_line = 0;
@@ -366,15 +372,19 @@ std::vector<StructDecl> ParseStructs(const SourceFile& file) {
         break;  // end of struct
       }
       if (c == ';') {
+        const std::vector<std::string> declarators = SplitDeclarators(buffer);
         std::string member_name;
-        if (MemberName(buffer, &member_name)) {
+        if (MemberName(declarators.front(), &member_name)) {
           StructMember member;
-          member.name = member_name;
           member.line = buffer_line == 0 ? flat.LineAt(k) : buffer_line;
-          member.tags = TagsAround(file, member.line);
-          const auto end_tags = TagsAround(file, flat.LineAt(k));
-          member.tags.insert(end_tags.begin(), end_tags.end());
-          decl.members.push_back(std::move(member));
+          for (size_t d = 0; d < declarators.size(); ++d) {
+            // Later declarators are `name` or `name = init`.
+            const std::string piece = Trim(declarators[d]);
+            size_t end = 0;
+            while (end < piece.size() && IsIdentChar(piece[end])) ++end;
+            member.name = d == 0 ? member_name : piece.substr(0, end);
+            if (!member.name.empty()) decl.members.push_back(member);
+          }
         }
         buffer.clear();
         buffer_line = 0;
@@ -490,13 +500,6 @@ std::string AggregateBodies(const FlatText& flat,
   return out;
 }
 
-struct CoverageSide {
-  std::string label;      ///< e.g. "codec encode path"
-  std::string file;       ///< file the path lives in (for the message)
-  const std::string* text;
-  std::string exempt_tag; ///< annotation that waives this side
-};
-
 bool FileInDirs(const fs::path& file, const std::vector<std::string>& dirs,
                 const std::string& root) {
   const std::string canonical = fs::weakly_canonical(file).string();
@@ -580,123 +583,145 @@ std::set<std::string> UnorderedNames(const FlatText& flat) {
   return names;
 }
 
+/// The struct a VisitFields definition visits: the last identifier of the
+/// `FieldsOf<Self, T>` return type in front of its name. Empty when the
+/// definition does not have that shape.
+std::string VisitedStruct(const FlatText& flat, const FunctionDef& fn) {
+  const std::string& text = flat.text;
+  const size_t name = text.rfind("VisitFields", fn.body_begin);
+  if (name == std::string::npos) return "";
+  const size_t previous = text.find_last_of(";}", name);
+  const size_t head = previous == std::string::npos ? 0 : previous + 1;
+  const size_t open = text.find("FieldsOf<", head);
+  if (open == std::string::npos || open > name) return "";
+  const size_t close = text.find('>', open);
+  if (close == std::string::npos || close > name) return "";
+  std::string last;
+  for (size_t i = open + 9; i < close;) {
+    if (IsIdentStart(text[i])) {
+      size_t j = i;
+      while (j < close && IsIdentChar(text[j])) ++j;
+      last = text.substr(i, j - i);
+      i = j;
+    } else {
+      ++i;
+    }
+  }
+  return last;
+}
+
+/// True when `body` reads `.member` or `->member` (a member access, not
+/// just the key string that names it).
+bool ContainsMemberAccess(const std::string& body, const std::string& member) {
+  size_t pos = 0;
+  while ((pos = body.find(member, pos)) != std::string::npos) {
+    const size_t end = pos + member.size();
+    const bool right_ok = end >= body.size() || !IsIdentChar(body[end]);
+    const bool dot = pos >= 1 && body[pos - 1] == '.';
+    const bool arrow = pos >= 2 && body.compare(pos - 2, 2, "->") == 0;
+    if (right_ok && (dot || arrow)) return true;
+    pos = end;
+  }
+  return false;
+}
+
 }  // namespace
 
 std::vector<Finding> CheckFieldCoverage(const Config& config) {
   std::vector<Finding> findings;
-  const auto fail_load = [&](const std::string& path, const std::string& err) {
-    findings.push_back({path, 0, "field-coverage", err});
-  };
-
-  SourceFile codec, checkpoint;
   std::string error;
+
+  // Schema structs: each one's members against its own VisitFields, so a
+  // same-named member of another struct cannot mask a drop.
+  struct Header {
+    std::string rel;
+    FlatText flat;
+    std::vector<StructDecl> structs;
+  };
+  std::vector<Header> headers;
+  for (const std::string& path : SourceFilesUnder(config, config.schema_dirs)) {
+    if (fs::path(path).extension() != ".h") continue;
+    SourceFile file;
+    if (!LoadSource(path, &file, &error)) {
+      findings.push_back({path, 0, "field-coverage", error});
+      continue;
+    }
+    headers.push_back(
+        {Relative(path, config.repo), Flatten(file), ParseStructs(file)});
+  }
+  for (const Header& header : headers) {
+    for (const FunctionDef& fn : ParseFunctions(header.flat)) {
+      if (fn.name != "VisitFields") continue;
+      const std::string target = VisitedStruct(header.flat, fn);
+      // The visitor's own header first, then any other schema header.
+      const Header* owner = nullptr;
+      const StructDecl* decl = nullptr;
+      const auto find_in = [&](const Header& h) {
+        for (const StructDecl& d : h.structs) {
+          if (d.name != target) continue;
+          owner = &h;
+          decl = &d;
+          return true;
+        }
+        return false;
+      };
+      if (!find_in(header)) {
+        for (const Header& h : headers) {
+          if (find_in(h)) break;
+        }
+      }
+      if (decl == nullptr) {
+        findings.push_back(
+            {header.rel, fn.line, "field-coverage",
+             "VisitFields names no struct declared in the schema headers ('" +
+                 target + "'); give it a FieldsOf<S, Struct> return type"});
+        continue;
+      }
+      const std::string body = header.flat.text.substr(
+          fn.body_begin, fn.body_end - fn.body_begin);
+      for (const StructMember& member : decl->members) {
+        if (ContainsMemberAccess(body, member.name)) continue;
+        findings.push_back(
+            {owner->rel, member.line, "field-coverage",
+             decl->name + "::" + member.name + " is not visited by its "
+             "VisitFields (" + header.rel + ":" + std::to_string(fn.line) +
+             "), so the codec encode/decode and checkpoint write/read paths "
+             "all skip it"});
+      }
+    }
+  }
+
+  // Wire envelopes: hand-written in the codec, both directions.
+  SourceFile codec, wire;
   if (!LoadSource(config.codec, &codec, &error)) {
-    fail_load(config.codec, error);
+    findings.push_back({config.codec, 0, "field-coverage", error});
     return findings;
   }
-  if (!LoadSource(config.checkpoint, &checkpoint, &error)) {
-    fail_load(config.checkpoint, error);
+  if (!LoadSource(config.wire_header, &wire, &error)) {
+    findings.push_back({config.wire_header, 0, "field-coverage", error});
     return findings;
   }
   const FlatText codec_flat = Flatten(codec);
-  const FlatText checkpoint_flat = Flatten(checkpoint);
   const auto codec_functions = ParseFunctions(codec_flat);
-  const auto checkpoint_functions = ParseFunctions(checkpoint_flat);
-  const std::string encode_text =
-      AggregateBodies(codec_flat, codec_functions, {"Encode"});
-  const std::string decode_text =
-      AggregateBodies(codec_flat, codec_functions, {"Decode"});
-  const std::string save_text =
-      AggregateBodies(checkpoint_flat, checkpoint_functions, {"Write", "Save"});
-  const std::string restore_text =
-      AggregateBodies(checkpoint_flat, checkpoint_functions, {"Read", "Load"});
-
   const std::string codec_rel = Relative(config.codec, config.repo);
-  const std::string checkpoint_rel = Relative(config.checkpoint, config.repo);
-
-  struct Tracked {
-    StructDecl decl;
-    std::string header;
+  const std::string wire_rel = Relative(config.wire_header, config.repo);
+  const struct {
+    const char* label;
+    std::string text;
+  } sides[] = {
+      {"codec encode path",
+       AggregateBodies(codec_flat, codec_functions, {"Encode"})},
+      {"codec decode path",
+       AggregateBodies(codec_flat, codec_functions, {"Decode"})},
   };
-  std::vector<Tracked> tracked;
-
-  SourceFile wire;
-  if (!LoadSource(config.wire_header, &wire, &error)) {
-    fail_load(config.wire_header, error);
-    return findings;
-  }
-  for (StructDecl& decl : ParseStructs(wire)) {
-    tracked.push_back({std::move(decl), config.wire_header});
-  }
-
-  std::map<std::string, std::vector<StructDecl>> header_cache;
-  for (const auto& [name, header] : config.option_structs) {
-    auto it = header_cache.find(header);
-    if (it == header_cache.end()) {
-      SourceFile file;
-      if (!LoadSource(header, &file, &error)) {
-        fail_load(header, error);
-        continue;
-      }
-      it = header_cache.emplace(header, ParseStructs(file)).first;
-    }
-    bool found = false;
-    for (const StructDecl& decl : it->second) {
-      if (decl.name == name) {
-        tracked.push_back({decl, header});
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      findings.push_back(
-          {header, 0, "field-coverage",
-           "tracked struct '" + name +
-               "' not found — update the lint configuration if it moved"});
-    }
-  }
-
-  for (const Tracked& entry : tracked) {
-    const StructDecl& decl = entry.decl;
-    const std::string header_rel = Relative(entry.header, config.repo);
+  for (const StructDecl& decl : ParseStructs(wire)) {
     for (const StructMember& member : decl.members) {
-      // Member-level coverage tags override struct-level ones.
-      std::set<std::string> effective;
-      for (const std::string& tag : CoverageTags()) {
-        if (member.tags.count(tag)) effective.insert(tag);
-      }
-      if (effective.empty()) {
-        for (const std::string& tag : CoverageTags()) {
-          if (decl.tags.count(tag)) effective.insert(tag);
-        }
-      }
-      if (effective.count("ephemeral")) continue;
-      const bool need_codec = effective.count("checkpoint-only") == 0;
-      const bool need_checkpoint = effective.count("wire-only") == 0;
-      const auto report = [&](const std::string& side_label,
-                              const std::string& side_file,
-                              const std::string& waive) {
-        findings.push_back(
-            {header_rel, member.line, "field-coverage",
-             decl.name + "::" + member.name + " missing from the " +
-                 side_label + " (" + side_file + "); add coverage or annotate "
-                 "'// lint: " + waive + "'"});
-      };
-      if (need_codec) {
-        if (!ContainsToken(encode_text, member.name)) {
-          report("codec encode path", codec_rel, "checkpoint-only");
-        }
-        if (!ContainsToken(decode_text, member.name)) {
-          report("codec decode path", codec_rel, "checkpoint-only");
-        }
-      }
-      if (need_checkpoint) {
-        if (!ContainsToken(save_text, member.name)) {
-          report("checkpoint save path", checkpoint_rel, "wire-only");
-        }
-        if (!ContainsToken(restore_text, member.name)) {
-          report("checkpoint restore path", checkpoint_rel, "wire-only");
-        }
+      for (const auto& side : sides) {
+        if (ContainsToken(side.text, member.name)) continue;
+        findings.push_back({wire_rel, member.line, "field-coverage",
+                            decl.name + "::" + member.name +
+                                " missing from the " + side.label + " (" +
+                                codec_rel + ")"});
       }
     }
   }

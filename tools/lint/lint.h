@@ -2,11 +2,12 @@
 /// veritas-lint: a repo-invariant static checker (DESIGN.md §15). Three
 /// lexical/structural passes over the tree, no compiler front end:
 ///
-///   field-coverage — every member of the wire message structs and the
-///     serialized option structs must appear in both codec directions
-///     (src/api/codec.cc Encode*/Decode*) and both checkpoint directions
-///     (src/service/checkpoint.cc Write*|Save* / Read*|Load*), unless an
-///     annotation declares the exclusion.
+///   field-coverage — every serialized struct declares one VisitFields
+///     (common/fields.h) that drives all of its archives, and each member
+///     of the struct must be visited by ITS OWN VisitFields; the tracked
+///     structs are found from the visitors in the schema headers. The
+///     hand-written wire envelopes (src/api/wire.h) must have every member
+///     in both codec directions (src/api/codec.cc Encode* / Decode*).
 ///   determinism — inference code (src/crf, src/core, src/graph) must not
 ///     read ambient entropy or wall clocks, and must not range-for over
 ///     unordered containers (hash order leaks into FP summation order and
@@ -16,10 +17,7 @@
 ///     verified by pattern.
 ///
 /// Annotation grammar (a `// lint: <tag>` comment on the construct's line
-/// or the line above; struct-level tags apply to every member):
-///   wire-only       field lives only on the wire, checkpoint exempt
-///   checkpoint-only field lives only in checkpoints, codec exempt
-///   ephemeral       derived/runtime state, exempt from field-coverage
+/// or the line above):
 ///   timing          clock read measures latency only, never steers data
 ///   unordered-ok    iteration order provably cannot escape the scope
 ///   enum-checked    enum codec site validated by hand (dispatch keys)
@@ -30,7 +28,6 @@
 #include <cstddef>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace veritas {
@@ -74,13 +71,11 @@ FlatText Flatten(const SourceFile& file);
 struct StructMember {
   std::string name;
   size_t line = 0;
-  std::set<std::string> tags;
 };
 
 struct StructDecl {
   std::string name;
   size_t line = 0;
-  std::set<std::string> tags;
   std::vector<StructMember> members;
 };
 
@@ -107,8 +102,9 @@ struct Config {
   std::string wire_header; ///< default src/api/wire.h
   std::string codec;       ///< default src/api/codec.cc
   std::string checkpoint;  ///< default src/service/checkpoint.cc
-  /// (struct name, header path) pairs whose members must be serialized.
-  std::vector<std::pair<std::string, std::string>> option_structs;
+  /// Headers searched for VisitFields definitions and the structs they
+  /// visit; default src.
+  std::vector<std::string> schema_dirs;
   std::vector<std::string> determinism_dirs;  ///< default crf/core/graph
   std::vector<std::string> enum_dirs;         ///< enum inventory, default src
   /// Translation units from compile_commands.json; empty = directory walk.
