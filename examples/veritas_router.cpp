@@ -6,7 +6,7 @@
 //
 //   ./examples/example_veritas_router --backends=HOST:PORT,HOST:PORT,...
 //       [--port=N] [--port-file=PATH] [--checkpoint-dir=DIR]
-//       [--checkpoint-interval=N] [--max-sessions=N] [--threaded]
+//       [--checkpoint-interval=N] [--max-sessions=N]
 //       [--metrics-port=N] [--metrics-port-file=PATH] [--log-level=LEVEL]
 //
 //   --backends=...          comma-separated worker addresses (required)
@@ -15,8 +15,6 @@
 //   --checkpoint-dir=D      enable checkpoint/failover, storing under D
 //   --checkpoint-interval=N steps between checkpoints (default 1)
 //   --max-sessions=N        fleet-wide live-session cap (default 0 = off)
-//   --threaded              thread-per-connection front end instead of the
-//                           default epoll event loop
 //   --metrics-port=N        serve the Prometheus exposition of the ROUTER's
 //                           own registry on this loopback port (0 =
 //                           ephemeral; the `metrics` wire method aggregates
@@ -37,7 +35,6 @@
 #include <vector>
 
 #include "api/event_server.h"
-#include "api/server.h"
 #include "common/logging.h"
 #include "examples/example_args.h"
 #include "fleet/router.h"
@@ -53,8 +50,7 @@ namespace {
 
 constexpr char kUsage[] =
     "--backends=HOST:PORT,... [--port=N] [--port-file=PATH]\n"
-    "    [--checkpoint-dir=DIR] [--checkpoint-interval=N] [--max-sessions=N]"
-    " [--threaded]\n"
+    "    [--checkpoint-dir=DIR] [--checkpoint-interval=N] [--max-sessions=N]\n"
     "    [--metrics-port=N] [--metrics-port-file=PATH] [--log-level=LEVEL]";
 
 std::vector<std::string> SplitCommas(const std::string& text) {
@@ -75,7 +71,6 @@ std::vector<std::string> SplitCommas(const std::string& text) {
 int main(int argc, char** argv) {
   uint16_t port = 0;
   std::string port_file;
-  bool threaded = false;
   bool serve_metrics = false;
   uint16_t metrics_port = 0;
   std::string metrics_port_file;
@@ -108,8 +103,6 @@ int main(int argc, char** argv) {
       LogLevel level;
       if (!ParseLogLevel(value, &level)) UsageError(argv[0], kUsage, arg);
       SetLogLevel(level);
-    } else if (arg == "--threaded") {
-      threaded = true;
     } else {
       UsageError(argv[0], kUsage, arg);
     }
@@ -129,30 +122,17 @@ int main(int argc, char** argv) {
     std::cout << message << std::endl;  // flushed: scripts tail this
   });
 
-  std::unique_ptr<WireServer> server;
-  if (threaded) {
-    ApiServerOptions server_options;
-    server_options.port = port;
-    auto started = ApiServer::Start(router.value().get(), server_options);
-    if (!started.ok()) {
-      std::cerr << "router server start failed: " << started.status() << "\n";
-      return 1;
-    }
-    server = std::move(started).value();
-  } else {
-    EventApiServerOptions server_options;
-    server_options.port = port;
-    // Forwarded calls block on backend round trips (which block on backend
-    // queue workers): give the router headroom to keep every backend busy.
-    server_options.dispatch_workers = 4 * router_options.backends.size();
-    auto started =
-        EventApiServer::Start(router.value().get(), server_options);
-    if (!started.ok()) {
-      std::cerr << "router server start failed: " << started.status() << "\n";
-      return 1;
-    }
-    server = std::move(started).value();
+  EventApiServerOptions server_options;
+  server_options.port = port;
+  // Forwarded calls block on backend round trips (which block on backend
+  // queue workers): give the router headroom to keep every backend busy.
+  server_options.dispatch_workers = 4 * router_options.backends.size();
+  auto listening = EventApiServer::Start(router.value().get(), server_options);
+  if (!listening.ok()) {
+    std::cerr << "router server start failed: " << listening.status() << "\n";
+    return 1;
   }
+  const std::unique_ptr<EventApiServer> server = std::move(listening).value();
 
   std::unique_ptr<MetricsHttpServer> metrics_server;
   if (serve_metrics) {
@@ -180,8 +160,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "veritas_router listening on 127.0.0.1:" << server->port()
-            << " (" << router_options.backends.size() << " backends, "
-            << (threaded ? "threaded" : "event loop") << ", api v"
+            << " (" << router_options.backends.size() << " backends, api v"
             << kApiVersion << ")" << std::endl;
   if (!port_file.empty()) {
     std::ofstream out(port_file);

@@ -6,7 +6,7 @@
 // behind examples/veritas_router for a fleet (DESIGN.md §11).
 //
 //   ./examples/example_veritas_server [--port=N] [--port-file=PATH]
-//       [--workers=N] [--threaded] [--once] [--metrics-port=N]
+//       [--workers=N] [--once] [--metrics-port=N]
 //       [--metrics-port-file=PATH] [--log-level=LEVEL]
 //
 //   --port=N        TCP port to listen on (default 0 = ephemeral; the
@@ -14,8 +14,6 @@
 //   --port-file=P   write the bound port to file P (for scripts)
 //   --workers=N     RequestQueue worker threads (default 2); the event
 //                   loop's dispatch pool is sized to match
-//   --threaded      thread-per-connection transport (api/server.h) instead
-//                   of the default epoll event loop (api/event_server.h)
 //   --once          exit after the first client disconnects (CI smoke)
 //   --metrics-port=N       serve the Prometheus text exposition on this
 //                          loopback port (0 = ephemeral; omit to disable)
@@ -28,7 +26,6 @@
 #include <string>
 
 #include "api/event_server.h"
-#include "api/server.h"
 #include "api/service.h"
 #include "common/logging.h"
 #include "examples/example_args.h"
@@ -43,7 +40,7 @@ using examples::UsageError;
 namespace {
 
 constexpr char kUsage[] =
-    "[--port=N] [--port-file=PATH] [--workers=N] [--threaded] [--once]\n"
+    "[--port=N] [--port-file=PATH] [--workers=N] [--once]\n"
     "    [--metrics-port=N] [--metrics-port-file=PATH] [--log-level=LEVEL]";
 
 }  // namespace
@@ -52,7 +49,6 @@ int main(int argc, char** argv) {
   uint16_t port = 0;
   std::string port_file;
   size_t workers = 2;
-  bool threaded = false;
   bool once = false;
   bool serve_metrics = false;
   uint16_t metrics_port = 0;
@@ -77,8 +73,6 @@ int main(int argc, char** argv) {
       LogLevel level;
       if (!ParseLogLevel(value, &level)) UsageError(argv[0], kUsage, arg);
       SetLogLevel(level);
-    } else if (arg == "--threaded") {
-      threaded = true;
     } else if (arg == "--once") {
       once = true;
     } else {
@@ -92,27 +86,15 @@ int main(int argc, char** argv) {
   RequestQueue queue(&manager, queue_options);
   GuidanceApi api(&manager, &queue);
 
-  std::unique_ptr<WireServer> server;
-  if (threaded) {
-    ApiServerOptions server_options;
-    server_options.port = port;
-    auto started = ApiServer::Start(&api, server_options);
-    if (!started.ok()) {
-      std::cerr << "server start failed: " << started.status() << "\n";
-      return 1;
-    }
-    server = std::move(started).value();
-  } else {
-    EventApiServerOptions server_options;
-    server_options.port = port;
-    server_options.dispatch_workers = workers;
-    auto started = EventApiServer::Start(&api, server_options);
-    if (!started.ok()) {
-      std::cerr << "server start failed: " << started.status() << "\n";
-      return 1;
-    }
-    server = std::move(started).value();
+  EventApiServerOptions server_options;
+  server_options.port = port;
+  server_options.dispatch_workers = workers;
+  auto listening = EventApiServer::Start(&api, server_options);
+  if (!listening.ok()) {
+    std::cerr << "server start failed: " << listening.status() << "\n";
+    return 1;
   }
+  const std::unique_ptr<EventApiServer> server = std::move(listening).value();
   std::unique_ptr<MetricsHttpServer> metrics_server;
   if (serve_metrics) {
     MetricsHttpOptions metrics_options;
@@ -139,8 +121,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "veritas_server listening on 127.0.0.1:" << server->port()
-            << " (" << (threaded ? "threaded" : "event loop") << ", "
-            << workers << " workers, api v" << kApiVersion << ")\n";
+            << " (" << workers << " workers, api v" << kApiVersion << ")\n";
   if (!port_file.empty()) {
     std::ofstream out(port_file);
     if (!out) {

@@ -11,7 +11,7 @@
 # wire-overhead mode (per-step codec+transport cost of the JSON-over-TCP
 # loopback API, DESIGN.md §10), its --metrics-overhead mode (cost of the
 # always-on metrics registry, DESIGN.md §14, gate <= 1%), its --fleet mode
-# (event-loop vs threaded front end and the session router's 1/2/4-backend
+# (one stack at 64 connections and the session router's 1/2/4-backend
 # scaling curve, DESIGN.md §11) plus the HypotheticalEngine micro-kernels
 # from bench_micro_kernels (when Google Benchmark is available), and emits
 # BENCH_guidance.json next to the repo root. The committed scripts/bench_baseline_fig02.json (pre-refactor
@@ -216,9 +216,9 @@ if ! awk -v o="$metrics_overhead_pct" 'BEGIN { exit !(o <= 1.0) }'; then
   exit 1
 fi
 
-# Fleet scaling (bench_service_throughput --fleet, DESIGN.md §11): the
-# event-loop front end vs thread-per-connection at 64 connections, and the
-# router's 1/2/4-backend scaling curve over think-time-bound sessions.
+# Fleet scaling (bench_service_throughput --fleet, DESIGN.md §11): one
+# stack at 64 connections, and the router's 1/2/4-backend scaling curve
+# over think-time-bound sessions.
 fleet_txt="$(mktemp)"
 trap 'rm -f "$fig02_txt" "$kernel_txt" "$backend_txt" "$service_txt" "$socket_txt" "$metrics_txt" "$fleet_txt"' EXIT
 "$build_dir"/bench/bench_service_throughput --fleet | tee "$fleet_txt"
@@ -226,9 +226,7 @@ trap 'rm -f "$fig02_txt" "$kernel_txt" "$backend_txt" "$service_txt" "$socket_tx
 fleet_field() {
   awk -v key="$1" '$0 ~ "^# fleet " key " = " { print $NF }' "$fleet_txt"
 }
-fleet_threaded="$(fleet_field threaded_steps_per_s)"
 fleet_event="$(fleet_field event_steps_per_s)"
-fleet_event_ratio="$(fleet_field event_over_threaded)"
 fleet_scaling="$(fleet_field scaling_4b_over_1b)"
 fleet_rows="$(awk '
   /^# fleet backends=/ {
@@ -317,9 +315,7 @@ fi
   echo "  },"
   echo "  \"fleet_scaling\": {"
   echo "    \"workload\": \"closed-loop think-time-bound sessions over the session router (bench_service_throughput --fleet)\","
-  echo "    \"threaded_steps_per_s_64conns\": ${fleet_threaded:-null},"
   echo "    \"event_loop_steps_per_s_64conns\": ${fleet_event:-null},"
-  echo "    \"event_over_threaded\": ${fleet_event_ratio:-null},"
   echo "    \"scaling_4b_over_1b\": ${fleet_scaling:-null},"
   echo "    \"rows\": ["
   printf '%s\n' "$fleet_rows"

@@ -26,14 +26,17 @@
 # HypotheticalEngine scratch-buffer pooling, the CSR adjacency and the
 # pluggable solver backends' sub-MRF extraction (crf_solver_test) — so
 # buffer reuse stays leak- and UB-clean; plus the suites that feed bytes to
-# the decoders (the JSON parser, the wire codec and its golden fixtures,
-# the TSV/binary readers, the session checkpoint and its golden
-# directories), so malformed and truncated input stays memory-safe.
+# the decoders and byte parsers (the JSON parser, the wire codec and its
+# golden fixtures, the TSV/binary readers, the session checkpoint and its
+# golden directories, the event server's frame reassembly and the metrics
+# endpoint's HTTP head read), so malformed, truncated and pipelined input
+# stays memory-safe.
 #
-# TSAN=1 builds with ThreadSanitizer and runs the service/, api/, obs/ and
-# crf/ suites — the ones exercising the SessionManager's per-session
-# locking, the RequestQueue worker pool, the ApiServer's accept/handler
-# threads, the sharded MetricsRegistry counters under contention
+# TSAN=1 builds with ThreadSanitizer and runs the service/, api/, fleet/,
+# obs/ and crf/ suites — the ones exercising the SessionManager's
+# per-session locking, the RequestQueue worker pool, the event server's
+# loop thread and dispatch pool, the router's connection pool, the
+# sharded MetricsRegistry counters under contention
 # (obs_metrics_test) and its HTTP scrape thread (obs_exposition_test), the
 # HypotheticalEngine's striped caches and the parallel inference kernels
 # (chromatic color-class sweeps in crf_chromatic_test, sharded batched
@@ -305,10 +308,13 @@ if [[ "${ASAN:-0}" == "1" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$build_dir" -j "$(nproc)"
   status=0
-  # Kernel suites (buffer reuse) and decoder suites (untrusted bytes).
+  # Kernel suites (buffer reuse) and decoder/parser suites (untrusted
+  # bytes).
   for suite in "$build_dir"/tests/optim_*_test "$build_dir"/tests/crf_*_test \
                "$build_dir"/tests/core_*_test \
                "$build_dir"/tests/api_json_test \
+               "$build_dir"/tests/api_event_server_test \
+               "$build_dir"/tests/obs_exposition_test \
                "$build_dir"/tests/api_codec_roundtrip_test \
                "$build_dir"/tests/api_codec_golden_test \
                "$build_dir"/tests/data_io_test \

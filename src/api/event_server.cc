@@ -18,8 +18,9 @@ namespace {
 constexpr uint64_t kListenerId = 1;
 constexpr uint64_t kWakeId = 2;
 
-/// Wire-level registry handles, labeled transport="event" (the threaded
-/// server registers the same family under transport="threaded").
+/// Wire-level registry handles. The transport="event" label predates the
+/// server being the only transport; it stays so no exported series is
+/// renamed.
 struct WireMetrics {
   MetricsRegistry::Counter* connections;
   MetricsRegistry::Counter* frames;
@@ -160,7 +161,7 @@ void EventApiServer::Loop() {
           CloseConnection(id, conn);
           continue;
         }
-        if (conn->read_closed && FullyDrained(*conn)) {
+        if (conn->read_closed && Idle(*conn)) {
           CloseConnection(id, conn);
           continue;
         }
@@ -196,8 +197,18 @@ void EventApiServer::HandleAccept() {
 }
 
 void EventApiServer::HandleReadable(uint64_t id, Connection* conn) {
+  if (!Idle(*conn)) {
+    // Bytes arrived while a frame is still in service: stop reading until
+    // it is answered, so a pipelining peer meets TCP backpressure instead
+    // of growing our buffers. Pausing only now, not on every dispatch,
+    // keeps a closed-loop client free of extra epoll_ctl calls.
+    conn->read_paused = true;
+    UpdateInterest(id, conn);
+    return;
+  }
   char buffer[16384];
-  for (;;) {
+  // Idle means nothing is pending: read until a whole frame is.
+  while (conn->pending.empty()) {
     auto received = conn->socket.RecvSome(buffer, sizeof(buffer));
     if (!received.ok()) {
       CloseConnection(id, conn);
@@ -210,16 +221,15 @@ void EventApiServer::HandleReadable(uint64_t id, Connection* conn) {
     }
     conn->in.append(buffer, received.value().bytes);
     Metrics().bytes_read->Increment(received.value().bytes);
-  }
-  if (!ParseFrames(conn)) {
-    // Oversized length prefix: protocol abuse, close without a response —
-    // the same behavior the threaded server's ReadFrame failure produces.
-    Metrics().frame_errors->Increment();
-    CloseConnection(id, conn);
-    return;
+    if (!ParseFrames(conn)) {
+      // Oversized length prefix: protocol abuse, close without a response.
+      Metrics().frame_errors->Increment();
+      CloseConnection(id, conn);
+      return;
+    }
   }
   MaybeDispatch(id, conn);
-  if (conn->read_closed && FullyDrained(*conn)) {
+  if (conn->read_closed && Idle(*conn)) {
     CloseConnection(id, conn);
     return;
   }
@@ -227,15 +237,19 @@ void EventApiServer::HandleReadable(uint64_t id, Connection* conn) {
 }
 
 bool EventApiServer::ParseFrames(Connection* conn) {
-  for (;;) {
-    if (conn->in.size() < 4) return true;
-    const uint32_t length = DecodeLength(conn->in.data());
+  // One pass and one erase: erasing each frame from the front would make k
+  // frames in b buffered bytes cost O(k*b).
+  size_t at = 0;
+  while (conn->in.size() - at >= 4) {
+    const uint32_t length = DecodeLength(conn->in.data() + at);
     if (length > options_.max_frame_bytes) return false;
-    if (conn->in.size() < 4 + static_cast<size_t>(length)) return true;
-    conn->pending.push_back(conn->in.substr(4, length));
-    conn->in.erase(0, 4 + static_cast<size_t>(length));
+    if (conn->in.size() - at - 4 < length) break;
+    conn->pending.push_back(conn->in.substr(at + 4, length));
+    at += 4 + static_cast<size_t>(length);
     Metrics().frames->Increment();
   }
+  conn->in.erase(0, at);
+  return true;
 }
 
 void EventApiServer::MaybeDispatch(uint64_t id, Connection* conn) {
@@ -279,7 +293,7 @@ void EventApiServer::DrainCompletions() {
       continue;
     }
     MaybeDispatch(id, conn);
-    if (conn->read_closed && FullyDrained(*conn)) {
+    if (conn->read_closed && Idle(*conn)) {
       CloseConnection(id, conn);
       continue;
     }
@@ -309,8 +323,9 @@ bool EventApiServer::FlushWrites(Connection* conn) {
 }
 
 void EventApiServer::UpdateInterest(uint64_t id, Connection* conn) {
+  if (Idle(*conn)) conn->read_paused = false;
   uint32_t want = 0;
-  if (!conn->read_closed) want |= EPOLLIN;
+  if (!conn->read_closed && !conn->read_paused) want |= EPOLLIN;
   if (conn->out_offset < conn->out.size()) want |= EPOLLOUT;
   if (want == conn->epoll_events) return;
   struct epoll_event ev;
@@ -334,10 +349,10 @@ void EventApiServer::CloseConnection(uint64_t id, Connection* conn) {
   NotifyServed();
 }
 
-bool EventApiServer::FullyDrained(const Connection& conn) const {
-  // Leftover bytes in `in` are deliberately ignored: this is only consulted
-  // once the peer's write side closed, so a partial frame there is truncated
-  // garbage that can never complete.
+bool EventApiServer::Idle(const Connection& conn) const {
+  // Leftover bytes in `in` are deliberately ignored: ParseFrames has taken
+  // every whole frame, so what remains is a partial frame — still arriving,
+  // or truncated garbage once the peer's write side closed.
   return conn.pending.empty() && !conn.dispatching &&
          conn.out_offset >= conn.out.size();
 }

@@ -1,21 +1,24 @@
 /// \file
-/// Epoll event-loop flavor of the frame server (DESIGN.md §11): one event
-/// thread multiplexes every connection — non-blocking accept, incremental
-/// length-prefixed frame reassembly, buffered partial writes — so holding
-/// thousands of mostly-idle validator connections costs file descriptors,
-/// not threads. Completed frames are dispatched to a small worker pool
-/// (handler calls block on session compute and think time); responses come
-/// back to the event thread over an eventfd-signaled completion queue and
-/// are written with backpressure handling. Per connection, frames are
-/// answered strictly in submission order — one dispatch in flight at a
-/// time — exactly the ordering contract of the threaded ApiServer, which
-/// the protocol-abuse parity tests pin.
+/// The frame server of the guidance API (DESIGN.md §10–§11): one epoll
+/// event thread multiplexes every connection — non-blocking accept,
+/// incremental length-prefixed frame reassembly, buffered partial writes —
+/// so holding thousands of mostly-idle validator connections costs file
+/// descriptors, not threads. Completed frames are dispatched to a small
+/// worker pool (handler calls block on session compute and think time);
+/// responses come back to the event thread over an eventfd-signaled
+/// completion queue and are written with backpressure handling.
+///
+/// Per connection, frames are answered strictly in submission order, one
+/// frame in service at a time. While a connection has a frame queued, in
+/// dispatch, or answered but not yet flushed, its reads are paused: a peer
+/// that pipelines requests without reading the responses stalls on its own
+/// socket buffers instead of growing the server's.
 ///
 /// Per-connection read state machine:
 ///   [prefix: <4 buffered bytes] -> [payload: length known, bytes short]
 ///   -> frame complete -> pending dispatch queue -> worker -> out buffer
 /// A length prefix above max_frame_bytes is protocol abuse: the connection
-/// is closed immediately (no response), matching the threaded server.
+/// is closed immediately (no response).
 
 #ifndef VERITAS_API_EVENT_SERVER_H_
 #define VERITAS_API_EVENT_SERVER_H_
@@ -53,23 +56,35 @@ struct EventApiServerOptions {
   size_t max_write_chunk_bytes = 0;
 };
 
-/// A running event-loop API server. Same lifecycle and ordering semantics
-/// as ApiServer; different scaling shape (connections are O(1) threads).
-class EventApiServer : public WireServer {
+/// A running API server. Start() binds and begins serving; Stop() (also
+/// run by the destructor) closes the listener and every live connection
+/// and joins all threads.
+class EventApiServer {
  public:
-  /// `handler` must outlive the server.
+  /// `handler` (a GuidanceApi, a SessionRouter, ...) must outlive the
+  /// server.
   static Result<std::unique_ptr<EventApiServer>> Start(
       FrameHandler* handler, const EventApiServerOptions& options = {});
 
-  ~EventApiServer() override;
+  ~EventApiServer();
 
   EventApiServer(const EventApiServer&) = delete;
   EventApiServer& operator=(const EventApiServer&) = delete;
 
-  uint16_t port() const override { return port_; }
-  size_t connections_served() const override;
-  void WaitForConnections(size_t count) override;
-  void Stop() override;
+  /// The bound port (resolves the ephemeral-port case).
+  uint16_t port() const { return port_; }
+
+  /// Connections accepted and since fully served (client disconnected).
+  size_t connections_served() const;
+
+  /// Blocks until at least `count` connections have been served. Lets a
+  /// serve-one-client process (examples/veritas_server --once) exit without
+  /// polling.
+  void WaitForConnections(size_t count);
+
+  /// Idempotent shutdown: closes the listener, severs live connections,
+  /// joins every thread.
+  void Stop();
 
   /// Live (accepted, not yet closed) connections — the idle-connection
   /// tests pin that these cost no threads.
@@ -84,6 +99,7 @@ class EventApiServer : public WireServer {
     std::deque<std::string> pending;   ///< complete frames awaiting dispatch
     bool dispatching = false;          ///< a frame is at the worker pool
     bool read_closed = false;          ///< peer EOF (half-open: keep writing)
+    bool read_paused = false;          ///< bytes arrived while not Idle
     bool dead = false;                 ///< error while dispatching: close on
                                        ///< completion
     uint32_t epoll_events = 0;         ///< currently-armed interest set
@@ -108,8 +124,9 @@ class EventApiServer : public WireServer {
   /// to DrainCompletions, so the worker's result has a live entry to land
   /// in).
   void CloseConnection(uint64_t id, Connection* conn);
-  /// True once nothing remains to read, dispatch, or write.
-  bool FullyDrained(const Connection& conn) const;
+  /// Nothing queued, in dispatch, or unflushed: the connection may read
+  /// its next frame, or be closed once the peer has stopped sending.
+  bool Idle(const Connection& conn) const;
   void NotifyServed();
 
   FrameHandler* handler_;

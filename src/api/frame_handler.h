@@ -1,50 +1,27 @@
 /// \file
-/// The two seams between transport and application in the serving stack
+/// The seam between transport and application in the serving stack
 /// (DESIGN.md §10–§11). A FrameHandler turns one request frame into one
 /// response frame — GuidanceApi implements it by dispatching onto the local
 /// session service, SessionRouter (src/fleet/) by forwarding to a backend
-/// shard — and a WireServer is any transport that feeds connections'
-/// frames through a handler: the thread-per-connection ApiServer or the
-/// epoll event-loop EventApiServer. Servers and handlers compose freely;
-/// veritas_router is literally a WireServer over a SessionRouter whose
-/// backends are WireServers over GuidanceApis.
+/// shard — and the EventApiServer (api/event_server.h) feeds every
+/// connection's frames through one. veritas_router is literally an
+/// EventApiServer over a SessionRouter whose backends are EventApiServers
+/// over GuidanceApis.
 
 #ifndef VERITAS_API_FRAME_HANDLER_H_
 #define VERITAS_API_FRAME_HANDLER_H_
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace veritas {
 
 /// One request frame in, one response frame out. Implementations must be
-/// thread-safe: servers invoke HandleFrame concurrently for distinct
-/// connections (and the event server from its dispatch pool).
+/// thread-safe: the server invokes HandleFrame concurrently for distinct
+/// connections, from its dispatch pool.
 class FrameHandler {
  public:
   virtual ~FrameHandler() = default;
   virtual std::string HandleFrame(const std::string& request_frame) = 0;
-};
-
-/// The uniform surface of a running frame server, so binaries and tests can
-/// host either transport behind one pointer.
-class WireServer {
- public:
-  virtual ~WireServer() = default;
-
-  /// The bound port (resolves the ephemeral-port case).
-  virtual uint16_t port() const = 0;
-
-  /// Connections accepted and since fully served (client disconnected).
-  virtual size_t connections_served() const = 0;
-
-  /// Blocks until at least `count` connections have been served.
-  virtual void WaitForConnections(size_t count) = 0;
-
-  /// Idempotent shutdown: closes the listener, severs live connections,
-  /// joins every thread.
-  virtual void Stop() = 0;
 };
 
 }  // namespace veritas

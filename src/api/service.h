@@ -23,9 +23,9 @@ namespace veritas {
 
 /// Stateless request dispatcher over a SessionManager (+ optional
 /// RequestQueue). Thread-safe: it holds no mutable state of its own, and
-/// both backends are internally synchronized — the loopback server calls
-/// Handle from one thread per connection. As a FrameHandler it plugs into
-/// either server transport (api/server.h, api/event_server.h).
+/// both backends are internally synchronized — the server calls Handle
+/// from its dispatch pool, concurrently for distinct connections. As a
+/// FrameHandler it plugs into the server (api/event_server.h).
 class GuidanceApi : public FrameHandler {
  public:
   /// `manager` must outlive the api. `queue` (optional, must be built over

@@ -248,10 +248,6 @@ void Socket::Shutdown() const {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-void ShutdownFd(int fd) {
-  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-}
-
 Status WriteFrame(const Socket& socket, const std::string& payload) {
   if (payload.size() > kMaxFrameBytes) {
     return Status::InvalidArgument("WriteFrame: payload exceeds frame limit");

@@ -8,7 +8,7 @@
 ///
 /// Two I/O surfaces coexist:
 ///  - blocking: SendAll/RecvAll/Accept and the frame helpers, used by the
-///    threaded server, the client and the router's backend connections.
+///    client, the router's backend connections and the metrics endpoint.
 ///    They retry EINTR and, on a descriptor someone flipped non-blocking,
 ///    poll through EAGAIN — a short write or signal never truncates a frame.
 ///  - non-blocking: SetNonBlocking + SendSome/RecvSome/TryAccept, the
@@ -111,11 +111,6 @@ class Socket {
 
   int fd_ = -1;
 };
-
-/// Non-owning shutdown of a raw descriptor: severs the stream (unblocking
-/// any blocked accept/recv on it) without closing it — ownership stays with
-/// whatever Socket wraps the fd. No-op for negative fds.
-void ShutdownFd(int fd);
 
 /// Writes one frame: uint32 little-endian payload length, then the payload.
 Status WriteFrame(const Socket& socket, const std::string& payload);

@@ -76,11 +76,10 @@ struct RouterStats {
   size_t backends_live = 0;
 };
 
-/// FrameHandler over a worker fleet: host it behind ApiServer or
-/// EventApiServer and it IS a veritas_server to its clients. Thread-safe;
-/// operations on one session serialize on that session's route (matching
-/// the per-session FIFO the backends provide), distinct sessions forward
-/// concurrently.
+/// FrameHandler over a worker fleet: host it behind an EventApiServer and
+/// it IS a veritas_server to its clients. Thread-safe; operations on one
+/// session serialize on that session's route (matching the per-session
+/// FIFO the backends provide), distinct sessions forward concurrently.
 class SessionRouter : public FrameHandler {
  public:
   /// Validates options and probes every backend with one connection (fail

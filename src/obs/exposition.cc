@@ -1,5 +1,9 @@
 #include "obs/exposition.h"
 
+#include <poll.h>
+
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -10,6 +14,11 @@
 namespace veritas {
 
 namespace {
+
+/// Longest a scrape may take to send its request head. The endpoint serves
+/// one connection at a time, so a peer that connects and stays silent must
+/// not hold every later scrape behind it.
+constexpr std::chrono::milliseconds kRequestHeadDeadline{2000};
 
 /// Splits a registry key into (family, rendered inner labels). A key
 /// without labels yields an empty label string.
@@ -123,20 +132,37 @@ void MetricsHttpServer::AcceptLoop() {
   for (;;) {
     auto accepted = listener_.Accept();
     if (!accepted.ok()) return;  // listener shut down
-    ServeScrape(std::move(accepted).value());
+    const Socket connection = std::move(accepted).value();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stopping_) return;
+      serving_ = &connection;
+    }
+    ServeScrape(connection);
     std::lock_guard<std::mutex> lock(mu_);
+    serving_ = nullptr;
     ++scrapes_served_;
   }
 }
 
-void MetricsHttpServer::ServeScrape(Socket connection) {
+void MetricsHttpServer::ServeScrape(const Socket& connection) {
   // Drain the request head (we answer every path with the exposition, so
-  // only the end-of-headers marker matters). Bounded: a peer streaming
-  // garbage gets cut off rather than growing the buffer.
+  // only the end-of-headers marker matters). Bounded in size — a peer
+  // streaming garbage gets cut off rather than growing the buffer — and in
+  // time: once the deadline passes, the scrape is answered as it stands.
   std::string request;
   char chunk[512];
+  const auto deadline =
+      std::chrono::steady_clock::now() + kRequestHeadDeadline;
   while (request.find("\r\n\r\n") == std::string::npos &&
          request.size() < 8192) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
+    pollfd readable = {connection.fd(), POLLIN, 0};
+    const int ready = ::poll(&readable, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) break;
     auto received = connection.RecvSome(chunk, sizeof chunk);
     if (!received.ok() || received.value().eof) break;
     request.append(chunk, received.value().bytes);
@@ -162,10 +188,10 @@ size_t MetricsHttpServer::scrapes_served() const {
 void MetricsHttpServer::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Second Stop(): the thread is joined or joining; nothing to do.
-    }
     stopping_ = true;
+    // Sever a scrape in progress: its peer may never send its head or read
+    // the response.
+    if (serving_ != nullptr) serving_->Shutdown();
   }
   listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();

@@ -4,7 +4,7 @@
 /// counters/gauges as plain samples, histograms as cumulative
 /// `_bucket{le="..."}` series plus `_sum`/`_count` — and MetricsHttpServer
 /// serves it over a minimal HTTP/1.0 responder built on the same
-/// common/socket.h machinery as the wire transports (one accept thread;
+/// common/socket.h machinery as the wire transport (one accept thread;
 /// every request path answers with the full exposition, which is what
 /// scrapers expect of a metrics port). Enable with `--metrics-port` on
 /// veritas_server / veritas_router.
@@ -40,7 +40,9 @@ struct MetricsHttpOptions {
 /// A scrape endpoint: GET anything → 200 text/plain exposition of
 /// `provider()`. Single accept thread, one request per connection
 /// (HTTP/1.0, Connection: close) — scrape traffic is seconds-scale, not
-/// the serving hot path.
+/// the serving hot path. A request head that has not arrived within a
+/// fixed deadline (2 s) is answered as it stands, so a silent peer delays
+/// later scrapes by at most that much.
 class MetricsHttpServer {
  public:
   /// `provider` is called per scrape from the serving thread; it must be
@@ -57,19 +59,21 @@ class MetricsHttpServer {
   uint16_t port() const { return port_; }
   size_t scrapes_served() const;
 
-  /// Idempotent: closes the listener and joins the accept thread.
+  /// Idempotent: closes the listener, severs a scrape in progress and
+  /// joins the accept thread.
   void Stop();
 
  private:
   explicit MetricsHttpServer(std::function<MetricsSnapshot()> provider);
   void AcceptLoop();
-  void ServeScrape(Socket connection);
+  void ServeScrape(const Socket& connection);
 
   std::function<MetricsSnapshot()> provider_;
   Socket listener_;
   uint16_t port_ = 0;
   std::thread accept_thread_;
   mutable std::mutex mu_;
+  const Socket* serving_ = nullptr;  ///< AcceptLoop's current connection
   size_t scrapes_served_ = 0;
   bool stopping_ = false;
 };

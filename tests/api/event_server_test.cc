@@ -1,13 +1,12 @@
-// Transport parity and protocol-abuse tests (DESIGN.md §11): the epoll
-// event-loop server must be indistinguishable from the threaded server at
-// the protocol level, so every abuse case runs against BOTH transports —
-// dribbled frame bytes, pipelined frames, garbage payloads, oversized
-// frame prefixes, truncated frames, half-open connections. Event-loop-only
-// behaviors (idle connections cost no threads, forced partial writes,
-// session parity with in-process) get their own suite.
+// Protocol-abuse and lifecycle tests of the event-loop server (DESIGN.md
+// §11): dribbled frame bytes, pipelined frames, a pipelining peer that
+// never reads, garbage payloads, oversized frame prefixes, truncated
+// frames, half-open connections, idle connections that cost no threads,
+// forced partial writes, and session parity with in-process.
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <chrono>
@@ -19,7 +18,6 @@
 #include "api/client.h"
 #include "api/codec.h"
 #include "api/event_server.h"
-#include "api/server.h"
 #include "api/service.h"
 #include "testing/corpus_fixtures.h"
 #include "testing/wire_fixtures.h"
@@ -59,9 +57,7 @@ std::string FramePrefix(uint32_t length) {
   return prefix;
 }
 
-/// Both transports behind the WireServer seam; the bool parameter selects
-/// the event loop (true) or thread-per-connection (false).
-class WireTransportTest : public ::testing::TestWithParam<bool> {
+class EventServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     manager_ = std::make_unique<SessionManager>();
@@ -69,19 +65,17 @@ class WireTransportTest : public ::testing::TestWithParam<bool> {
     queue_options.num_workers = 2;
     queue_ = std::make_unique<RequestQueue>(manager_.get(), queue_options);
     api_ = std::make_unique<GuidanceApi>(manager_.get(), queue_.get());
-    if (GetParam()) {
-      EventApiServerOptions options;
-      options.max_frame_bytes = kTestMaxFrame;
-      auto server = EventApiServer::Start(api_.get(), options);
-      ASSERT_TRUE(server.ok()) << server.status();
-      server_ = std::move(server).value();
-    } else {
-      ApiServerOptions options;
-      options.max_frame_bytes = kTestMaxFrame;
-      auto server = ApiServer::Start(api_.get(), options);
-      ASSERT_TRUE(server.ok()) << server.status();
-      server_ = std::move(server).value();
-    }
+    StartServer({});
+  }
+
+  /// (Re)starts the server over the fixture's stack; the previous one, if
+  /// any, is stopped first.
+  void StartServer(EventApiServerOptions options) {
+    server_.reset();
+    options.max_frame_bytes = kTestMaxFrame;
+    auto server = EventApiServer::Start(api_.get(), options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    server_ = std::move(server).value();
   }
 
   void TearDown() override {
@@ -97,10 +91,10 @@ class WireTransportTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<SessionManager> manager_;
   std::unique_ptr<RequestQueue> queue_;
   std::unique_ptr<GuidanceApi> api_;
-  std::unique_ptr<WireServer> server_;
+  std::unique_ptr<EventApiServer> server_;
 };
 
-TEST_P(WireTransportTest, ServesATypedClientSession) {
+TEST_F(EventServerTest, ServesATypedClientSession) {
   auto client = ApiClient::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(client.ok()) << client.status();
   const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 10);
@@ -113,7 +107,7 @@ TEST_P(WireTransportTest, ServesATypedClientSession) {
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 }
 
-TEST_P(WireTransportTest, PipelinedFramesAnswerInOrder) {
+TEST_F(EventServerTest, PipelinedFramesAnswerInOrder) {
   Socket raw = RawConnection();
   // Three requests in ONE write: responses must come back one frame each,
   // in submission order (per-connection FIFO is the ordering contract).
@@ -130,7 +124,53 @@ TEST_P(WireTransportTest, PipelinedFramesAnswerInOrder) {
   }
 }
 
-TEST_P(WireTransportTest, DribbledBytesReassembleIntoAFrame) {
+TEST_F(EventServerTest, PipeliningPeerThatNeverReadsStallsAlone) {
+  // A peer writes stats frames as fast as the socket takes them and never
+  // reads a response. With one frame in service per connection and reads
+  // paused until it is answered, its writes stall once the socket buffers
+  // fill. 64 MiB is above the receive plus send buffer maxima Linux
+  // autotunes TCP to (net.ipv4.tcp_rmem and tcp_wmem, e.g. 32 + 4 MiB), so
+  // getting that far means the server kept reading.
+  Socket flood = RawConnection();
+  ASSERT_TRUE(flood.SetNonBlocking(true).ok());
+  const std::string payload = StatsFrame(1);
+  std::string burst;
+  for (int i = 0; i < 1024; ++i) {
+    burst += FramePrefix(static_cast<uint32_t>(payload.size())) + payload;
+  }
+  constexpr size_t kFloodLimit = 64u << 20;
+  size_t sent = 0;
+  bool stalled = false;
+  while (sent < kFloodLimit) {
+    const size_t at = sent % burst.size();  // the burst is whole frames
+    auto wrote = flood.SendSome(burst.data() + at, burst.size() - at);
+    ASSERT_TRUE(wrote.ok()) << wrote.status();
+    if (!wrote.value().would_block) {
+      sent += wrote.value().bytes;
+      continue;
+    }
+    // No room for half a second: the server has stopped reading us.
+    pollfd writable = {flood.fd(), POLLOUT, 0};
+    if (::poll(&writable, 1, 500) == 0) {
+      stalled = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(stalled) << "the server read " << sent
+                       << " pipelined bytes without pausing";
+
+  // Meanwhile another connection is served at once.
+  Socket other = RawConnection();
+  ASSERT_TRUE(WriteFrame(other, StatsFrame(2)).ok());
+  pollfd readable = {other.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&readable, 1, 1000), 1)
+      << "stats on a second connection unanswered after 1 s";
+  const ApiResponse response = MustReadResponse(other);
+  EXPECT_EQ(response.id, 2u);
+  EXPECT_FALSE(IsError(response));
+}
+
+TEST_F(EventServerTest, DribbledBytesReassembleIntoAFrame) {
   Socket raw = RawConnection();
   const std::string payload = StatsFrame(77);
   const std::string frame =
@@ -145,7 +185,7 @@ TEST_P(WireTransportTest, DribbledBytesReassembleIntoAFrame) {
   EXPECT_FALSE(IsError(response));
 }
 
-TEST_P(WireTransportTest, GarbageJsonGetsAnErrorEnvelopeNotAHangup) {
+TEST_F(EventServerTest, GarbageJsonGetsAnErrorEnvelopeNotAHangup) {
   Socket raw = RawConnection();
   ASSERT_TRUE(WriteFrame(raw, "not json at all").ok());
   const ApiResponse error = MustReadResponse(raw);
@@ -157,7 +197,7 @@ TEST_P(WireTransportTest, GarbageJsonGetsAnErrorEnvelopeNotAHangup) {
   EXPECT_FALSE(IsError(MustReadResponse(raw)));
 }
 
-TEST_P(WireTransportTest, OversizedFramePrefixClosesTheConnection) {
+TEST_F(EventServerTest, OversizedFramePrefixClosesTheConnection) {
   Socket raw = RawConnection();
   // A prefix claiming max+1 bytes is protocol abuse: the server closes
   // without a response — never allocates, never answers.
@@ -173,7 +213,7 @@ TEST_P(WireTransportTest, OversizedFramePrefixClosesTheConnection) {
   EXPECT_FALSE(IsError(MustReadResponse(fresh)));
 }
 
-TEST_P(WireTransportTest, TruncatedFrameThenCloseIsReapedCleanly) {
+TEST_F(EventServerTest, TruncatedFrameThenCloseIsReapedCleanly) {
   const size_t served_before = server_->connections_served();
   {
     Socket raw = RawConnection();
@@ -189,7 +229,7 @@ TEST_P(WireTransportTest, TruncatedFrameThenCloseIsReapedCleanly) {
   EXPECT_FALSE(IsError(MustReadResponse(fresh)));
 }
 
-TEST_P(WireTransportTest, HalfOpenConnectionStillGetsItsResponse) {
+TEST_F(EventServerTest, HalfOpenConnectionStillGetsItsResponse) {
   Socket raw = RawConnection();
   ASSERT_TRUE(WriteFrame(raw, StatsFrame(21)).ok());
   // Close only OUR write side: the peer sees EOF after the frame but must
@@ -200,10 +240,10 @@ TEST_P(WireTransportTest, HalfOpenConnectionStillGetsItsResponse) {
   EXPECT_FALSE(IsError(response));
 }
 
-TEST_P(WireTransportTest, ManyIdleConnectionsDoNotStarveService) {
+TEST_F(EventServerTest, ManyIdleConnectionsDoNotStarveService) {
   // 64 connections that never send a byte, held open while a real client
-  // does real work. The threaded server burns a thread per idle socket;
-  // the event loop pays a map entry — either way, service must continue.
+  // does real work: each costs the event loop a map entry, and service must
+  // continue.
   std::vector<Socket> idle;
   idle.reserve(64);
   for (int i = 0; i < 64; ++i) idle.push_back(RawConnection());
@@ -214,38 +254,7 @@ TEST_P(WireTransportTest, ManyIdleConnectionsDoNotStarveService) {
   ASSERT_TRUE(stats.ok()) << stats.status();
 }
 
-INSTANTIATE_TEST_SUITE_P(Transports, WireTransportTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "EventLoop" : "Threaded";
-                         });
-
-// ---- event-loop-only behaviors ---------------------------------------------
-
-class EventServerTest : public ::testing::Test {
- protected:
-  void StartServer(const EventApiServerOptions& options) {
-    manager_ = std::make_unique<SessionManager>();
-    RequestQueueOptions queue_options;
-    queue_options.num_workers = 2;
-    queue_ = std::make_unique<RequestQueue>(manager_.get(), queue_options);
-    api_ = std::make_unique<GuidanceApi>(manager_.get(), queue_.get());
-    auto server = EventApiServer::Start(api_.get(), options);
-    ASSERT_TRUE(server.ok()) << server.status();
-    server_ = std::move(server).value();
-  }
-
-  void TearDown() override {
-    if (server_ != nullptr) server_->Stop();
-  }
-
-  std::unique_ptr<SessionManager> manager_;
-  std::unique_ptr<RequestQueue> queue_;
-  std::unique_ptr<GuidanceApi> api_;
-  std::unique_ptr<EventApiServer> server_;
-};
-
 TEST_F(EventServerTest, IdleConnectionsAreTrackedAndReaped) {
-  StartServer({});
   {
     std::vector<Socket> idle;
     for (int i = 0; i < 16; ++i) {
@@ -286,7 +295,6 @@ TEST_F(EventServerTest, ForcedPartialWritesDeliverIntactResponses) {
 }
 
 TEST_F(EventServerTest, SessionBitIdenticalToInProcess) {
-  StartServer({});
   const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 12);
   const SessionSpec spec = ExternalAnswerSpec(42, 4);
 
@@ -326,7 +334,6 @@ TEST_F(EventServerTest, SessionBitIdenticalToInProcess) {
 }
 
 TEST_F(EventServerTest, StopWithLiveConnectionsDoesNotHang) {
-  StartServer({});
   std::vector<Socket> held;
   for (int i = 0; i < 4; ++i) {
     auto socket = Socket::ConnectTcp("127.0.0.1", server_->port());

@@ -16,7 +16,7 @@
 
 #include "api/client.h"
 #include "api/codec.h"
-#include "api/server.h"
+#include "api/event_server.h"
 #include "api/service.h"
 #include "service/service_fixtures.h"
 #include "testing/corpus_fixtures.h"
@@ -39,7 +39,7 @@ class LoopbackTest : public ::testing::Test {
     queue_options.num_workers = 2;
     queue_ = std::make_unique<RequestQueue>(manager_.get(), queue_options);
     api_ = std::make_unique<GuidanceApi>(manager_.get(), queue_.get());
-    auto server = ApiServer::Start(api_.get());
+    auto server = EventApiServer::Start(api_.get());
     ASSERT_TRUE(server.ok()) << server.status();
     server_ = std::move(server).value();
     auto client = ApiClient::Connect("127.0.0.1", server_->port());
@@ -55,7 +55,7 @@ class LoopbackTest : public ::testing::Test {
   std::unique_ptr<SessionManager> manager_;
   std::unique_ptr<RequestQueue> queue_;
   std::unique_ptr<GuidanceApi> api_;
-  std::unique_ptr<ApiServer> server_;
+  std::unique_ptr<EventApiServer> server_;
   std::unique_ptr<ApiClient> client_;
 };
 

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "api/client.h"
-#include "api/server.h"
+#include "api/event_server.h"
 #include "fleet/router.h"
 #include "testing/corpus_fixtures.h"
 #include "testing/fault_injection.h"
@@ -72,7 +72,7 @@ class FailoverTest : public ::testing::Test {
     ASSERT_TRUE(router.ok()) << router.status();
     router_ = std::move(router).value();
 
-    auto front = ApiServer::Start(router_.get());
+    auto front = EventApiServer::Start(router_.get());
     ASSERT_TRUE(front.ok()) << front.status();
     front_ = std::move(front).value();
 
@@ -93,7 +93,7 @@ class FailoverTest : public ::testing::Test {
   std::string checkpoint_dir_;
   std::unique_ptr<WorkerFleet> fleet_;
   std::unique_ptr<SessionRouter> router_;
-  std::unique_ptr<ApiServer> front_;
+  std::unique_ptr<EventApiServer> front_;
   std::unique_ptr<ApiClient> client_;
 };
 

@@ -9,8 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
+#include <chrono>
+#include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/socket.h"
@@ -54,6 +59,27 @@ void ExpectValidExposition(const std::string& text) {
     if (open != std::string::npos) {
       EXPECT_EQ(name.back(), '}') << line;
     }
+  }
+}
+
+/// Reads until the peer closes; false if that takes longer than `timeout`
+/// (the endpoint under test may never answer, and the suite must not hang).
+bool ReadUntilClosed(const Socket& socket, std::chrono::milliseconds timeout,
+                     std::string* reply) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  char chunk[1024];
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd readable = {socket.fd(), POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&readable, 1, static_cast<int>(left.count())) <= 0) {
+      return false;
+    }
+    auto received = socket.RecvSome(chunk, sizeof chunk);
+    if (!received.ok()) return false;
+    if (received.value().eof) return true;
+    reply->append(chunk, received.value().bytes);
   }
 }
 
@@ -151,6 +177,42 @@ TEST(MetricsHttpServerTest, StopIsIdempotent) {
 TEST(MetricsHttpServerTest, NullProviderRejected) {
   auto server = MetricsHttpServer::Start(nullptr);
   EXPECT_FALSE(server.ok());
+}
+
+TEST(MetricsHttpServerTest, SilentPeerDelaysNeitherScrapesNorStop) {
+  MetricsRegistry registry;
+  registry.counter("veritas_scraped_total")->Increment(7);
+  auto server = MetricsHttpServer::Start(
+      [&registry] { return registry.Snapshot(); });
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = server.value()->port();
+
+  // A peer connects and never sends a byte; a real scrape queues behind it
+  // and is answered once the 2 s head deadline cuts the silent one off.
+  auto silent = Socket::ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(silent.ok()) << silent.status();
+  auto scrape = Socket::ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(scrape.ok()) << scrape.status();
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_TRUE(scrape.value().SendAll(request.data(), request.size()).ok());
+  std::string reply;
+  EXPECT_TRUE(ReadUntilClosed(scrape.value(), std::chrono::seconds(5), &reply))
+      << "scrape unanswered after 5 s behind a silent peer";
+  EXPECT_NE(reply.find("veritas_scraped_total 7\n"), std::string::npos);
+  silent.value().Shutdown();  // lets a server without the deadline go on
+
+  // Stop() while the server waits on another silent peer severs it at once
+  // instead of waiting out the deadline.
+  auto held = Socket::ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(held.ok()) << held.status();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));  // accepted
+  auto stopped = std::async(std::launch::async,
+                            [&server] { server.value()->Stop(); });
+  const bool prompt = stopped.wait_for(std::chrono::seconds(1)) ==
+                      std::future_status::ready;
+  held.value().Shutdown();  // unblocks a Stop() that did not sever it
+  stopped.wait();
+  EXPECT_TRUE(prompt) << "Stop() blocked on a connection mid-read";
 }
 
 }  // namespace

@@ -2,9 +2,6 @@
 
 #include <cstdlib>
 
-#include "api/event_server.h"
-#include "api/server.h"
-
 namespace veritas {
 namespace testing {
 
@@ -18,17 +15,11 @@ WorkerFleet::WorkerFleet(const WorkerFleetOptions& options) {
         std::make_unique<RequestQueue>(worker.manager.get(), queue_options);
     worker.api =
         std::make_unique<GuidanceApi>(worker.manager.get(), worker.queue.get());
-    if (options.event_loop) {
-      EventApiServerOptions server_options;
-      server_options.dispatch_workers = options.queue_workers + 1;
-      auto server = EventApiServer::Start(worker.api.get(), server_options);
-      if (!server.ok()) abort();
-      worker.server = std::move(server).value();
-    } else {
-      auto server = ApiServer::Start(worker.api.get());
-      if (!server.ok()) abort();
-      worker.server = std::move(server).value();
-    }
+    EventApiServerOptions server_options;
+    server_options.dispatch_workers = options.queue_workers + 1;
+    auto server = EventApiServer::Start(worker.api.get(), server_options);
+    if (!server.ok()) abort();
+    worker.server = std::move(server).value();
     worker.port = worker.server->port();
   }
 }

@@ -1,6 +1,6 @@
 // Fault-injection harness for fleet tests (DESIGN.md §11): an in-process
 // fleet of N guidance workers, each a full veritas_server stack —
-// SessionManager + RequestQueue + GuidanceApi behind a real TCP WireServer
+// SessionManager + RequestQueue + GuidanceApi behind a real EventApiServer
 // on an ephemeral loopback port — plus a Kill() switch that emulates
 // SIGKILL: the worker's server, queue, and manager are torn down
 // immediately (live connections sever mid-stream; all session state is
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "api/frame_handler.h"
+#include "api/event_server.h"
 #include "api/service.h"
 #include "service/request_queue.h"
 #include "service/session_manager.h"
@@ -27,9 +27,6 @@ struct WorkerFleetOptions {
   size_t workers = 2;
   /// RequestQueue workers per fleet member.
   size_t queue_workers = 1;
-  /// Serve each worker with the epoll event loop (the production default);
-  /// false = thread-per-connection.
-  bool event_loop = true;
 };
 
 /// N live workers on loopback ports. Construction aborts on failure (test
@@ -65,7 +62,7 @@ class WorkerFleet {
     std::unique_ptr<SessionManager> manager;
     std::unique_ptr<RequestQueue> queue;
     std::unique_ptr<GuidanceApi> api;
-    std::unique_ptr<WireServer> server;
+    std::unique_ptr<EventApiServer> server;
     uint16_t port = 0;
   };
 
