@@ -364,8 +364,10 @@ BENCHMARK(BM_LogisticGradient)->Arg(1000)->Arg(10000);
 
 // Session checkpointing (service/checkpoint.h): full save + load round trip
 // of a warm batch session, the unit of work behind both explicit
-// Checkpoint() calls and the SessionManager's LRU spill. `bytes_per_ckpt`
-// reports the on-disk size (session.bin + db TSVs).
+// Checkpoint() calls and the SessionManager's LRU spill. The save includes
+// the durable commit (fdatasync, rename, directory fsync). `bytes_per_ckpt`
+// reports the on-disk size (the one file, session.bin, with the fact
+// database inside).
 void BM_CheckpointSaveRestore(benchmark::State& state) {
   const EmulatedCorpus corpus = MakeCorpus(static_cast<size_t>(state.range(0)));
   SessionSpec spec;
@@ -392,12 +394,7 @@ void BM_CheckpointSaveRestore(benchmark::State& state) {
     auto restored = LoadSessionCheckpoint(dir);
     if (!restored.ok()) std::abort();
     benchmark::DoNotOptimize(restored);
-    if (bytes == 0) {
-      for (const auto& entry :
-           std::filesystem::recursive_directory_iterator(dir)) {
-        if (entry.is_regular_file()) bytes += entry.file_size();
-      }
-    }
+    if (bytes == 0) bytes = CheckpointSizeBytes(dir);
   }
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

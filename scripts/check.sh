@@ -27,10 +27,10 @@
 # pluggable solver backends' sub-MRF extraction (crf_solver_test) — so
 # buffer reuse stays leak- and UB-clean; plus the suites that feed bytes to
 # the decoders and byte parsers (the JSON parser, the wire codec and its
-# golden fixtures, the TSV/binary readers, the session checkpoint and its
-# golden directories, the event server's frame reassembly and the metrics
-# endpoint's HTTP head read), so malformed, truncated and pipelined input
-# stays memory-safe.
+# golden fixtures, the binary readers and the fact-database record, the
+# session checkpoint and its golden files, the event server's frame
+# reassembly and the metrics endpoint's HTTP head read), so malformed,
+# truncated and pipelined input stays memory-safe.
 #
 # TSAN=1 builds with ThreadSanitizer and runs the service/, api/, fleet/,
 # obs/ and crf/ suites — the ones exercising the SessionManager's

@@ -3,11 +3,11 @@
 /// api/wire.h envelopes and every embedded message with lossless round
 /// trips — 64-bit integers stay exact decimals, doubles are emitted at
 /// max_digits10 and re-parsed bit-for-bit, free text goes through api/json.h
-/// escaping (the JSON analogue of data/io's TSV escaping rules), and
-/// non-finite doubles are rejected at encode time. Decoders ignore unknown
-/// JSON members (forward compatibility) and surface malformed input —
-/// truncated documents, type mismatches, unknown methods or enum spellings,
-/// version mismatches — as Status errors, never undefined behavior.
+/// escaping, and non-finite doubles are rejected at encode time. Decoders
+/// ignore unknown JSON members (forward compatibility) and surface
+/// malformed input — truncated documents, type mismatches, unknown methods
+/// or enum spellings, version mismatches — as Status errors, never
+/// undefined behavior.
 ///
 /// Embedded messages are not coded field by field: the JSON writer and
 /// reader are two visitors over each struct's VisitFields list and each

@@ -1,79 +1,14 @@
 #include "api/service.h"
 
-#include <chrono>
 #include <utility>
 
 #include "api/codec.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace veritas {
 
-namespace {
-
-const char* StepKindName(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kAdvance: return "advance";
-    case RequestKind::kAnswer: return "answer";
-    case RequestKind::kGround: return "ground";
-    case RequestKind::kTerminate: return "terminate";
-  }
-  return "?";
-}
-
-}  // namespace
-
 GuidanceApi::GuidanceApi(SessionManager* manager, RequestQueue* queue)
     : manager_(manager), queue_(queue) {}
-
-Result<ServiceResponse> GuidanceApi::SubmitStep(ServiceRequest request) {
-  if (queue_ != nullptr) {
-    auto submitted = queue_->Submit(std::move(request));
-    if (!submitted.ok()) return submitted.status();
-    return std::move(submitted).value().get();
-  }
-  // Queueless direct path: the queue's worker instrumentation does not run,
-  // so the step span and slow-step detection happen here.
-  static MetricsRegistry::Histogram* const step_span =
-      GlobalMetrics().histogram(TraceSpanMetricName("step"));
-  const auto started = std::chrono::steady_clock::now();
-  ServiceResponse response;
-  switch (request.kind) {
-    case RequestKind::kAdvance: {
-      auto step = manager_->Advance(request.session);
-      response.status = step.status();
-      if (step.ok()) response.step = std::move(step).value();
-      break;
-    }
-    case RequestKind::kAnswer: {
-      auto step = manager_->Answer(request.session, request.answers);
-      response.status = step.status();
-      if (step.ok()) response.step = std::move(step).value();
-      break;
-    }
-    case RequestKind::kGround: {
-      auto view = manager_->Ground(request.session);
-      response.status = view.status();
-      if (view.ok()) response.grounding = std::move(view).value();
-      break;
-    }
-    case RequestKind::kTerminate: {
-      auto outcome = manager_->Terminate(request.session);
-      response.status = outcome.status();
-      if (outcome.ok()) response.outcome = std::move(outcome).value();
-      break;
-    }
-  }
-  response.service_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-          .count();
-  if (!request.trace_id.empty()) step_span->Record(response.service_seconds);
-  if (response.service_seconds > SlowStepThresholdSeconds()) {
-    LogSlowStep(request.trace_id, request.session, StepKindName(request.kind),
-                0.0, response.service_seconds);
-  }
-  return response;
-}
 
 Result<ServiceResponse> GuidanceApi::ServeStep(RequestKind kind,
                                                SessionId session,
@@ -84,9 +19,10 @@ Result<ServiceResponse> GuidanceApi::ServeStep(RequestKind kind,
   step.session = session;
   step.trace_id = trace_id;
   step.answers = std::move(answers);
-  auto served = SubmitStep(std::move(step));
-  if (!served.ok()) return served.status();
-  if (!served.value().status.ok()) return served.value().status;
+  auto submitted = queue_->Submit(std::move(step));
+  if (!submitted.ok()) return submitted.status();
+  ServiceResponse served = std::move(submitted).value().get();
+  if (!served.status.ok()) return served.status;
   return served;
 }
 

@@ -207,7 +207,7 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
   // neighborhoods survive unless the coupling structure itself changed
   // (SyncStructures ran) — fields change every iteration, edges do not.
   hypothetical_.Bind(&mrf_, &evidence_field_, options_.hypothetical_gibbs,
-                     structure_dirty_, options_.hypothetical_backend);
+                     structure_dirty_);
   structure_dirty_ = false;
   ready_ = true;
   return stats;
@@ -228,7 +228,7 @@ Status ICrf::RestoreEngine(const BeliefState& state) {
     evidence_field_[c] = 0.5 * evidence[c];
   }
   hypothetical_.Bind(&mrf_, &evidence_field_, options_.hypothetical_gibbs,
-                     /*structure_changed=*/true, options_.hypothetical_backend);
+                     /*structure_changed=*/true);
   structure_dirty_ = false;
   ready_ = true;
   return Status::OK();

@@ -47,11 +47,6 @@ struct ICrfOptions {
   /// legacy rule — gibbs.num_threads == 0 runs the sequential sampler,
   /// >= 1 the chromatic kernel — byte-identical to pre-backend builds.
   CrfBackend backend = CrfBackend::kAuto;
-  /// Backend of the hypothetical/guidance kernel (HypotheticalEngine).
-  /// kAuto keeps the restricted Gibbs kernel; kMeanField scores candidates
-  /// with the deterministic damped mean-field fixed point instead. Guidance
-  /// may run a cheaper backend than the committed E-step.
-  CrfBackend hypothetical_backend = CrfBackend::kAuto;
 };
 
 template <typename V, typename S>
@@ -64,7 +59,6 @@ FieldsOf<S, ICrfOptions> VisitFields(V& v, S& o) {
   v("em_tolerance", o.em_tolerance);
   v("fit_weights", o.fit_weights);
   v("backend", o.backend);
-  v("hypothetical_backend", o.hypothetical_backend);
 }
 
 /// Statistics of one Infer() call.

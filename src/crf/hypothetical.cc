@@ -1,7 +1,6 @@
 #include "crf/hypothetical.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/math.h"
 #include "crf/partition.h"
@@ -17,7 +16,6 @@ struct HypotheticalEngine::Scratch {
   std::vector<double> fields;
   std::vector<double> probs;
   std::vector<uint32_t> counts;
-  std::vector<double> magnet;  ///< mean-field magnetizations (kMeanField only)
   std::vector<size_t> sweep_order;
   /// Stamp-based visited set for scope deduplication: entries matching
   /// `stamp` were already admitted to sweep_order this run. Stamping makes
@@ -52,13 +50,12 @@ void HypotheticalEngine::Evaluation::Release() {
 void HypotheticalEngine::Bind(const ClaimMrf* mrf,
                               const std::vector<double>* evidence_field,
                               const GibbsOptions& gibbs,
-                              bool structure_changed, CrfBackend backend) {
+                              bool structure_changed) {
   const size_t n = mrf == nullptr ? 0 : mrf->num_claims();
   const bool resized = neighborhood_cache_.size() != n;
   mrf_ = mrf;
   evidence_field_ = evidence_field;
   gibbs_ = gibbs;
-  backend_ = backend;
   if (structure_changed || resized) {
     neighborhood_cache_.assign(n, {});
     ++structure_epoch_;
@@ -201,8 +198,7 @@ Status HypotheticalEngine::RunKernel(const BeliefState& state,
   }
 
   // Assemble the probability vector: carried-over estimates everywhere,
-  // labels fixed at 0/1; the swept scope is filled below by the selected
-  // kernel.
+  // labels fixed at 0/1; the swept scope is filled below from the chain.
   std::vector<double>& probs = scratch->probs;
   probs.assign(state.probs().begin(), state.probs().end());
   if (override_label.kind == Kind::kClear && override_label.claim < n) {
@@ -210,40 +206,6 @@ Status HypotheticalEngine::RunKernel(const BeliefState& state,
   }
   for (size_t c = 0; c < n; ++c) {
     if (is_labeled(c)) probs[c] = label_value(c) ? 1.0 : 0.0;
-  }
-
-  if (backend_ == CrfBackend::kMeanField) {
-    // Scoped damped mean-field (DESIGN.md §13): magnetizations of labeled
-    // and out-of-scope claims stay frozen at their effective-state values
-    // (labels at +-1, the rest at 2p - 1, richer than the thresholded spin
-    // the Gibbs kernel freezes), while the scope relaxes to the fixed point
-    // m <- (1 - damping) m + damping tanh(f + sum J m). Deterministic and
-    // sampling-free; `rng` is deliberately untouched.
-    std::vector<double>& magnet = scratch->magnet;
-    magnet.resize(n);
-    for (size_t c = 0; c < n; ++c) {
-      magnet[c] = is_labeled(c) ? (label_value(c) ? 1.0 : -1.0)
-                                : 2.0 * probs[c] - 1.0;
-    }
-    constexpr double kDamping = 0.7;
-    constexpr size_t kMaxSweeps = 100;
-    constexpr double kTolerance = 1e-8;
-    for (size_t it = 0; it < kMaxSweeps; ++it) {
-      double max_change = 0.0;
-      for (const size_t c : sweep_order) {
-        double neighbor_term = 0.0;
-        for (size_t k = mrf_->offsets[c]; k < mrf_->offsets[c + 1]; ++k) {
-          neighbor_term += mrf_->couplings[k] * magnet[mrf_->neighbors[k]];
-        }
-        const double target = std::tanh(fields[c] + neighbor_term);
-        const double updated = (1.0 - kDamping) * magnet[c] + kDamping * target;
-        max_change = std::max(max_change, std::fabs(updated - magnet[c]));
-        magnet[c] = updated;
-      }
-      if (max_change < kTolerance) break;
-    }
-    for (const size_t c : sweep_order) probs[c] = 0.5 * (1.0 + magnet[c]);
-    return Status::OK();
   }
 
   std::vector<uint32_t>& counts = scratch->counts;

@@ -30,7 +30,6 @@
 #include "common/status.h"
 #include "crf/gibbs.h"
 #include "crf/mrf.h"
-#include "crf/solver.h"
 #include "data/model.h"
 
 namespace veritas {
@@ -81,15 +80,8 @@ class HypotheticalEngine {
   /// structure — but `structure_changed` must be true whenever the bound
   /// edge set differs from the previous one; the cache is then dropped.
   /// A claim-count change always invalidates, regardless of the flag.
-  /// `backend` selects the scoped re-inference kernel (DESIGN.md §13):
-  /// kAuto/kGibbs run the restricted Gibbs chain as always; kMeanField
-  /// replaces the sweeps with the deterministic damped mean-field fixed
-  /// point (out-of-scope claims frozen at their carried-over
-  /// magnetization) — cheaper and sampling-free for guidance scoring.
-  /// Other backends fall back to the Gibbs kernel.
   void Bind(const ClaimMrf* mrf, const std::vector<double>* evidence_field,
-            const GibbsOptions& gibbs, bool structure_changed,
-            CrfBackend backend = CrfBackend::kAuto);
+            const GibbsOptions& gibbs, bool structure_changed);
 
   /// True once Bind() has attached a model.
   bool bound() const { return mrf_ != nullptr; }
@@ -211,7 +203,6 @@ class HypotheticalEngine {
   const ClaimMrf* mrf_ = nullptr;
   const std::vector<double>* evidence_field_ = nullptr;
   GibbsOptions gibbs_;
-  CrfBackend backend_ = CrfBackend::kAuto;
   uint64_t structure_epoch_ = 0;
 
   struct NeighborhoodEntry {

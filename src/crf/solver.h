@@ -1,9 +1,8 @@
 /// \file
-/// Pluggable CRF inference backends (DESIGN.md §13). Every marginal
-/// computation of the pipeline — the committed E-step of ICrf and, through
-/// the HypotheticalEngine, the guidance scoring — runs behind one
-/// interface, `CrfSolver::Marginals(mrf, state, opts)`, so backends are
-/// interchangeable per workload:
+/// Pluggable CRF inference backends (DESIGN.md §13). The committed E-step
+/// of ICrf runs behind one interface, `CrfSolver::Marginals(mrf, state,
+/// opts)`, so backends are interchangeable per workload (guidance scoring
+/// keeps the HypotheticalEngine's restricted Gibbs kernel):
 ///
 ///   kGibbs      sequential Gibbs (crf/gibbs.h) — the committed reference.
 ///   kChromatic  chromatic counter-based parallel Gibbs (crf/chromatic.h),
@@ -13,7 +12,7 @@
 ///               small cyclic components — the paper's §4.1 "Ising methods"
 ///               promoted to a first-class backend.
 ///   kMeanField  damped mean-field fixed point: deterministic, sampling-free
-///               approximate marginals for cheap hypothetical scoring.
+///               approximate marginals.
 ///   kDispatch   exact-where-tractable router: every component that is
 ///               acyclic (after label reduction) or small enough to
 ///               enumerate is solved exactly; the rest run the chromatic

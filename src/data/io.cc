@@ -1,225 +1,15 @@
 #include "data/io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
-#include <limits>
 #include <sstream>
 
 namespace veritas {
-
-namespace {
-
-std::vector<std::string> SplitTabs(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream stream(line);
-  while (std::getline(stream, field, '\t')) fields.push_back(field);
-  return fields;
-}
-
-Status ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  if (end == text.c_str()) {
-    return Status::InvalidArgument("ParseDouble: not a number: " + text);
-  }
-  return Status::OK();
-}
-
-Status ParseIndex(const std::string& text, size_t* out) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str()) {
-    return Status::InvalidArgument("ParseIndex: not an index: " + text);
-  }
-  *out = static_cast<size_t>(value);
-  return Status::OK();
-}
-
-}  // namespace
-
-std::string EscapeTsvField(const std::string& field) {
-  std::string out;
-  out.reserve(field.size());
-  for (const char c : field) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\t': out += "\\t"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string UnescapeTsvField(const std::string& field) {
-  std::string out;
-  out.reserve(field.size());
-  for (size_t i = 0; i < field.size(); ++i) {
-    if (field[i] != '\\' || i + 1 == field.size()) {
-      out += field[i];
-      continue;
-    }
-    switch (field[i + 1]) {
-      case '\\': out += '\\'; ++i; break;
-      case 't': out += '\t'; ++i; break;
-      case 'n': out += '\n'; ++i; break;
-      case 'r': out += '\r'; ++i; break;
-      default: out += field[i];  // unknown escape: keep verbatim
-    }
-  }
-  return out;
-}
-
-Status SaveFactDatabase(const FactDatabase& db, const std::string& directory) {
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  if (ec) {
-    return Status::Internal("SaveFactDatabase: cannot create directory " + directory);
-  }
-
-  {
-    std::ofstream out(directory + "/sources.tsv");
-    if (!out) return Status::Internal("SaveFactDatabase: cannot open sources.tsv");
-    // max_digits10 makes the feature round-trip value-exact — checkpoints
-    // (src/service/checkpoint.h) rebuild inference inputs from these files.
-    out << std::setprecision(std::numeric_limits<double>::max_digits10);
-    for (size_t s = 0; s < db.num_sources(); ++s) {
-      const Source& source = db.source(static_cast<SourceId>(s));
-      out << s << '\t' << EscapeTsvField(source.name);
-      for (double f : source.features) out << '\t' << f;
-      out << '\n';
-    }
-  }
-  {
-    std::ofstream out(directory + "/documents.tsv");
-    if (!out) return Status::Internal("SaveFactDatabase: cannot open documents.tsv");
-    out << std::setprecision(std::numeric_limits<double>::max_digits10);
-    for (size_t d = 0; d < db.num_documents(); ++d) {
-      const Document& document = db.document(static_cast<DocumentId>(d));
-      out << d << '\t' << document.source;
-      for (double f : document.features) out << '\t' << f;
-      out << '\n';
-    }
-  }
-  {
-    std::ofstream out(directory + "/claims.tsv");
-    if (!out) return Status::Internal("SaveFactDatabase: cannot open claims.tsv");
-    for (size_t c = 0; c < db.num_claims(); ++c) {
-      const ClaimId id = static_cast<ClaimId>(c);
-      out << c << '\t' << EscapeTsvField(db.claim(id).text) << '\t';
-      if (db.has_ground_truth(id)) {
-        out << (db.ground_truth(id) ? '1' : '0');
-      } else {
-        out << '?';
-      }
-      out << '\n';
-    }
-  }
-  {
-    std::ofstream out(directory + "/mentions.tsv");
-    if (!out) return Status::Internal("SaveFactDatabase: cannot open mentions.tsv");
-    for (const Clique& clique : db.cliques()) {
-      out << clique.document << '\t' << clique.claim << '\t'
-          << (clique.stance == Stance::kSupport ? "support" : "refute") << '\n';
-    }
-  }
-  return Status::OK();
-}
-
-Result<FactDatabase> LoadFactDatabase(const std::string& directory) {
-  FactDatabase db;
-  {
-    std::ifstream in(directory + "/sources.tsv");
-    if (!in) return Status::NotFound("LoadFactDatabase: missing sources.tsv");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const auto fields = SplitTabs(line);
-      if (fields.size() < 2) {
-        return Status::InvalidArgument("LoadFactDatabase: bad source row");
-      }
-      Source source;
-      source.name = UnescapeTsvField(fields[1]);
-      for (size_t i = 2; i < fields.size(); ++i) {
-        double value = 0.0;
-        VERITAS_RETURN_IF_ERROR(ParseDouble(fields[i], &value));
-        source.features.push_back(value);
-      }
-      db.AddSource(std::move(source));
-    }
-  }
-  {
-    std::ifstream in(directory + "/documents.tsv");
-    if (!in) return Status::NotFound("LoadFactDatabase: missing documents.tsv");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const auto fields = SplitTabs(line);
-      if (fields.size() < 2) {
-        return Status::InvalidArgument("LoadFactDatabase: bad document row");
-      }
-      Document document;
-      size_t source = 0;
-      VERITAS_RETURN_IF_ERROR(ParseIndex(fields[1], &source));
-      if (source >= db.num_sources()) {
-        return Status::OutOfRange("LoadFactDatabase: document references bad source");
-      }
-      document.source = static_cast<SourceId>(source);
-      for (size_t i = 2; i < fields.size(); ++i) {
-        double value = 0.0;
-        VERITAS_RETURN_IF_ERROR(ParseDouble(fields[i], &value));
-        document.features.push_back(value);
-      }
-      db.AddDocument(std::move(document));
-    }
-  }
-  {
-    std::ifstream in(directory + "/claims.tsv");
-    if (!in) return Status::NotFound("LoadFactDatabase: missing claims.tsv");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const auto fields = SplitTabs(line);
-      if (fields.size() < 3) {
-        return Status::InvalidArgument("LoadFactDatabase: bad claim row");
-      }
-      Claim claim;
-      claim.text = UnescapeTsvField(fields[1]);
-      const ClaimId id = db.AddClaim(std::move(claim));
-      if (fields[2] == "0") {
-        db.SetGroundTruth(id, false);
-      } else if (fields[2] == "1") {
-        db.SetGroundTruth(id, true);
-      }
-    }
-  }
-  {
-    std::ifstream in(directory + "/mentions.tsv");
-    if (!in) return Status::NotFound("LoadFactDatabase: missing mentions.tsv");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const auto fields = SplitTabs(line);
-      if (fields.size() < 3) {
-        return Status::InvalidArgument("LoadFactDatabase: bad mention row");
-      }
-      size_t document = 0;
-      size_t claim = 0;
-      VERITAS_RETURN_IF_ERROR(ParseIndex(fields[0], &document));
-      VERITAS_RETURN_IF_ERROR(ParseIndex(fields[1], &claim));
-      const Stance stance =
-          fields[2] == "refute" ? Stance::kRefute : Stance::kSupport;
-      VERITAS_RETURN_IF_ERROR(db.AddMention(static_cast<DocumentId>(document),
-                                            static_cast<ClaimId>(claim), stance));
-    }
-  }
-  VERITAS_RETURN_IF_ERROR(db.Validate());
-  return db;
-}
 
 void BinaryWriter::U8(uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
 
@@ -263,20 +53,37 @@ void BinaryWriter::VecF64(const std::vector<double>& values) {
 }
 
 Status BinaryWriter::WriteFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::Internal("BinaryWriter: cannot open " + path);
-  out.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  out.flush();
-  if (!out) return Status::Internal("BinaryWriter: short write to " + path);
+  const std::string tmp = path + ".tmp";
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
+  if (file == nullptr) return Status::Internal("BinaryWriter: cannot open " + tmp);
+  const bool written =
+      std::fwrite(buffer_.data(), 1, buffer_.size(), file) == buffer_.size() &&
+      std::fflush(file) == 0 && ::fdatasync(::fileno(file)) == 0;
+  if (std::fclose(file) != 0 || !written) {
+    std::remove(tmp.c_str());
+    return Status::Internal("BinaryWriter: short write to " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("BinaryWriter: cannot rename " + tmp);
+  }
+  // The rename is durable only once the directory entry is.
+  std::string directory = std::filesystem::path(path).parent_path().string();
+  if (directory.empty()) directory = ".";
+  const int dir_fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return Status::Internal("BinaryWriter: cannot open " + directory);
+  const bool synced = ::fsync(dir_fd) == 0;
+  ::close(dir_fd);
+  if (!synced) return Status::Internal("BinaryWriter: cannot sync " + directory);
   return Status::OK();
 }
 
-Result<BinaryReader> BinaryReader::FromFile(const std::string& path) {
+Result<std::string> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("BinaryReader: cannot open " + path);
+  if (!in) return Status::NotFound("ReadFileBytes: cannot open " + path);
   std::ostringstream contents;
   contents << in.rdbuf();
-  return BinaryReader(std::move(contents).str());
+  return std::move(contents).str();
 }
 
 Status BinaryReader::Take(size_t n, const char** out) {
@@ -365,6 +172,99 @@ Status BinaryReader::VecF64(std::vector<double>* out) {
   out->resize(static_cast<size_t>(size));
   for (auto& v : *out) VERITAS_RETURN_IF_ERROR(F64(&v));
   return Status::OK();
+}
+
+namespace {
+
+/// Reads a list count and bounds it by the bytes left: each item occupies
+/// at least `min_item_bytes`, so a corrupt count fails here instead of
+/// driving a huge allocation or a long loop.
+Status ReadCount(BinaryReader* r, size_t min_item_bytes, uint64_t* count) {
+  VERITAS_RETURN_IF_ERROR(r->U64(count));
+  if (*count > r->remaining() / min_item_bytes) {
+    return Status::OutOfRange("ReadFactDatabase: count exceeds the bytes left");
+  }
+  return Status::OK();
+}
+
+constexpr uint8_t kTruthUnknown = 2;
+
+}  // namespace
+
+void WriteFactDatabase(const FactDatabase& db, BinaryWriter* w) {
+  w->U64(db.num_sources());
+  for (size_t s = 0; s < db.num_sources(); ++s) {
+    const Source& source = db.source(static_cast<SourceId>(s));
+    w->Str(source.name);
+    w->VecF64(source.features);
+  }
+  w->U64(db.num_documents());
+  for (size_t d = 0; d < db.num_documents(); ++d) {
+    const Document& document = db.document(static_cast<DocumentId>(d));
+    w->U32(document.source);
+    w->VecF64(document.features);
+  }
+  w->U64(db.num_claims());
+  for (size_t c = 0; c < db.num_claims(); ++c) {
+    const ClaimId id = static_cast<ClaimId>(c);
+    w->Str(db.claim(id).text);
+    w->U8(!db.has_ground_truth(id) ? kTruthUnknown : db.ground_truth(id) ? 1 : 0);
+  }
+  w->U64(db.num_cliques());
+  for (const Clique& clique : db.cliques()) {
+    w->U32(clique.document);
+    w->U32(clique.claim);
+    w->U8(static_cast<uint8_t>(clique.stance));
+  }
+}
+
+Result<FactDatabase> ReadFactDatabase(BinaryReader* r) {
+  FactDatabase db;
+  uint64_t count = 0;
+  VERITAS_RETURN_IF_ERROR(ReadCount(r, 16, &count));  // name + features
+  for (uint64_t i = 0; i < count; ++i) {
+    Source source;
+    VERITAS_RETURN_IF_ERROR(r->Str(&source.name));
+    VERITAS_RETURN_IF_ERROR(r->VecF64(&source.features));
+    db.AddSource(std::move(source));
+  }
+  VERITAS_RETURN_IF_ERROR(ReadCount(r, 12, &count));  // source + features
+  for (uint64_t i = 0; i < count; ++i) {
+    Document document;
+    VERITAS_RETURN_IF_ERROR(r->U32(&document.source));
+    VERITAS_RETURN_IF_ERROR(r->VecF64(&document.features));
+    db.AddDocument(std::move(document));
+  }
+  VERITAS_RETURN_IF_ERROR(ReadCount(r, 9, &count));  // text + truth
+  for (uint64_t i = 0; i < count; ++i) {
+    Claim claim;
+    uint8_t truth = 0;
+    VERITAS_RETURN_IF_ERROR(r->Str(&claim.text));
+    VERITAS_RETURN_IF_ERROR(r->U8(&truth));
+    if (truth > kTruthUnknown) {
+      return Status::InvalidArgument("ReadFactDatabase: bad truth byte " +
+                                     std::to_string(truth));
+    }
+    const ClaimId id = db.AddClaim(std::move(claim));
+    if (truth != kTruthUnknown) db.SetGroundTruth(id, truth == 1);
+  }
+  VERITAS_RETURN_IF_ERROR(ReadCount(r, 9, &count));  // document + claim + stance
+  for (uint64_t i = 0; i < count; ++i) {
+    DocumentId document = 0;
+    ClaimId claim = 0;
+    uint8_t stance = 0;
+    VERITAS_RETURN_IF_ERROR(r->U32(&document));
+    VERITAS_RETURN_IF_ERROR(r->U32(&claim));
+    VERITAS_RETURN_IF_ERROR(r->U8(&stance));
+    if (stance > static_cast<uint8_t>(Stance::kRefute)) {
+      return Status::InvalidArgument("ReadFactDatabase: bad stance byte " +
+                                     std::to_string(stance));
+    }
+    VERITAS_RETURN_IF_ERROR(
+        db.AddMention(document, claim, static_cast<Stance>(stance)));
+  }
+  VERITAS_RETURN_IF_ERROR(db.Validate());
+  return db;
 }
 
 }  // namespace veritas

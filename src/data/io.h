@@ -1,3 +1,8 @@
+/// \file
+/// Little-endian binary serialization: the BinaryWriter/BinaryReader
+/// framing and the fact-database record, both used by the session
+/// checkpoint file (service/checkpoint.h, DESIGN.md §9).
+
 #ifndef VERITAS_DATA_IO_H_
 #define VERITAS_DATA_IO_H_
 
@@ -9,30 +14,6 @@
 #include "data/model.h"
 
 namespace veritas {
-
-/// Serializes a fact database to a directory of TSV files:
-///   sources.tsv    id, name, feature columns
-///   documents.tsv  id, source, feature columns
-///   claims.tsv     id, text, ground-truth flag ("?", "0", "1")
-///   mentions.tsv   document, claim, stance ("support" / "refute")
-/// Free-text fields (source names, claim texts) are escaped so that tabs,
-/// newlines and carriage returns survive the round trip (see EscapeTsvField).
-/// The directory is created when missing. Existing files are overwritten.
-Status SaveFactDatabase(const FactDatabase& db, const std::string& directory);
-
-/// Loads a fact database previously written by SaveFactDatabase.
-Result<FactDatabase> LoadFactDatabase(const std::string& directory);
-
-/// Escapes a free-text TSV field: backslash, tab, newline and carriage
-/// return become the two-character sequences \\, \t, \n, \r. The result
-/// contains no field or row separators, so claim texts with embedded
-/// whitespace round-trip through the TSV files.
-std::string EscapeTsvField(const std::string& field);
-
-/// Inverse of EscapeTsvField. Unrecognized escape sequences (and a trailing
-/// lone backslash) are kept verbatim, so files written before the escaping
-/// rules load unchanged.
-std::string UnescapeTsvField(const std::string& field);
 
 /// Little-endian binary serialization for exact state persistence (the
 /// session checkpoints of src/service/checkpoint.h). Doubles are written as
@@ -52,12 +33,20 @@ class BinaryWriter {
 
   const std::string& buffer() const { return buffer_; }
 
-  /// Writes the accumulated buffer to `path`, overwriting.
+  /// Replaces `path` with the accumulated buffer atomically: the bytes go
+  /// to `path`.tmp in the same directory, are fdatasync'ed, renamed over
+  /// `path`, and the directory is fsync'ed. A crash at any point leaves
+  /// either the old file or the new one, whole. Only one writer per
+  /// directory at a time: two concurrent writers would share the temp file.
   Status WriteFile(const std::string& path) const;
 
  private:
   std::string buffer_;
 };
+
+/// The whole content of the file at `path`; kNotFound when it cannot be
+/// opened.
+Result<std::string> ReadFileBytes(const std::string& path);
 
 /// Reader over a byte buffer produced by BinaryWriter. Every accessor
 /// bounds-checks and returns OutOfRange on a truncated buffer, so corrupt
@@ -65,8 +54,6 @@ class BinaryWriter {
 class BinaryReader {
  public:
   explicit BinaryReader(std::string bytes) : bytes_(std::move(bytes)) {}
-
-  static Result<BinaryReader> FromFile(const std::string& path);
 
   Status U8(uint8_t* out);
   Status U32(uint32_t* out);
@@ -86,6 +73,18 @@ class BinaryReader {
   std::string bytes_;
   size_t offset_ = 0;
 };
+
+/// Appends the fact-database record: sources (name, features), documents
+/// (source, features), claims (text, truth byte 0 / 1 / 2 = unknown) and
+/// mentions (document, claim, stance byte), each list a u64 count then its
+/// items; ids are u32, features their IEEE-754 bits.
+void WriteFactDatabase(const FactDatabase& db, BinaryWriter* w);
+
+/// Reads a record written by WriteFactDatabase. Counts larger than the
+/// bytes left are OutOfRange; truth and stance bytes outside their ranges
+/// are InvalidArgument; mentions go through AddMention (ids range-checked)
+/// and the result must pass FactDatabase::Validate().
+Result<FactDatabase> ReadFactDatabase(BinaryReader* r);
 
 }  // namespace veritas
 

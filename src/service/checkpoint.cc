@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <type_traits>
 
+#include "common/hash.h"
 #include "data/io.h"
 #include "obs/metrics.h"
 
@@ -11,6 +12,9 @@ namespace veritas {
 namespace {
 
 constexpr uint8_t kMagic[4] = {'V', 'C', 'K', 'P'};
+constexpr size_t kHeaderBytes = 8;    ///< magic + u32 version
+constexpr size_t kChecksumBytes = 8;  ///< trailing u64 HashBytes
+constexpr uint64_t kChecksumSeed = 0;
 
 /// Registry handles (DESIGN.md §14). Instrumented here — not at call sites —
 /// so manager spills, wire-requested checkpoints and router failover
@@ -42,9 +46,9 @@ const CheckpointMetrics& Metrics() {
 // (common/fields.h). The layout is the fields in visit order, untagged: a
 // struct is its fields inline, a bool one byte, an enum its value in one
 // byte, any other integer a u64, a double its IEEE-754 bits, a string or
-// vector a u64 count then its items, a fixed array its items. That is the
-// v2 layout exactly; a change to any visited field list changes the layout
-// and must bump kCheckpointVersion. BeliefState keeps a hand-written record.
+// vector a u64 count then its items, a fixed array its items. A change to
+// any visited field list changes the layout and must bump
+// kCheckpointVersion. BeliefState keeps a hand-written record.
 
 class BinaryOut {
  public:
@@ -206,16 +210,9 @@ Status BinaryIn::Read(BeliefState* state) {
 
 size_t CheckpointSizeBytes(const std::string& directory) {
   std::error_code ec;
-  size_t total = 0;
-  std::filesystem::recursive_directory_iterator it(directory, ec);
-  if (ec) return 0;
-  for (const auto& entry : it) {
-    std::error_code entry_ec;
-    if (!entry.is_regular_file(entry_ec) || entry_ec) continue;
-    const uintmax_t size = entry.file_size(entry_ec);
-    if (!entry_ec) total += static_cast<size_t>(size);
-  }
-  return total;
+  const uintmax_t size =
+      std::filesystem::file_size(directory + "/session.bin", ec);
+  return ec ? 0 : static_cast<size_t>(size);
 }
 
 Status SaveSessionCheckpoint(const Session& session,
@@ -234,14 +231,13 @@ Status SaveSessionCheckpoint(const Session& session,
   out.Write(session.spec_);
 
   if (session.mode() == SessionMode::kBatch) {
-    VERITAS_RETURN_IF_ERROR(SaveFactDatabase(*session.db_, directory + "/db"));
+    WriteFactDatabase(*session.db_, &w);
     out.Write(session.process_->ExportSessionState());
     out.Write(session.awaiting_answers_);
     out.Write(session.pending_plan_.candidates);
     out.Write(session.pending_plan_.batch);
   } else {
-    VERITAS_RETURN_IF_ERROR(
-        SaveFactDatabase(*session.source_corpus_, directory + "/db"));
+    WriteFactDatabase(*session.source_corpus_, &w);
     out.Write(session.next_arrival_);
     out.Write(session.stream_synced_);
     out.Write(session.checker_->ExportEmState());
@@ -257,10 +253,11 @@ Status SaveSessionCheckpoint(const Session& session,
   out.Write(user_rng != nullptr ? user_rng->SaveState() : RngState());
 
   out.Write(session.steps_served_);
+  w.U64(HashBytes(w.buffer(), kChecksumSeed));
   const Status written = w.WriteFile(directory + "/session.bin");
   if (written.ok()) {
     Metrics().saves->Increment();
-    Metrics().bytes->Record(static_cast<double>(CheckpointSizeBytes(directory)));
+    Metrics().bytes->Record(static_cast<double>(w.buffer().size()));
   }
   return written;
 }
@@ -268,9 +265,23 @@ Status SaveSessionCheckpoint(const Session& session,
 Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
     const std::string& directory) {
   ScopedLatencyTimer timer(Metrics().load_seconds);
-  auto reader = BinaryReader::FromFile(directory + "/session.bin");
-  if (!reader.ok()) return reader.status();
-  BinaryReader r = std::move(reader).value();
+  auto file = ReadFileBytes(directory + "/session.bin");
+  if (!file.ok()) return file.status();
+  std::string bytes = std::move(file).value();
+
+  // The envelope is checked before any field is parsed: length, magic,
+  // version, then the checksum over everything before it.
+  if (bytes.size() < kHeaderBytes + kChecksumBytes) {
+    return Status::InvalidArgument(
+        "LoadSessionCheckpoint: truncated file (" +
+        std::to_string(bytes.size()) + " bytes)");
+  }
+  uint64_t checksum = 0;
+  VERITAS_RETURN_IF_ERROR(
+      BinaryReader(bytes.substr(bytes.size() - kChecksumBytes)).U64(&checksum));
+  bytes.resize(bytes.size() - kChecksumBytes);
+  const bool intact = HashBytes(bytes, kChecksumSeed) == checksum;
+  BinaryReader r(std::move(bytes));
 
   for (const uint8_t want : kMagic) {
     uint8_t got = 0;
@@ -287,11 +298,14 @@ Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
         "LoadSessionCheckpoint: unsupported checkpoint version " +
         std::to_string(version));
   }
+  if (!intact) {
+    return Status::InvalidArgument(
+        "LoadSessionCheckpoint: checksum mismatch (corrupt or torn file)");
+  }
   BinaryIn in(&r);
   SessionSpec spec;
   VERITAS_RETURN_IF_ERROR(in.Read(&spec));
-
-  auto db = LoadFactDatabase(directory + "/db");
+  auto db = ReadFactDatabase(&r);
   if (!db.ok()) return db.status();
 
   auto created = Session::Create(std::move(db).value(), spec);

@@ -9,18 +9,25 @@
 /// the SessionManager's LRU eviction, which is what lets a bounded-memory
 /// service host more sessions than fit in RAM.
 ///
-/// On-disk layout of a checkpoint directory:
-///   db/           the session's fact database (TSV, data/io.h; streaming
-///                 sessions store the source corpus whose tail is still
-///                 un-arrived)
-///   session.bin   versioned binary record (BinaryWriter framing):
-///                 magic "VCKP", format version, the SessionSpec, and the
-///                 mode-specific numeric state, with nothing after it.
+/// A checkpoint directory holds one file, session.bin (BinaryWriter
+/// framing, data/io.h), which holds in order:
+///   magic "VCKP", format version (u32)
+///   the SessionSpec
+///   the session's fact database (WriteFactDatabase; streaming sessions
+///   store the source corpus whose tail is still un-arrived)
+///   the mode-specific numeric state, the simulated user's RNG and the
+///   step counter
+///   a u64 checksum: HashBytes (common/hash.h, seed 0) of every byte
+///   before it.
+/// A save writes session.bin.tmp, syncs it and renames it over
+/// session.bin, so a crash mid-save leaves the previous checkpoint whole.
+/// One writer per directory at a time.
 ///
 /// The record is written and read by two visitors over the VisitFields
 /// lists the wire codec also uses (common/fields.h): each struct's fields
-/// in visit order, untagged. Only BeliefState and the session's own tail
-/// (pending plan, arrival cursor, step counter) are laid out by hand.
+/// in visit order, untagged. Only BeliefState, the fact database and the
+/// session's own tail (pending plan, arrival cursor, step counter) are laid
+/// out by hand.
 
 #ifndef VERITAS_SERVICE_CHECKPOINT_H_
 #define VERITAS_SERVICE_CHECKPOINT_H_
@@ -34,26 +41,28 @@
 namespace veritas {
 
 /// Current checkpoint format version. Bumped on any layout change; loaders
-/// reject versions they do not understand instead of misreading them.
-/// v2: GibbsOptions carries num_threads, ICrfOptions the two CRF backend
-/// selectors, and GuidanceConfig the fan-out kernel + its schedule — all
-/// previously dropped on save, so restores silently reverted them to
-/// defaults.
-inline constexpr uint32_t kCheckpointVersion = 2;
+/// reject every other version instead of misreading it (there is no reader
+/// for older versions).
+inline constexpr uint32_t kCheckpointVersion = 3;
 
-/// Writes `session` to `directory` (created when missing, overwritten when
-/// not). The caller must hold the session's lock (the SessionManager does).
+/// Writes `session` to `directory` (created when missing; an existing
+/// checkpoint there is replaced atomically). The caller must hold the
+/// session's lock (the SessionManager does).
 Status SaveSessionCheckpoint(const Session& session,
                              const std::string& directory);
 
 /// Reconstructs a session from a checkpoint directory. The returned session
 /// continues exactly where the saved one stood: same posterior, same RNG
-/// streams, same pending plan (when one was awaiting answers).
+/// streams, same pending plan (when one was awaiting answers). kNotFound
+/// when there is no session.bin. Before any field is parsed, a file shorter
+/// than header plus checksum, a bad magic, a version other than
+/// kCheckpointVersion and a checksum mismatch are rejected, in that order,
+/// all with kInvalidArgument.
 Result<std::unique_ptr<Session>> LoadSessionCheckpoint(
     const std::string& directory);
 
-/// Total on-disk bytes of a checkpoint directory (recursive). 0 when the
-/// directory is missing or unreadable — sizing is diagnostic, never fatal.
+/// On-disk bytes of a checkpoint directory's session.bin. 0 when it is
+/// missing or unreadable — sizing is diagnostic, never fatal.
 /// Feeds the SessionManager's spill_bytes counter and the checkpoint-size
 /// histogram (DESIGN.md §14).
 size_t CheckpointSizeBytes(const std::string& directory);

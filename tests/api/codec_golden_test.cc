@@ -102,8 +102,6 @@ ICrfOptions NonDefaultIcrf(size_t k) {
   o.em_tolerance = 1e-2 * static_cast<double>(k);
   o.fit_weights = false;
   o.backend = k == 1 ? CrfBackend::kDispatch : CrfBackend::kExact;
-  o.hypothetical_backend =
-      k == 1 ? CrfBackend::kMeanField : CrfBackend::kChromatic;
   return o;
 }
 

@@ -128,7 +128,6 @@ SessionSpec RandomSpec(Rng* rng) {
   icrf.em_tolerance = AnyFinite(rng);
   icrf.fit_weights = rng->Bernoulli(0.5);
   icrf.backend = static_cast<CrfBackend>(rng->UniformInt(6));
-  icrf.hypothetical_backend = static_cast<CrfBackend>(rng->UniformInt(6));
   StreamingOptions& s = spec.streaming;
   s.icrf = icrf;
   s.step_a = AnyFinite(rng);
@@ -263,8 +262,6 @@ TEST(CodecRoundTripTest, SessionSpecEveryFieldSurvives) {
     EXPECT_EQ(decoded.validation.icrf.crf.max_pairs_per_source,
               spec.validation.icrf.crf.max_pairs_per_source);
     EXPECT_EQ(decoded.validation.icrf.backend, spec.validation.icrf.backend);
-    EXPECT_EQ(decoded.validation.icrf.hypothetical_backend,
-              spec.validation.icrf.hypothetical_backend);
     EXPECT_EQ(decoded.validation.icrf.gibbs.num_threads,
               spec.validation.icrf.gibbs.num_threads);
     EXPECT_TRUE(BitEqual(decoded.validation.icrf.tron.sigma3,
@@ -509,7 +506,6 @@ TEST(CodecRejectionTest, UnknownEnumValuesRejectedNotCoerced) {
     const char* json;
   } cases[] = {
       {"{\"validation\":{\"icrf\":{\"backend\":\"quantum\"}}}"},
-      {"{\"validation\":{\"icrf\":{\"hypothetical_backend\":\"Gibbs\"}}}"},
       {"{\"validation\":{\"strategy\":\"psychic\"}}"},
       {"{\"validation\":{\"guidance\":{\"variant\":\"parallel\"}}}"},
       {"{\"validation\":{\"guidance\":{\"fanout\":\"vectorized\"}}}"},
@@ -548,19 +544,15 @@ TEST(CodecRoundTripTest, MissingBackendKeysDecodeToDefaults) {
   SessionSpec spec;
   ASSERT_TRUE(DecodeJson(parsed.value(), &spec).ok());
   EXPECT_EQ(spec.validation.icrf.backend, CrfBackend::kAuto);
-  EXPECT_EQ(spec.validation.icrf.hypothetical_backend, CrfBackend::kAuto);
   EXPECT_EQ(spec.validation.icrf.max_em_iterations, 3u);
 
   // And the known names decode to the matching enumerators.
   auto explicit_json = ParseJson(
-      "{\"validation\":{\"icrf\":{\"backend\":\"dispatch\","
-      "\"hypothetical_backend\":\"mean_field\"}}}");
+      "{\"validation\":{\"icrf\":{\"backend\":\"dispatch\"}}}");
   ASSERT_TRUE(explicit_json.ok());
   SessionSpec explicit_spec;
   ASSERT_TRUE(DecodeJson(explicit_json.value(), &explicit_spec).ok());
   EXPECT_EQ(explicit_spec.validation.icrf.backend, CrfBackend::kDispatch);
-  EXPECT_EQ(explicit_spec.validation.icrf.hypothetical_backend,
-            CrfBackend::kMeanField);
 }
 
 TEST(CodecRejectionTest, UnknownMembersAreTolerated) {

@@ -3,9 +3,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "data/io.h"
 #include "service/service_fixtures.h"
 
 namespace veritas {
@@ -34,6 +37,51 @@ class CheckpointTest : public ::testing::Test {
       std::memcpy(&bits_a, &a[i], 8);
       std::memcpy(&bits_b, &b[i], 8);
       ASSERT_EQ(bits_a, bits_b) << "probability " << i << " diverged";
+    }
+  }
+
+  static std::string ReadAll(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+
+  /// Appends the trailing checksum to a patched record, so the patch gets
+  /// past the envelope checks to the reader check it targets.
+  static std::string Seal(const std::string& body) {
+    BinaryWriter checksum;
+    checksum.U64(HashBytes(body, /*seed=*/0));
+    return body + checksum.buffer();
+  }
+
+  /// Flips the low bit of every byte of dir_/session.bin in turn, then
+  /// truncates it to every shorter length: each variant must be rejected
+  /// with kInvalidArgument by the envelope checks.
+  void ExpectEveryFlipAndTruncationRejected() {
+    const std::string path = dir_ + "/session.bin";
+    const std::string bytes = ReadAll(path);
+    ASSERT_FALSE(bytes.empty());
+    {
+      std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(file.good());
+      for (size_t i = 0; i < bytes.size(); ++i) {
+        file.seekp(static_cast<std::streamoff>(i));
+        file.put(static_cast<char>(bytes[i] ^ 0x01)).flush();
+        auto loaded = LoadSessionCheckpoint(dir_);
+        ASSERT_FALSE(loaded.ok()) << "flipped byte " << i << " loaded";
+        ASSERT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+            << "byte " << i << ": " << loaded.status();
+        file.seekp(static_cast<std::streamoff>(i));
+        file.put(bytes[i]).flush();
+      }
+    }
+    ASSERT_TRUE(LoadSessionCheckpoint(dir_).ok());
+    for (size_t size = bytes.size(); size-- > 0;) {
+      std::filesystem::resize_file(path, size);
+      auto loaded = LoadSessionCheckpoint(dir_);
+      ASSERT_FALSE(loaded.ok()) << "truncation to " << size << " loaded";
+      ASSERT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << "truncation to " << size << ": " << loaded.status();
     }
   }
 
@@ -200,7 +248,6 @@ TEST_F(CheckpointTest, PreviouslyDroppedOptionFieldsSurviveRestore) {
   spec.validation.icrf.gibbs.num_threads = 4;
   spec.validation.icrf.hypothetical_gibbs.num_threads = 2;
   spec.validation.icrf.backend = CrfBackend::kDispatch;
-  spec.validation.icrf.hypothetical_backend = CrfBackend::kMeanField;
   spec.validation.guidance.fanout = FanoutKernel::kPerCandidate;
   spec.validation.guidance.fanout_base_sweeps = 9;
   spec.validation.guidance.fanout_burn_in = 5;
@@ -216,7 +263,6 @@ TEST_F(CheckpointTest, PreviouslyDroppedOptionFieldsSurviveRestore) {
   EXPECT_EQ(got.validation.icrf.gibbs.num_threads, 4u);
   EXPECT_EQ(got.validation.icrf.hypothetical_gibbs.num_threads, 2u);
   EXPECT_EQ(got.validation.icrf.backend, CrfBackend::kDispatch);
-  EXPECT_EQ(got.validation.icrf.hypothetical_backend, CrfBackend::kMeanField);
   EXPECT_EQ(got.validation.guidance.fanout, FanoutKernel::kPerCandidate);
   EXPECT_EQ(got.validation.guidance.fanout_base_sweeps, 9u);
   EXPECT_EQ(got.validation.guidance.fanout_burn_in, 5u);
@@ -251,10 +297,7 @@ TEST_F(CheckpointTest, BadMagicAndTruncationAreRejectedNotCrashes) {
   ASSERT_TRUE(SaveSessionCheckpoint(*session.value(), dir_).ok());
 
   const std::string path = dir_ + "/session.bin";
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  const std::string bytes = ReadAll(path);
 
   {  // corrupt magic
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -271,27 +314,83 @@ TEST_F(CheckpointTest, BadMagicAndTruncationAreRejectedNotCrashes) {
   auto truncated = LoadSessionCheckpoint(dir_);
   ASSERT_FALSE(truncated.ok());
 
+  // The record without its checksum, for the patches below to re-seal.
+  const std::string record = bytes.substr(0, bytes.size() - 8);
   {  // one byte past a valid record: a writer/reader layout mismatch
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes << '\0';
+    out << Seal(record + '\0');
   }
   auto trailing = LoadSessionCheckpoint(dir_);
   ASSERT_FALSE(trailing.ok());
   EXPECT_EQ(trailing.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(trailing.status().message().find("trailing bytes"),
+            std::string::npos)
+      << trailing.status();
 
   {  // out-of-range enum: the session mode byte follows magic and version
-    std::string patched = bytes;
+    std::string patched = record;
     patched[8] = 7;
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << patched;
+    out << Seal(patched);
   }
   auto bad_enum = LoadSessionCheckpoint(dir_);
   ASSERT_FALSE(bad_enum.ok());
   EXPECT_EQ(bad_enum.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_enum.status().message().find("enum value 7"),
+            std::string::npos)
+      << bad_enum.status();
 
   auto missing = LoadSessionCheckpoint(dir_ + "/nope");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
+// Format v3 is checked as a whole before any field is parsed, so a flipped
+// bit or a torn write anywhere in the file is refused instead of restoring
+// a session with corrupt state.
+TEST_F(CheckpointTest, EveryFlipAndTruncationIsRejected) {
+  auto corpus = MakeTinyCorpus(17, 8);
+  auto batch = Session::Create(corpus.db, BatchSpec(81, 3));
+  ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(batch.value()->Advance().ok());
+  ASSERT_TRUE(SaveSessionCheckpoint(*batch.value(), dir_).ok());
+  ExpectEveryFlipAndTruncationRejected();
+
+  auto streaming = Session::Create(corpus.db, StreamingSpec(83, 2));
+  ASSERT_TRUE(streaming.ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(streaming.value()->Advance().ok());
+  ASSERT_TRUE(SaveSessionCheckpoint(*streaming.value(), dir_).ok());
+  ExpectEveryFlipAndTruncationRejected();
+}
+
+// A save killed after writing part of session.bin.tmp leaves the previous
+// checkpoint in place: it still loads, and the next save replaces both.
+TEST_F(CheckpointTest, PartialTempFileLeavesPreviousCheckpointWhole) {
+  auto corpus = MakeTinyCorpus(18);
+  auto session = Session::Create(corpus.db, BatchSpec(85, 4));
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session.value()->Advance().ok());
+  ASSERT_TRUE(SaveSessionCheckpoint(*session.value(), dir_).ok());
+  const std::string saved = ReadAll(dir_ + "/session.bin");
+
+  ASSERT_TRUE(session.value()->Advance().ok());
+  {  // the next save died half-way through its temp file
+    std::ofstream partial(dir_ + "/session.bin.tmp", std::ios::binary);
+    partial << saved.substr(0, saved.size() / 2);
+  }
+  auto restored = LoadSessionCheckpoint(dir_);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored.value()->steps_served(), 1u);
+
+  ASSERT_TRUE(SaveSessionCheckpoint(*session.value(), dir_).ok());
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"session.bin"});
+  auto latest = LoadSessionCheckpoint(dir_);
+  ASSERT_TRUE(latest.ok()) << latest.status();
+  EXPECT_EQ(latest.value()->steps_served(), 2u);
 }
 
 }  // namespace
