@@ -3,7 +3,7 @@
 //
 //   reference  sequential Gibbs E-step over the whole database (the default
 //              backend every pre-dispatch run used)
-//   fast       DispatchSolver: per claim-graph component, exact marginals
+//   fast       DispatchMarginals: per claim-graph component, exact marginals
 //              (tree BP or enumeration) where tractable, chromatic sampling
 //              only on components too large to enumerate
 //

@@ -15,7 +15,8 @@
 # smoke (a veritas_server on an ephemeral port driven by a veritas_client
 # session over the wire protocol, DESIGN.md §10), the fleet failover smoke
 # (a veritas_router over two workers, one worker killed mid-session, the
-# client finishing on the survivor, DESIGN.md §11), and the metrics scrape
+# client finishing on the survivor and no router checkpoint left behind
+# once the session is terminated, DESIGN.md §11), and the metrics scrape
 # smoke (a veritas_server with --metrics-port, one session driven through
 # it, /metrics scraped over raw HTTP and checked against the Prometheus
 # text grammar with a non-empty step-latency histogram, DESIGN.md §14).
@@ -24,7 +25,7 @@
 # optim/, crf/ and core/ suites — the ones exercising the M-step kernel's
 # per-example evaluation cache (optim_logistic_test), the
 # HypotheticalEngine scratch-buffer pooling, the CSR adjacency and the
-# pluggable solver backends' sub-MRF extraction (crf_solver_test) — so
+# exact solve's component extraction (crf_solver_test) — so
 # buffer reuse stays leak- and UB-clean; plus the suites that feed bytes to
 # the decoders and byte parsers (the JSON parser, the wire codec and its
 # golden fixtures, the binary readers and the fact-database record, the
@@ -40,7 +41,7 @@
 # (obs_metrics_test) and its HTTP scrape thread (obs_exposition_test), the
 # HypotheticalEngine's striped caches and the parallel inference kernels
 # (chromatic color-class sweeps in crf_chromatic_test, sharded batched
-# fan-out in crf_fanout_test, the DispatchSolver's per-component fan-out in
+# fan-out in crf_fanout_test, DispatchMarginals' per-component fan-out in
 # crf_solver_test) — so the concurrent serving path stays race-clean.
 
 set -euo pipefail
@@ -100,7 +101,10 @@ run_smoke() {
 # Fleet failover smoke: a veritas_router fronting two veritas_server
 # workers with per-step checkpointing; the worker hosting the session is
 # killed (-9) mid-run and the client must finish, bit-for-bit on the
-# surviving worker, with the router logging the failover.
+# surviving worker, with the router logging the failover. A router
+# checkpoint lives exactly as long as its session, so once the client has
+# terminated its session no session.bin may remain under the checkpoint
+# directory.
 run_fleet_smoke() {
   local build_dir="$1"
   echo "== fleet failover smoke (veritas_router + 2 workers, kill one)"
@@ -185,6 +189,13 @@ run_fleet_smoke() {
     if ! grep -q 'failed over' "$tmp_dir/router.log"; then
       echo "fleet smoke: router never logged a failover" >&2
       cat "$tmp_dir/router.log" >&2
+      status=1
+    fi
+    local leftover
+    leftover="$(find "$tmp_dir/ckpt" -name session.bin 2> /dev/null || true)"
+    if [[ -n "$leftover" ]]; then
+      echo "fleet smoke: checkpoints outlived their session:" >&2
+      echo "$leftover" >&2
       status=1
     fi
   fi

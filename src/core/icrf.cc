@@ -13,9 +13,9 @@ namespace veritas {
 namespace {
 
 /// Per-backend registry handles (DESIGN.md §14), labeled with the
-/// backend's canonical wire name:
+/// resolved backend's canonical wire name:
 ///   veritas_crf_backend_selected_total{backend="..."} — Infer() calls
-///   veritas_crf_sweep_seconds{backend="..."}          — one Marginals solve
+///   veritas_crf_sweep_seconds{backend="..."}          — one E-step solve
 /// plus the backend-independent veritas_crf_mstep_seconds — one weight fit.
 struct BackendMetrics {
   MetricsRegistry::Counter* selected;
@@ -24,7 +24,7 @@ struct BackendMetrics {
 
 const BackendMetrics& MetricsFor(CrfBackend backend) {
   static const auto metrics = [] {
-    std::array<BackendMetrics, 6> m{};
+    std::array<BackendMetrics, EnumSpellings(CrfBackend{}).size()> m{};
     MetricsRegistry& registry = GlobalMetrics();
     for (size_t b = 0; b < m.size(); ++b) {
       const char* name = CrfBackendName(static_cast<CrfBackend>(b));
@@ -98,69 +98,79 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
   // and carried-over probabilities instead.
   const SpinConfig* warm = nullptr;
 
-  // Resolve the backend (crf/solver.h): kAuto keeps the legacy selection —
+  // Resolve the backend (crf/solver.h): kAuto keeps the original rule —
   // num_threads picks between the sequential and chromatic samplers — so
-  // default-configured runs stay byte-identical to pre-backend builds.
+  // default-configured runs stay byte-identical.
   CrfBackend backend = options_.backend;
   if (backend == CrfBackend::kAuto) {
     backend = options_.gibbs.num_threads > 0 ? CrfBackend::kChromatic
                                              : CrfBackend::kGibbs;
   }
-  const CrfSolver& solver = SolverFor(backend);
   const BackendMetrics& backend_metrics = MetricsFor(backend);
   backend_metrics.selected->Increment();
+  ThreadPool* pool = nullptr;
+  if (backend != CrfBackend::kGibbs && options_.gibbs.num_threads > 1) {
+    if (gibbs_pool_ == nullptr) {
+      gibbs_pool_ = std::make_unique<ThreadPool>(options_.gibbs.num_threads);
+    }
+    pool = gibbs_pool_.get();
+  }
   for (size_t em = 0; em < options_.max_em_iterations; ++em) {
     ++stats.em_iterations;
     // E-step: rebuild fields from the current weights and previous-iteration
-    // probabilities (Eq. 6), then solve for marginals.
+    // probabilities (Eq. 6), then solve for marginals. Only the chromatic
+    // and dispatch kernels draw a counter-based seed from rng_ (one per
+    // E-step); the sequential chain reads rng_ directly, so it must not.
     mrf_ = BuildClaimMrf(*db_, model_, prev_probs, options_.crf, couplings_);
-    SolverOptions sopts;
-    sopts.gibbs = options_.gibbs;
-    sopts.warm_start = warm;
-    sopts.rng = &rng_;
-    if (backend == CrfBackend::kChromatic) {
-      // The color schedule depends only on the edge structure, which is
-      // identical across the EM iterations of one call and across calls
-      // until SyncStructures().
-      if (structure_dirty_ || chromatic_schedule_.num_claims != mrf_.num_claims()) {
-        chromatic_schedule_ = BuildChromaticSchedule(mrf_);
-      }
-      sopts.schedule = &chromatic_schedule_;
-    }
-    if (backend == CrfBackend::kChromatic || backend == CrfBackend::kDispatch) {
-      if (options_.gibbs.num_threads > 1) {
-        if (gibbs_pool_ == nullptr ||
-            gibbs_pool_->num_threads() != options_.gibbs.num_threads) {
-          gibbs_pool_ = std::make_unique<ThreadPool>(options_.gibbs.num_threads);
-        }
-        sopts.pool = gibbs_pool_.get();
-      }
-      // Counter-based draw seed: one stream head per E-step, exactly the
-      // draw the chromatic path always made. The sequential backend must
-      // NOT consume it (its chain reads rng_ directly) or seed-pinned
-      // default runs would diverge.
-      sopts.draw_seed = rng_.NextU64();
-    }
+    std::vector<double> new_probs;
     const auto sweep_started = std::chrono::steady_clock::now();  // lint: timing
-    auto result = solver.Marginals(mrf_, *state, sopts);
+    switch (backend) {
+      case CrfBackend::kAuto:  // resolved above
+      case CrfBackend::kGibbs: {
+        auto samples =
+            RunGibbs(mrf_, *state, warm, nullptr, options_.gibbs, &rng_);
+        if (!samples.ok()) return samples.status();
+        last_samples_ = std::move(samples).value();
+        new_probs = last_samples_.Marginals(*state);
+        break;
+      }
+      case CrfBackend::kChromatic: {
+        // The color schedule depends only on the edge structure, which is
+        // identical across the EM iterations of one call and across calls
+        // until SyncStructures().
+        if (structure_dirty_ ||
+            chromatic_schedule_.num_claims != mrf_.num_claims()) {
+          chromatic_schedule_ = BuildChromaticSchedule(mrf_);
+        }
+        auto chromatic =
+            RunGibbsChromatic(mrf_, *state, warm, nullptr, options_.gibbs,
+                              rng_.NextU64(), chromatic_schedule_, pool);
+        if (!chromatic.ok()) return chromatic.status();
+        last_samples_ = std::move(chromatic.value().samples);
+        new_probs = std::move(chromatic.value().marginals);
+        break;
+      }
+      case CrfBackend::kDispatch: {
+        auto dispatch = DispatchMarginals(mrf_, *state, options_.gibbs, warm,
+                                          rng_.NextU64(), pool);
+        if (!dispatch.ok()) return dispatch.status();
+        new_probs = std::move(dispatch.value().marginals);
+        // No configurations come back; the marginal-threshold configuration
+        // keeps the warm start and the sample consumers
+        // (GroundingFromSamples, Eq. 10) working. Thresholding an exact
+        // marginal IS the per-claim mode.
+        SpinConfig config(new_probs.size(), 0);
+        for (size_t c = 0; c < new_probs.size(); ++c) {
+          config[c] = new_probs[c] >= 0.5 ? 1 : 0;
+        }
+        last_samples_ = SampleSet({std::move(config)});
+        break;
+      }
+    }
     backend_metrics.sweep_seconds->Record(
         std::chrono::duration<double>(  // lint: timing
             std::chrono::steady_clock::now() - sweep_started)
             .count());
-    if (!result.ok()) return result.status();
-    last_samples_ = std::move(result.value().samples);
-    std::vector<double> new_probs = std::move(result.value().marginals);
-    if (last_samples_.empty()) {
-      // Deterministic backends return no configurations; synthesize the
-      // marginal-threshold configuration so the warm start and the sample
-      // consumers (GroundingFromSamples, Eq. 10) keep working. Thresholding
-      // the exact marginal IS the per-claim mode.
-      SpinConfig config(new_probs.size(), 0);
-      for (size_t c = 0; c < new_probs.size(); ++c) {
-        config[c] = new_probs[c] >= 0.5 ? 1 : 0;
-      }
-      last_samples_ = SampleSet({std::move(config)});
-    }
     warm_config_ = last_samples_.samples().back();
     warm = &warm_config_;
 

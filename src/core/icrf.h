@@ -43,9 +43,9 @@ struct ICrfOptions {
   size_t max_em_iterations = 4;
   double em_tolerance = 5e-3;   ///< max per-claim probability change to stop
   bool fit_weights = true;      ///< disable to freeze the log-linear weights
-  /// E-step marginal backend (crf/solver.h, DESIGN.md §13). kAuto keeps the
-  /// legacy rule — gibbs.num_threads == 0 runs the sequential sampler,
-  /// >= 1 the chromatic kernel — byte-identical to pre-backend builds.
+  /// E-step backend (crf/solver.h, DESIGN.md §13). kAuto keeps the
+  /// original rule — gibbs.num_threads == 0 runs the sequential sampler,
+  /// >= 1 the chromatic kernel.
   CrfBackend backend = CrfBackend::kAuto;
 };
 
@@ -180,9 +180,9 @@ class ICrf {
   SampleSet last_samples_;
   SpinConfig warm_config_;
   mutable MarginalEntropyCache entropy_cache_;
-  /// Chromatic E-step kernel state (gibbs.num_threads >= 1): the cached
-  /// color schedule — structure-dependent, rebuilt after SyncStructures —
-  /// and the lazily created worker pool (> 1 thread only).
+  /// E-step kernel state: the chromatic color schedule — structure-
+  /// dependent, rebuilt after SyncStructures — and the worker pool of the
+  /// chromatic and dispatch kernels, created lazily (> 1 thread only).
   ChromaticSchedule chromatic_schedule_;
   std::unique_ptr<ThreadPool> gibbs_pool_;
   bool ready_ = false;

@@ -65,15 +65,6 @@ double ApproxSubsetEntropy(const std::vector<double>& probs,
   return entropy;
 }
 
-Result<double> ExactDatabaseEntropy(const ClaimMrf& mrf, const BeliefState& state,
-                                    size_t max_enumeration_claims) {
-  auto tree = TreeSumProduct(mrf, state);
-  if (tree.ok()) return tree.value().entropy;
-  auto exact = ExactInference(mrf, state, max_enumeration_claims);
-  if (exact.ok()) return exact.value().entropy;
-  return exact.status();
-}
-
 std::vector<double> MarginalEntropies(const std::vector<double>& probs) {
   std::vector<double> entropies(probs.size());
   for (size_t i = 0; i < probs.size(); ++i) entropies[i] = BinaryEntropy(probs[i]);
@@ -83,31 +74,10 @@ std::vector<double> MarginalEntropies(const std::vector<double>& probs) {
 Result<double> ExactComponentEntropy(const ClaimMrf& mrf, const BeliefState& state,
                                      const std::vector<ClaimId>& component,
                                      size_t max_enumeration_claims) {
-  // Extract the component's sub-MRF. Entropy decomposes additively over
-  // connected components, so the component entropy is self-contained.
-  const size_t m = component.size();
-  std::vector<size_t> local_index(mrf.num_claims(), SIZE_MAX);
-  for (size_t i = 0; i < m; ++i) local_index[component[i]] = i;
-
-  ClaimMrf sub;
-  sub.field.resize(m);
-  BeliefState sub_state(m);
-  for (size_t i = 0; i < m; ++i) {
-    const ClaimId id = component[i];
-    sub.field[i] = mrf.field[id];
-    if (state.IsLabeled(id)) {
-      sub_state.SetLabel(static_cast<ClaimId>(i),
-                         state.label(id) == ClaimLabel::kCredible);
-    }
-  }
-  for (const auto& edge : mrf.edges) {
-    const size_t a = local_index[edge.a];
-    const size_t b = local_index[edge.b];
-    if (a == SIZE_MAX || b == SIZE_MAX) continue;
-    sub.edges.push_back({static_cast<ClaimId>(a), static_cast<ClaimId>(b), edge.j});
-  }
-  sub.RebuildAdjacency();
-  return ExactDatabaseEntropy(sub, sub_state, max_enumeration_claims);
+  const ComponentProblem sub = ExtractComponent(mrf, state, component);
+  auto exact = SolveExact(sub.mrf, sub.state, max_enumeration_claims);
+  if (!exact.ok()) return exact.status();
+  return exact.value().entropy;
 }
 
 }  // namespace veritas

@@ -1,3 +1,9 @@
+/// \file
+/// Database entropy, the quantity guidance minimizes (§4.1): the linear-
+/// time approximation of Eq. 13 and its incremental per-claim cache
+/// (DESIGN.md §12), and the exact component entropy of Eq. 12, which reads
+/// the entropy field of the shared exact solve (crf/mrf.h SolveExact).
+
 #ifndef VERITAS_CRF_ENTROPY_H_
 #define VERITAS_CRF_ENTROPY_H_
 
@@ -22,21 +28,14 @@ double ApproxDatabaseEntropy(const std::vector<double>& probs);
 double ApproxSubsetEntropy(const std::vector<double>& probs,
                            const std::vector<ClaimId>& subset);
 
-/// Exact joint entropy of the label-conditioned MRF (Eq. 12): tries the
-/// polynomial-time tree path (sum-product / "Ising method") first and falls
-/// back to exact enumeration. Errors with FailedPrecondition when the graph
-/// is cyclic and too large to enumerate.
-Result<double> ExactDatabaseEntropy(const ClaimMrf& mrf, const BeliefState& state,
-                                    size_t max_enumeration_claims = 20);
-
 /// Per-claim marginal entropies (for the `uncertainty` baseline strategy).
 std::vector<double> MarginalEntropies(const std::vector<double>& probs);
 
-/// Exact joint entropy of one connected component of the MRF: extracts the
-/// component's sub-MRF and applies the tree / enumeration paths. Errors when
-/// the component is cyclic and has more unlabeled claims than
-/// `max_enumeration_claims`; callers then fall back to the approximation
-/// (the "exact where tractable" policy of the origin variant, §8.2).
+/// Exact joint entropy (Eq. 12) of one connected component of the MRF:
+/// ExtractComponent, then SolveExact. Errors when the component is cyclic
+/// and has more unlabeled claims than `max_enumeration_claims`; callers
+/// then fall back to the approximation (the "exact where tractable" policy
+/// of the origin variant, §8.2).
 Result<double> ExactComponentEntropy(const ClaimMrf& mrf, const BeliefState& state,
                                      const std::vector<ClaimId>& component,
                                      size_t max_enumeration_claims = 20);

@@ -121,8 +121,7 @@ void GibbsSweepCsr(const ClaimMrf& mrf, const double* fields,
 Result<SampleSet> RunGibbs(const ClaimMrf& mrf, const BeliefState& state,
                            const SpinConfig* warm_start,
                            const std::vector<ClaimId>* restrict_claims,
-                           const GibbsOptions& options, Rng* rng,
-                           const FieldOverrides* field_overrides) {
+                           const GibbsOptions& options, Rng* rng) {
   const size_t n = mrf.num_claims();
   if (state.num_claims() != n) {
     return Status::InvalidArgument("RunGibbs: state size mismatch");
@@ -162,14 +161,9 @@ Result<SampleSet> RunGibbs(const ClaimMrf& mrf, const BeliefState& state,
     }
   }
 
-  std::vector<double> fields(mrf.field);
-  if (field_overrides != nullptr) {
-    for (const auto& [claim, value] : *field_overrides) {
-      if (claim < n) fields[claim] = value;
-    }
-  }
-
-  auto sweep = [&]() { GibbsSweepCsr(mrf, fields.data(), sweep_order, &spins, rng); };
+  auto sweep = [&]() {
+    GibbsSweepCsr(mrf, mrf.field.data(), sweep_order, &spins, rng);
+  };
 
   for (size_t b = 0; b < options.burn_in; ++b) sweep();
 

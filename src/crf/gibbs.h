@@ -1,3 +1,10 @@
+/// \file
+/// The iCRF E-step sampler (§3.2): sequential Gibbs sampling over the claim
+/// MRF, the `gibbs` backend of ICrf (crf/solver.h), and the sample set its
+/// estimates (Eq. 7) and the grounding (Eq. 10) are read from. The single
+/// site-update rule, GibbsSweepCsr, is shared with hypothetical
+/// re-inference (crf/hypothetical.h).
+
 #ifndef VERITAS_CRF_GIBBS_H_
 #define VERITAS_CRF_GIBBS_H_
 
@@ -65,20 +72,11 @@ class SampleSet {
 /// field-only (decoupled) distribution.
 ///
 /// `restrict_claims` (optional) limits resampling to the given claim set;
-/// all other claims keep their initial spin. This implements the partition
-/// optimization (§5.1): hypothetical re-inference for guidance touches only
-/// the neighborhood of the probed claim.
-/// Optional per-claim replacement of the MRF field, applied on top of
-/// `mrf.field` without copying the model. Used by leave-one-out re-inference
-/// (§5.2, §6.1), where the carried-over prior of the very label under
-/// scrutiny must not anchor the chain.
-using FieldOverrides = std::vector<std::pair<ClaimId, double>>;
-
+/// all other claims keep their initial spin.
 Result<SampleSet> RunGibbs(const ClaimMrf& mrf, const BeliefState& state,
                            const SpinConfig* warm_start,
                            const std::vector<ClaimId>* restrict_claims,
-                           const GibbsOptions& options, Rng* rng,
-                           const FieldOverrides* field_overrides = nullptr);
+                           const GibbsOptions& options, Rng* rng);
 
 /// One Gibbs sweep over `sweep_order` against the CSR adjacency of `mrf`,
 /// with `fields` replacing mrf.field (same size). The single update rule

@@ -147,8 +147,8 @@ ReducedMrf Reduce(const ClaimMrf& mrf, const BeliefState& state) {
 
 }  // namespace
 
-Result<TreeInferenceResult> TreeSumProduct(const ClaimMrf& mrf,
-                                           const BeliefState& state) {
+Result<ExactInferenceResult> TreeSumProduct(const ClaimMrf& mrf,
+                                            const BeliefState& state) {
   const size_t n = mrf.num_claims();
   if (state.num_claims() != n) {
     return Status::InvalidArgument("TreeSumProduct: state size mismatch");
@@ -271,7 +271,7 @@ Result<TreeInferenceResult> TreeSumProduct(const ClaimMrf& mrf,
   }
 
   // Beliefs, logZ, expectations.
-  TreeInferenceResult result;
+  ExactInferenceResult result;
   result.marginals.assign(n, 0.0);
   for (size_t c = 0; c < n; ++c) {
     const ClaimId id = static_cast<ClaimId>(c);
@@ -351,6 +351,42 @@ Result<TreeInferenceResult> TreeSumProduct(const ClaimMrf& mrf,
   }
   result.entropy = std::max(0.0, log_z_reduced - energy);
   return result;
+}
+
+Result<ExactInferenceResult> SolveExact(const ClaimMrf& mrf,
+                                        const BeliefState& state,
+                                        size_t max_enumeration_claims) {
+  auto tree = TreeSumProduct(mrf, state);
+  if (tree.ok()) return tree;
+  return ExactInference(mrf, state, max_enumeration_claims);
+}
+
+ComponentProblem ExtractComponent(const ClaimMrf& mrf, const BeliefState& state,
+                                  const std::vector<ClaimId>& component) {
+  const size_t m = component.size();
+  std::vector<size_t> local_index(mrf.num_claims(), SIZE_MAX);
+  ComponentProblem sub{ClaimMrf{}, BeliefState(m)};
+  sub.mrf.field.resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    const ClaimId id = component[i];
+    local_index[id] = i;
+    sub.mrf.field[i] = mrf.field[id];
+    if (state.IsLabeled(id)) {
+      sub.state.SetLabel(static_cast<ClaimId>(i),
+                         state.label(id) == ClaimLabel::kCredible);
+    } else {
+      sub.state.set_prob(static_cast<ClaimId>(i), state.prob(id));
+    }
+  }
+  for (const ClaimMrf::Edge& edge : mrf.edges) {
+    const size_t a = local_index[edge.a];
+    const size_t b = local_index[edge.b];
+    if (a == SIZE_MAX || b == SIZE_MAX) continue;
+    sub.mrf.edges.push_back(
+        {static_cast<ClaimId>(a), static_cast<ClaimId>(b), edge.j});
+  }
+  sub.mrf.RebuildAdjacency();
+  return sub;
 }
 
 }  // namespace veritas

@@ -73,31 +73,50 @@ using SpinConfig = std::vector<uint8_t>;
 /// callers clamp labeled claims beforehand).
 double LogMeasure(const ClaimMrf& mrf, const SpinConfig& config);
 
-/// Exact quantities by enumeration over the unlabeled claims (labeled claims
-/// are clamped to their BeliefState value). All error with FailedPrecondition
-/// when more than `max_free` claims are unlabeled (default 2^20 states).
+/// Exact quantities of the label-conditioned MRF: labeled claims are
+/// clamped to their BeliefState value, and only labels are read (carried-
+/// over probabilities of unlabeled claims play no part).
 struct ExactInferenceResult {
   double log_partition = 0.0;
   std::vector<double> marginals;  ///< P(t_c = +1) per claim (labeled: 0/1)
   double entropy = 0.0;           ///< joint Shannon entropy (natural log)
 };
 
+/// Exact quantities by enumeration over the unlabeled claims. Errors with
+/// FailedPrecondition when more than `max_free` claims are unlabeled
+/// (default 2^20 states).
 Result<ExactInferenceResult> ExactInference(const ClaimMrf& mrf,
                                             const BeliefState& state,
                                             size_t max_free = 20);
 
 /// Sum-product belief propagation for acyclic (forest) MRFs: exact node
-/// marginals, edge marginals, log partition function and joint entropy in
-/// linear time — the polynomial-time exact path of Eq. 12. Errors with
+/// marginals, log partition function and joint entropy in linear time —
+/// the polynomial-time exact path of Eq. 12. Errors with
 /// FailedPrecondition when the (label-reduced) graph contains a cycle.
-struct TreeInferenceResult {
-  double log_partition = 0.0;
-  std::vector<double> marginals;  ///< P(t_c = +1) per claim
-  double entropy = 0.0;
+Result<ExactInferenceResult> TreeSumProduct(const ClaimMrf& mrf,
+                                            const BeliefState& state);
+
+/// The exact solve every exact consumer shares (the `dispatch` E-step and
+/// the origin variant's entropy, DESIGN.md §13): TreeSumProduct first,
+/// enumeration when the label-reduced graph is cyclic. Errors with
+/// FailedPrecondition when the graph is cyclic and has more than
+/// `max_enumeration_claims` unlabeled claims.
+Result<ExactInferenceResult> SolveExact(const ClaimMrf& mrf,
+                                        const BeliefState& state,
+                                        size_t max_enumeration_claims = 20);
+
+/// One connected component of an MRF as a self-contained problem: claim
+/// `component[i]` becomes local claim i, with its field, its label or
+/// carried-over probability, and the couplings among the members
+/// (adjacency built). Marginals and entropy decompose over connected
+/// components, so solving the component alone answers for its claims.
+struct ComponentProblem {
+  ClaimMrf mrf;
+  BeliefState state;
 };
 
-Result<TreeInferenceResult> TreeSumProduct(const ClaimMrf& mrf,
-                                           const BeliefState& state);
+ComponentProblem ExtractComponent(const ClaimMrf& mrf, const BeliefState& state,
+                                  const std::vector<ClaimId>& component);
 
 }  // namespace veritas
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -320,6 +321,12 @@ ApiResponse SessionRouter::HandleSessionOp(const ApiRequest& request,
       }
     }
     if (request.method() == ApiMethod::kTerminate) {
+      // The checkpoint lives exactly as long as the session. Removed under
+      // the route lock, so no checkpoint of this route can race the removal.
+      if (!options_.checkpoint_dir.empty()) {
+        std::error_code ec;
+        std::filesystem::remove_all(CheckpointPath(session), ec);
+      }
       std::lock_guard<std::mutex> lock(mu_);
       reverse_.erase({route->backend, route->backend_session});
       routes_.erase(session);

@@ -49,8 +49,9 @@ struct SessionRouterOptions {
   /// every backend is probed (one connection) at Start.
   std::vector<std::string> backends;
   /// Where router-initiated checkpoints live (shared filesystem with the
-  /// backends). Empty disables checkpointing — and with it failover and
-  /// migration.
+  /// backends), one `session-<router id>` directory per live session,
+  /// removed when the session terminates. Empty disables checkpointing —
+  /// and with it failover and migration.
   std::string checkpoint_dir;
   /// Completed steps (advance/answer) between router checkpoints. 1 =
   /// checkpoint after every step: any crash replays at most the in-flight

@@ -40,10 +40,12 @@
 
 namespace veritas {
 
-/// Current checkpoint format version. Bumped on any layout change; loaders
+/// Current checkpoint format version. Bumped on any layout change, and on
+/// any change to a spelling table whose enum index the record stores (v4:
+/// CrfBackend lost two values, so `dispatch` moved from 5 to 3); loaders
 /// reject every other version instead of misreading it (there is no reader
 /// for older versions).
-inline constexpr uint32_t kCheckpointVersion = 3;
+inline constexpr uint32_t kCheckpointVersion = 4;
 
 /// Writes `session` to `directory` (created when missing; an existing
 /// checkpoint there is replaced atomically). The caller must hold the

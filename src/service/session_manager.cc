@@ -57,15 +57,21 @@ Result<SessionId> SessionManager::Create(FactDatabase db,
                                          const SessionSpec& spec) {
   auto created = Session::Create(std::move(db), spec);
   if (!created.ok()) return created.status();
-  std::shared_ptr<Session> session = std::move(created).value();
-  const size_t footprint = session->MemoryFootprintBytes();
+  return Admit(std::move(created).value());
+}
 
+Result<SessionId> SessionManager::Admit(std::shared_ptr<Session> session) {
+  const size_t footprint = session->MemoryFootprintBytes();
   SessionId id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     id = next_id_++;
     Entry entry;
     entry.mode = session->mode();
+    // A restored checkpoint re-imports the original run's step counter;
+    // the baseline keeps the manager aggregate counting only steps THIS
+    // manager serves (SessionInfo still reports the session-lifetime
+    // figure).
     entry.steps_served = session->steps_served();
     entry.steps_baseline = entry.steps_served;
     entry.session = std::move(session);
@@ -78,11 +84,12 @@ Result<SessionId> SessionManager::Create(FactDatabase db,
   Metrics().created->Increment();
   const Status fitted = EnforceBudget(id);
   if (!fitted.ok()) {
+    // Admission failed, so the session must not linger in the map consuming
+    // the very budget that rejected it. EnforceBudget never evicts the
+    // protected session, so it is still resident here.
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(id);
     if (it != sessions_.end()) {
-      // EnforceBudget never evicts the protected session, so it is still
-      // resident here.
       AdjustResidentLocked(-static_cast<int64_t>(it->second.footprint));
       sessions_.erase(it);
     }
@@ -270,42 +277,8 @@ Status SessionManager::Checkpoint(SessionId id, const std::string& directory) {
 Result<SessionId> SessionManager::Restore(const std::string& directory) {
   auto restored = LoadSessionCheckpoint(directory);
   if (!restored.ok()) return restored.status();
-  std::shared_ptr<Session> session = std::move(restored).value();
-  const size_t footprint = session->MemoryFootprintBytes();
-  SessionId id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = next_id_++;
-    Entry entry;
-    entry.mode = session->mode();
-    // A restored checkpoint re-imports the original run's step counter;
-    // the baseline keeps the manager aggregate counting only steps THIS
-    // manager serves (SessionInfo still reports the session-lifetime
-    // figure).
-    entry.steps_served = session->steps_served();
-    entry.steps_baseline = entry.steps_served;
-    entry.session = std::move(session);
-    entry.last_touch = ++touch_clock_;
-    entry.footprint = footprint;
-    sessions_.emplace(id, std::move(entry));
-    ++created_;
-    AdjustResidentLocked(static_cast<int64_t>(footprint));
-  }
-  Metrics().created->Increment();
   Metrics().restores->Increment();
-  const Status fitted = EnforceBudget(id);
-  if (!fitted.ok()) {
-    // Mirror Create(): admission failed, so the session must not linger in
-    // the map consuming the very budget that rejected it.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(id);
-    if (it != sessions_.end()) {
-      AdjustResidentLocked(-static_cast<int64_t>(it->second.footprint));
-      sessions_.erase(it);
-    }
-    return fitted;
-  }
-  return id;
+  return Admit(std::move(restored).value());
 }
 
 SessionManagerStats SessionManager::StatsLocked() const {

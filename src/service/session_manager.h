@@ -157,6 +157,11 @@ class SessionManager {
     size_t steps_baseline = 0;
   };
 
+  /// The one admission path of Create() and Restore(): registers the
+  /// session under a fresh id, counts it, then enforces the budget and, on
+  /// refusal, takes the session out again and returns the refusal.
+  Result<SessionId> Admit(std::shared_ptr<Session> session);
+
   /// Pins the session resident (restoring it from spill when needed) and
   /// returns it. Bumps the LRU clock.
   Result<std::shared_ptr<Session>> Acquire(SessionId id);

@@ -101,7 +101,7 @@ ICrfOptions NonDefaultIcrf(size_t k) {
   o.max_em_iterations = 6 + k;
   o.em_tolerance = 1e-2 * static_cast<double>(k);
   o.fit_weights = false;
-  o.backend = k == 1 ? CrfBackend::kDispatch : CrfBackend::kExact;
+  o.backend = k == 1 ? CrfBackend::kDispatch : CrfBackend::kChromatic;
   return o;
 }
 

@@ -127,7 +127,7 @@ SessionSpec RandomSpec(Rng* rng) {
   icrf.max_em_iterations = AnySize(rng);
   icrf.em_tolerance = AnyFinite(rng);
   icrf.fit_weights = rng->Bernoulli(0.5);
-  icrf.backend = static_cast<CrfBackend>(rng->UniformInt(6));
+  icrf.backend = static_cast<CrfBackend>(rng->UniformInt(4));
   StreamingOptions& s = spec.streaming;
   s.icrf = icrf;
   s.step_a = AnyFinite(rng);
@@ -518,6 +518,44 @@ TEST(CodecRejectionTest, UnknownEnumValuesRejectedNotCoerced) {
     const Status status = DecodeJson(parsed.value(), &spec);
     EXPECT_FALSE(status.ok()) << test_case.json;
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << test_case.json;
+  }
+}
+
+TEST(CodecRejectionTest, RemovedBackendSpellingsRejectedWithKeyPath) {
+  // "exact" and "mean_field" named E-step backends that no longer exist. A
+  // create request naming either is refused like any unknown spelling, and
+  // the message names the member.
+  ApiRequest request;
+  request.id = 5;
+  SessionSpec spec;
+  spec.validation.icrf.backend = CrfBackend::kGibbs;
+  spec.streaming.icrf.backend = CrfBackend::kChromatic;
+  request.params = CreateSessionRequest{testing::MakeHandDatabase(), spec};
+  auto encoded = EncodeRequest(request);
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  ASSERT_TRUE(DecodeRequest(encoded.value()).ok());
+
+  const struct {
+    const char* from;
+    const char* removed;
+    const char* path;
+  } cases[] = {
+      {"\"backend\":\"gibbs\"", "\"backend\":\"exact\"",
+       "spec: validation: icrf: backend: unknown value \"exact\""},
+      {"\"backend\":\"chromatic\"", "\"backend\":\"mean_field\"",
+       "spec: streaming: icrf: backend: unknown value \"mean_field\""},
+  };
+  for (const auto& test_case : cases) {
+    std::string text = encoded.value();
+    const size_t at = text.find(test_case.from);
+    ASSERT_NE(at, std::string::npos) << test_case.from;
+    text.replace(at, std::strlen(test_case.from), test_case.removed);
+    auto decoded = DecodeRequest(text);
+    ASSERT_FALSE(decoded.ok()) << test_case.removed;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find(test_case.path),
+              std::string::npos)
+        << decoded.status();
   }
 }
 

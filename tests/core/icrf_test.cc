@@ -230,5 +230,45 @@ TEST(ICrfTest, EStepAndMStepHistogramsGainOneSamplePerEmIteration) {
   }
 }
 
+TEST(ICrfTest, BackendResolvesToOneKernelAndCountsIt) {
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(73);
+  const CrfBackend resolved[] = {CrfBackend::kGibbs, CrfBackend::kChromatic,
+                                 CrfBackend::kDispatch};
+  auto counts = [&] {
+    std::vector<uint64_t> values;
+    for (const CrfBackend b : resolved) {
+      values.push_back(GlobalMetrics()
+                           .counter(WithLabel(
+                               "veritas_crf_backend_selected_total", "backend",
+                               CrfBackendName(b)))
+                           ->Value());
+    }
+    return values;
+  };
+  // One Infer() under `backend` with `threads` E-step threads: returns the
+  // probabilities, and requires that exactly the `want` series gained one.
+  auto infer = [&](CrfBackend backend, size_t threads, CrfBackend want) {
+    ICrfOptions options = FastOptions();
+    options.backend = backend;
+    options.gibbs.num_threads = threads;
+    ICrf icrf(&corpus.db, options, 12);
+    BeliefState state(corpus.db.num_claims());
+    const std::vector<uint64_t> before = counts();
+    EXPECT_TRUE(icrf.Infer(&state).ok());
+    const std::vector<uint64_t> after = counts();
+    for (size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i] - before[i], resolved[i] == want ? 1u : 0u)
+          << CrfBackendName(resolved[i]);
+    }
+    return state.probs();
+  };
+
+  EXPECT_EQ(infer(CrfBackend::kAuto, 0, CrfBackend::kGibbs),
+            infer(CrfBackend::kGibbs, 0, CrfBackend::kGibbs));
+  EXPECT_EQ(infer(CrfBackend::kAuto, 2, CrfBackend::kChromatic),
+            infer(CrfBackend::kChromatic, 2, CrfBackend::kChromatic));
+  infer(CrfBackend::kDispatch, 2, CrfBackend::kDispatch);
+}
+
 }  // namespace
 }  // namespace veritas

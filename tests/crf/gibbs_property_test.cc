@@ -98,31 +98,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(-2.0, -0.7, 0.0, 0.7, 2.0),
                        ::testing::Values(11ull, 13ull)));
 
-/// Property: field overrides replace the base field exactly.
-TEST(GibbsOverrideTest, OverrideReplacesField) {
-  ClaimMrf mrf;
-  mrf.field = {3.0};  // strongly credible without the override
-  mrf.RebuildAdjacency();
-  BeliefState state(1);
-  const FieldOverrides overrides{{0, -3.0}};
-  Rng rng(17);
-  auto run = RunGibbs(mrf, state, nullptr, nullptr, MediumRun(), &rng, &overrides);
-  ASSERT_TRUE(run.ok());
-  EXPECT_LT(run.value().Marginals(state)[0], 0.1);
-}
-
-TEST(GibbsOverrideTest, OverrideOutOfRangeIsIgnored) {
-  ClaimMrf mrf;
-  mrf.field = {1.0};
-  mrf.RebuildAdjacency();
-  BeliefState state(1);
-  const FieldOverrides overrides{{5, -3.0}};  // claim 5 does not exist
-  Rng rng(19);
-  auto run = RunGibbs(mrf, state, nullptr, nullptr, MediumRun(), &rng, &overrides);
-  ASSERT_TRUE(run.ok());
-  EXPECT_GT(run.value().Marginals(state)[0], 0.5);
-}
-
 /// Property: thinning does not bias marginals (only decorrelates).
 TEST(GibbsThinningTest, ThinnedMarginalsAgree) {
   ClaimMrf mrf;

@@ -1,7 +1,6 @@
 #include "crf/solver.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -43,15 +42,6 @@ BeliefState RandomState(Rng* rng, size_t n, double label_prob) {
   return state;
 }
 
-ClaimMrf ForestMrf() {
-  // Two trees: a chain 0-1-2 and a star 3-{4,5}.
-  ClaimMrf mrf;
-  mrf.field = {0.3, -0.2, 0.1, 0.0, 0.4, -0.5};
-  mrf.edges = {{0, 1, 0.5}, {1, 2, -0.4}, {3, 4, 0.6}, {3, 5, 0.2}};
-  mrf.RebuildAdjacency();
-  return mrf;
-}
-
 ClaimMrf MixedComponentsMrf() {
   // Component A: 4-cycle (cyclic, small -> enumerated exactly by dispatch).
   // Component B: chain of 3 (forest -> tree BP).
@@ -64,95 +54,21 @@ ClaimMrf MixedComponentsMrf() {
   return mrf;
 }
 
-// ---- capability metadata ---------------------------------------------------
-
-TEST(SolverTest, NamesAndCaps) {
-  EXPECT_STREQ(SolverFor(CrfBackend::kGibbs).name(), "gibbs");
-  EXPECT_STREQ(SolverFor(CrfBackend::kChromatic).name(), "chromatic");
-  EXPECT_STREQ(SolverFor(CrfBackend::kExact).name(), "exact");
-  EXPECT_STREQ(SolverFor(CrfBackend::kMeanField).name(), "mean_field");
-  EXPECT_STREQ(SolverFor(CrfBackend::kDispatch).name(), "dispatch");
-  // kAuto resolves at the engine, not here: the registry hands back the
-  // sequential sampler.
-  EXPECT_STREQ(SolverFor(CrfBackend::kAuto).name(), "gibbs");
-
-  EXPECT_TRUE(SolverFor(CrfBackend::kExact).caps().exact);
-  EXPECT_GE(SolverFor(CrfBackend::kExact).caps().max_component_size, 12u);
-  EXPECT_FALSE(SolverFor(CrfBackend::kGibbs).caps().exact);
-  EXPECT_TRUE(SolverFor(CrfBackend::kChromatic).caps().supports_threads);
-  EXPECT_TRUE(SolverFor(CrfBackend::kDispatch).caps().supports_threads);
-  EXPECT_FALSE(SolverFor(CrfBackend::kDispatch).caps().exact);
-}
-
-TEST(SolverTest, WireNamesRoundTripThroughRegistry) {
-  for (const CrfBackend b :
-       {CrfBackend::kGibbs, CrfBackend::kChromatic, CrfBackend::kExact,
-        CrfBackend::kMeanField, CrfBackend::kDispatch}) {
-    EXPECT_STREQ(CrfBackendName(b), SolverFor(b).name());
-  }
-}
-
-// ---- adapter fidelity ------------------------------------------------------
-
-TEST(SolverTest, GibbsAdapterIsByteIdenticalToDirectKernel) {
-  Rng gen(11);
-  const ClaimMrf mrf = RandomMrf(&gen, 10, 0.3);
-  const BeliefState state = RandomState(&gen, 10, 0.2);
-  GibbsOptions gibbs;
-
-  Rng direct_rng(42);
-  auto direct = RunGibbs(mrf, state, nullptr, nullptr, gibbs, &direct_rng);
-  ASSERT_TRUE(direct.ok());
-  const std::vector<double> want = direct.value().Marginals(state);
-
-  Rng solver_rng(42);
-  SolverOptions opts;
-  opts.gibbs = gibbs;
-  opts.rng = &solver_rng;
-  auto got = SolverFor(CrfBackend::kGibbs).Marginals(mrf, state, opts);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().marginals, want);
-  EXPECT_EQ(got.value().samples.samples(), direct.value().samples());
-  EXPECT_FALSE(got.value().exact);
-}
-
-TEST(SolverTest, ChromaticAdapterIsByteIdenticalToDirectKernel) {
-  Rng gen(13);
-  const ClaimMrf mrf = RandomMrf(&gen, 12, 0.25);
-  const BeliefState state = RandomState(&gen, 12, 0.2);
-  const ChromaticSchedule schedule = BuildChromaticSchedule(mrf);
-  GibbsOptions gibbs;
-  const uint64_t draw_seed = 777;
-
-  auto direct = RunGibbsChromatic(mrf, state, nullptr, nullptr, gibbs,
-                                  draw_seed, schedule, nullptr);
-  ASSERT_TRUE(direct.ok());
-
-  SolverOptions opts;
-  opts.gibbs = gibbs;
-  opts.draw_seed = draw_seed;
-  opts.schedule = &schedule;
-  auto got = SolverFor(CrfBackend::kChromatic).Marginals(mrf, state, opts);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().marginals, direct.value().marginals);
-  EXPECT_EQ(got.value().samples.samples(), direct.value().samples.samples());
-}
-
-// ---- exact backend ---------------------------------------------------------
+// ---- exact route ------------------------------------------------------------
 
 TEST(SolverTest, ExactMatchesEnumerationOnRandomSmallMrfs) {
   Rng gen(29);
-  const CrfSolver& exact_solver = SolverFor(CrfBackend::kExact);
   for (int trial = 0; trial < 20; ++trial) {
     const size_t n = 3 + gen.UniformInt(10);  // 3..12 claims
     const ClaimMrf mrf = RandomMrf(&gen, n, 0.35);
     const BeliefState state = RandomState(&gen, n, 0.25);
 
-    SolverOptions opts;
-    auto got = exact_solver.Marginals(mrf, state, opts);
+    // Every component is within the enumeration cap, so dispatch solves
+    // them all exactly and says so.
+    auto got = DispatchMarginals(mrf, state, GibbsOptions{}, nullptr, 0,
+                                 nullptr);
     ASSERT_TRUE(got.ok()) << got.status().message();
     EXPECT_TRUE(got.value().exact);
-    EXPECT_TRUE(got.value().samples.empty());
 
     auto reference = ExactInference(mrf, state, n);
     ASSERT_TRUE(reference.ok());
@@ -181,10 +97,11 @@ TEST(SolverTest, ExactComponentDecompositionBeatsGlobalCap) {
   mrf.RebuildAdjacency();
   BeliefState state(30);
   EXPECT_FALSE(ExactInference(mrf, state, 20).ok());
+  EXPECT_FALSE(SolveExact(mrf, state).ok());
 
-  SolverOptions opts;
-  auto got = SolverFor(CrfBackend::kExact).Marginals(mrf, state, opts);
+  auto got = DispatchMarginals(mrf, state, GibbsOptions{}, nullptr, 0, nullptr);
   ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(got.value().exact);
   // All triangles identical -> identical marginals, checked against one
   // triangle enumerated directly.
   ClaimMrf tri;
@@ -199,110 +116,48 @@ TEST(SolverTest, ExactComponentDecompositionBeatsGlobalCap) {
   }
 }
 
-TEST(SolverTest, ExactRejectsOversizedComponentAndRestriction) {
+TEST(SolverTest, ExactSolveRejectsOversizedCycleThatDispatchSamples) {
   ClaimMrf mrf;
   mrf.field.assign(25, 0.0);
   for (ClaimId i = 0; i < 25; ++i) {
-    mrf.edges.push_back({i, static_cast<ClaimId>((i + 1) % 25), 0.2});
+    const ClaimId next = static_cast<ClaimId>((i + 1) % 25);
+    mrf.edges.push_back({std::min(i, next), std::max(i, next), 0.2});
   }
   mrf.RebuildAdjacency();
   BeliefState state(25);
-  SolverOptions opts;
-  EXPECT_EQ(SolverFor(CrfBackend::kExact).Marginals(mrf, state, opts)
-                .status()
-                .code(),
+  EXPECT_EQ(SolveExact(mrf, state, kDispatchMaxExactClaims).status().code(),
             StatusCode::kFailedPrecondition);
 
-  const ClaimMrf small = ForestMrf();
-  BeliefState small_state(small.num_claims());
-  const std::vector<ClaimId> restrict{0, 1};
-  opts.restrict_claims = &restrict;
-  EXPECT_EQ(SolverFor(CrfBackend::kExact)
-                .Marginals(small, small_state, opts)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  auto got = DispatchMarginals(mrf, state, GibbsOptions{}, nullptr, 7, nullptr);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_FALSE(got.value().exact);
+  ASSERT_EQ(got.value().marginals.size(), 25u);
+  for (const double p : got.value().marginals) {
+    EXPECT_GE(p, 0.0);
+    EXPECT_LE(p, 1.0);
+  }
 }
 
-// ---- sampled and variational backends vs exact -----------------------------
+// ---- sampled backend vs exact ----------------------------------------------
 
-TEST(SolverTest, GibbsAndMeanFieldTrackExactMarginals) {
+TEST(SolverTest, GibbsTracksExactMarginals) {
   Rng gen(31);
   const ClaimMrf mrf = RandomMrf(&gen, 10, 0.25);
   const BeliefState state = RandomState(&gen, 10, 0.2);
 
-  SolverOptions opts;
-  auto exact = SolverFor(CrfBackend::kExact).Marginals(mrf, state, opts);
+  auto exact = SolveExact(mrf, state);
   ASSERT_TRUE(exact.ok());
 
   Rng rng(5);
-  SolverOptions gibbs_opts;
-  gibbs_opts.gibbs = GibbsOptions{200, 2000, 1};
-  gibbs_opts.rng = &rng;
-  auto gibbs = SolverFor(CrfBackend::kGibbs).Marginals(mrf, state, gibbs_opts);
+  auto gibbs = RunGibbs(mrf, state, nullptr, nullptr, GibbsOptions{200, 2000, 1},
+                        &rng);
   ASSERT_TRUE(gibbs.ok());
-
-  SolverOptions mf_opts;
-  auto mean_field =
-      SolverFor(CrfBackend::kMeanField).Marginals(mrf, state, mf_opts);
-  ASSERT_TRUE(mean_field.ok());
+  const std::vector<double> marginals = gibbs.value().Marginals(state);
 
   for (size_t c = 0; c < mrf.num_claims(); ++c) {
     // Monte-Carlo noise at 2000 samples is ~0.011 per marginal (3 sigma).
-    EXPECT_NEAR(gibbs.value().marginals[c], exact.value().marginals[c], 0.05)
+    EXPECT_NEAR(marginals[c], exact.value().marginals[c], 0.05)
         << "gibbs claim " << c;
-    // Naive mean field is biased on loopy weak-coupling graphs but must stay
-    // in the neighborhood of the truth.
-    EXPECT_NEAR(mean_field.value().marginals[c], exact.value().marginals[c],
-                0.1)
-        << "mean_field claim " << c;
-  }
-}
-
-TEST(SolverTest, MeanFieldIsDeterministicAndRespectsContracts) {
-  Rng gen(37);
-  const ClaimMrf mrf = RandomMrf(&gen, 9, 0.3);
-  BeliefState state = RandomState(&gen, 9, 0.0);
-  state.SetLabel(2, true);
-  state.SetLabel(6, false);
-
-  const CrfSolver& solver = SolverFor(CrfBackend::kMeanField);
-  SolverOptions opts;
-  auto first = solver.Marginals(mrf, state, opts);
-  auto second = solver.Marginals(mrf, state, opts);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value().marginals, second.value().marginals);
-  EXPECT_EQ(first.value().marginals[2], 1.0);
-  EXPECT_EQ(first.value().marginals[6], 0.0);
-  EXPECT_TRUE(first.value().samples.empty());
-
-  // Restricted scope: claims outside it keep their state estimate
-  // bit-for-bit, labels stay clamped.
-  const std::vector<ClaimId> restrict{0, 1, 2};
-  opts.restrict_claims = &restrict;
-  auto scoped = solver.Marginals(mrf, state, opts);
-  ASSERT_TRUE(scoped.ok());
-  for (const ClaimId c : {3, 4, 5, 7, 8}) {
-    EXPECT_EQ(scoped.value().marginals[c], state.prob(c));
-  }
-  EXPECT_EQ(scoped.value().marginals[6], 0.0);
-}
-
-TEST(SolverTest, MeanFieldExactOnIsolatedClaims) {
-  // With no couplings the naive factorization is exact: the fixed point is
-  // sigmoid(2 f_c).
-  ClaimMrf mrf;
-  mrf.field = {0.7, -0.3, 0.0};
-  mrf.RebuildAdjacency();
-  BeliefState state(3);
-  SolverOptions opts;
-  auto got = SolverFor(CrfBackend::kMeanField).Marginals(mrf, state, opts);
-  ASSERT_TRUE(got.ok());
-  auto exact = ExactInference(mrf, state, 3);
-  ASSERT_TRUE(exact.ok());
-  for (size_t c = 0; c < 3; ++c) {
-    EXPECT_NEAR(got.value().marginals[c], exact.value().marginals[c], 1e-8);
   }
 }
 
@@ -312,9 +167,7 @@ TEST(SolverTest, DispatchIsExactOnForestsAndSmallComponents) {
   const ClaimMrf mrf = MixedComponentsMrf();
   BeliefState state(mrf.num_claims());
   state.SetLabel(1, true);
-  SolverOptions opts;
-  opts.draw_seed = 99;
-  auto got = SolverFor(CrfBackend::kDispatch).Marginals(mrf, state, opts);
+  auto got = DispatchMarginals(mrf, state, GibbsOptions{}, nullptr, 99, nullptr);
   ASSERT_TRUE(got.ok());
   // Every component is tractable (4-cycle enumerated, chain + singleton by
   // tree BP): the dispatcher must report an exact result and match the
@@ -359,19 +212,15 @@ TEST(SolverTest, DispatchMergeIsBitDeterministicAcrossThreadCounts) {
   mrf.RebuildAdjacency();
   const BeliefState state(mrf.num_claims());
 
-  const CrfSolver& dispatch = SolverFor(CrfBackend::kDispatch);
-  SolverOptions opts;
-  opts.gibbs = GibbsOptions{10, 30, 1};
-  opts.draw_seed = 4242;
-  auto serial = dispatch.Marginals(mrf, state, opts);
+  const GibbsOptions gibbs{10, 30, 1};
+  const uint64_t draw_seed = 4242;
+  auto serial = DispatchMarginals(mrf, state, gibbs, nullptr, draw_seed, nullptr);
   ASSERT_TRUE(serial.ok());
   EXPECT_FALSE(serial.value().exact);  // the cycles were sampled
 
   for (const size_t threads : {2u, 4u}) {
     ThreadPool pool(threads);
-    SolverOptions threaded = opts;
-    threaded.pool = &pool;
-    auto got = dispatch.Marginals(mrf, state, threaded);
+    auto got = DispatchMarginals(mrf, state, gibbs, nullptr, draw_seed, &pool);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value().marginals, serial.value().marginals)
         << "thread count " << threads;
@@ -380,53 +229,32 @@ TEST(SolverTest, DispatchMergeIsBitDeterministicAcrossThreadCounts) {
 }
 
 TEST(SolverTest, DispatchSampledFallbackTracksExactMarginals) {
-  // One 4x4-ish loopy component too large? No — keep it enumerable so the
-  // sampled fallback can be judged against the truth: force sampling by
-  // setting max_exact_claims below the component size.
+  // One cyclic component just over the enumeration cap, so dispatch must
+  // sample it, yet small enough for the test to enumerate the truth.
+  const size_t n = kDispatchMaxExactClaims + 1;
   Rng gen(43);
-  const ClaimMrf mrf = RandomMrf(&gen, 10, 0.35);
-  const BeliefState state = RandomState(&gen, 10, 0.0);
+  ClaimMrf mrf;
+  mrf.field.resize(n);
+  for (size_t c = 0; c < n; ++c) mrf.field[c] = gen.Uniform(-0.8, 0.8);
+  for (ClaimId i = 0; i < n; ++i) {
+    const ClaimId next = static_cast<ClaimId>((i + 1) % n);
+    mrf.edges.push_back({std::min(i, next), std::max(i, next),
+                         gen.Uniform(-0.6, 0.6)});
+  }
+  mrf.RebuildAdjacency();
+  const BeliefState state = RandomState(&gen, n, 0.0);
 
-  SolverOptions opts;
-  opts.max_exact_claims = 2;  // force the chromatic fallback everywhere cyclic
-  opts.gibbs = GibbsOptions{200, 2000, 1};
-  opts.draw_seed = 31337;
-  auto got = SolverFor(CrfBackend::kDispatch).Marginals(mrf, state, opts);
+  auto got = DispatchMarginals(mrf, state, GibbsOptions{200, 2000, 1}, nullptr,
+                               31337, nullptr);
   ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got.value().exact);
 
-  auto reference = ExactInference(mrf, state, 10);
+  auto reference = ExactInference(mrf, state, n);
   ASSERT_TRUE(reference.ok());
-  for (size_t c = 0; c < 10; ++c) {
+  for (size_t c = 0; c < n; ++c) {
     EXPECT_NEAR(got.value().marginals[c], reference.value().marginals[c], 0.05)
         << "claim " << c;
   }
-}
-
-TEST(SolverTest, DispatchRejectsRestriction) {
-  const ClaimMrf mrf = ForestMrf();
-  BeliefState state(mrf.num_claims());
-  const std::vector<ClaimId> restrict{0};
-  SolverOptions opts;
-  opts.restrict_claims = &restrict;
-  EXPECT_EQ(SolverFor(CrfBackend::kDispatch)
-                .Marginals(mrf, state, opts)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(SolverTest, GibbsAdapterRequiresRng) {
-  const ClaimMrf mrf = ForestMrf();
-  BeliefState state(mrf.num_claims());
-  SolverOptions opts;
-  EXPECT_EQ(
-      SolverFor(CrfBackend::kGibbs).Marginals(mrf, state, opts).status().code(),
-      StatusCode::kInvalidArgument);
-  EXPECT_EQ(SolverFor(CrfBackend::kChromatic)
-                .Marginals(mrf, state, opts)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // even when the worker hosting it is killed mid-session (checkpoint
 // failover) or the session is migrated between workers on purpose.
 // Also pins the fleet-level admission control, stats aggregation across
-// workers, and the no-checkpoint-means-no-failover contract.
+// workers, the no-checkpoint-means-no-failover contract, and that a router
+// checkpoint lives exactly as long as its session.
 
 #include <gtest/gtest.h>
 
@@ -245,6 +246,57 @@ TEST_F(FailoverTest, ExplicitMigrationPreservesTheTrace) {
   EXPECT_EQ(router_->stats().migrations, 1u);
   EXPECT_EQ(router_->stats().failovers, 0u);
   EXPECT_EQ(router_->stats().backends_live, 2u);
+}
+
+TEST_F(FailoverTest, TerminateRemovesOnlyThatSessionsCheckpoint) {
+  StartFleet(2);
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 12);
+  auto done = client_->CreateSession(corpus.db, ExternalAnswerSpec(42, 4));
+  auto live = client_->CreateSession(corpus.db, ExternalAnswerSpec(43, 4));
+  ASSERT_TRUE(done.ok()) << done.status();
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_TRUE(client_->Advance(done.value()).ok());
+  ASSERT_TRUE(client_->Advance(live.value()).ok());
+  const std::filesystem::path done_dir =
+      std::filesystem::path(checkpoint_dir_) /
+      ("session-" + std::to_string(done.value()));
+  const std::filesystem::path live_dir =
+      std::filesystem::path(checkpoint_dir_) /
+      ("session-" + std::to_string(live.value()));
+  ASSERT_TRUE(std::filesystem::exists(done_dir / "session.bin"));
+  ASSERT_TRUE(std::filesystem::exists(live_dir / "session.bin"));
+
+  ASSERT_TRUE(client_->Terminate(done.value()).ok());
+  EXPECT_FALSE(std::filesystem::exists(done_dir));
+  EXPECT_TRUE(std::filesystem::exists(live_dir / "session.bin"));
+  EXPECT_EQ(router_->stats().sessions_live, 1u);
+}
+
+TEST_F(FailoverTest, FailedOverAndMigratedSessionsLeaveNoCheckpoint) {
+  StartFleet(2);
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 12);
+  auto failed = client_->CreateSession(corpus.db, ExternalAnswerSpec(42, 4));
+  auto moved = client_->CreateSession(corpus.db, ExternalAnswerSpec(43, 4));
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  ASSERT_TRUE(client_->Advance(failed.value()).ok());
+  ASSERT_TRUE(client_->Advance(moved.value()).ok());
+
+  auto host = router_->BackendOf(moved.value());
+  ASSERT_TRUE(host.ok());
+  const std::string target = fleet_->address(1 - fleet_->IndexOf(host.value()));
+  ASSERT_TRUE(router_->Migrate(moved.value(), target).ok());
+  KillHost(failed.value());
+  // Both sessions keep serving: the killed worker's sessions fail over.
+  ASSERT_TRUE(client_->Advance(failed.value()).ok());
+  ASSERT_TRUE(client_->Advance(moved.value()).ok());
+  EXPECT_EQ(router_->stats().migrations, 1u);
+  EXPECT_GE(router_->stats().failovers, 1u);
+
+  ASSERT_TRUE(client_->Terminate(failed.value()).ok());
+  ASSERT_TRUE(client_->Terminate(moved.value()).ok());
+  EXPECT_TRUE(std::filesystem::is_empty(checkpoint_dir_));
+  EXPECT_EQ(router_->stats().sessions_live, 0u);
 }
 
 TEST_F(FailoverTest, NoCheckpointDirMeansNoFailover) {

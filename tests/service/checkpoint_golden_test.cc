@@ -1,10 +1,10 @@
-// Committed checkpoint files (DESIGN.md §9): loading each v3 fixture and
+// Committed checkpoint files (DESIGN.md §9): loading each v4 fixture and
 // saving it again must reproduce session.bin byte for byte, as the only
 // file in the directory. A field dropped from both the writer and the
 // reader still passes a save -> load -> save round trip of freshly written
 // bytes; it cannot pass this one, because the committed bytes carry the
-// field. The v2 fixtures under v2/ are kept as inputs: there is no v2
-// reader, so each must be refused by the version check.
+// field. The v2 and v3 fixtures under v2/ and v3/ are kept as inputs: there
+// is no reader for either, so each must be refused by the version check.
 
 #include "service/checkpoint.h"
 
@@ -58,14 +58,16 @@ class CheckpointGoldenTest : public ::testing::Test {
         << name << "/session.bin differs after load -> save";
   }
 
-  static void ExpectV2Rejected(const std::string& name) {
-    const fs::path fixture = fs::path(VERITAS_SERVICE_TESTDATA) / "v2" / name;
+  static void ExpectOldVersionRejected(int version, const std::string& name) {
+    const std::string tag = std::to_string(version);
+    const fs::path fixture =
+        fs::path(VERITAS_SERVICE_TESTDATA) / ("v" + tag) / name;
     ASSERT_TRUE(fs::exists(fixture / "session.bin"));
     auto session = LoadSessionCheckpoint(fixture.string());
     ASSERT_FALSE(session.ok());
     EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(session.status().message().find(
-                  "unsupported checkpoint version 2"),
+                  "unsupported checkpoint version " + tag),
               std::string::npos)
         << session.status();
   }
@@ -82,8 +84,15 @@ TEST_F(CheckpointGoldenTest, StreamingSessionMidStream) {
 }
 
 TEST_F(CheckpointGoldenTest, Version2CheckpointsAreRejected) {
-  ExpectV2Rejected("batch_awaiting_answers");
-  ExpectV2Rejected("streaming_mid_stream");
+  ExpectOldVersionRejected(2, "batch_awaiting_answers");
+  ExpectOldVersionRejected(2, "streaming_mid_stream");
+}
+
+TEST_F(CheckpointGoldenTest, Version3CheckpointsAreRejected) {
+  // v3 stored the backend as an index into the six-value spelling table; a
+  // v3 byte 3 (`exact`) would read as today's `dispatch`.
+  ExpectOldVersionRejected(3, "batch_awaiting_answers");
+  ExpectOldVersionRejected(3, "streaming_mid_stream");
 }
 
 }  // namespace

@@ -296,6 +296,24 @@ TEST_F(SessionManagerTest, BudgetWithoutSpillDirectoryRejectsCreation) {
   EXPECT_EQ(manager.stats().sessions_active, 1u);
 }
 
+TEST_F(SessionManagerTest, BudgetWithoutSpillDirectoryRejectsRestore) {
+  SessionManagerOptions options;
+  options.memory_budget_bytes = 1;  // nothing fits
+  SessionManager manager(options);
+  auto corpus = MakeTinyCorpus(26);
+  auto first = manager.Create(corpus.db, BatchSpec(42, 2));
+  ASSERT_TRUE(first.ok()) << first.status();
+  const std::string ckpt = dir_ + "/restore_me";
+  ASSERT_TRUE(manager.Checkpoint(first.value(), ckpt).ok());
+
+  // Restoring admits a second session, which needs an eviction, which
+  // needs a spill directory: refused, and rolled back.
+  auto restored = manager.Restore(ckpt);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(manager.stats().sessions_active, 1u);
+}
+
 TEST_F(SessionManagerTest, ListSessionsReportsModeResidencyAndSteps) {
   auto corpus = MakeTinyCorpus(10);
   SessionManager manager;
