@@ -34,7 +34,6 @@ ArmResult RunArm(const EmulatedCorpus& corpus, bool fast, size_t iterations,
                  uint64_t seed, size_t reps) {
   ValidationOptions options = BenchValidationOptions(StrategyKind::kHybrid, seed);
   options.budget = iterations;
-  options.icrf.gibbs.num_threads = 0;
   options.icrf.backend = fast ? CrfBackend::kDispatch : CrfBackend::kGibbs;
   if (fast) {
     // The sampled fallback runs only on components too large to enumerate,

@@ -39,21 +39,30 @@ int Main(int argc, char** argv) {
   const double alpha = 2.0 / 3.0;
   const size_t runs = std::max<size_t>(3, args.runs);
 
+  // The claim the check prints: the largest k costs at least as much label
+  // effort as k = 1, in the median, on every corpus and target.
+  bool effort_grows_with_k = true;
   for (const EmulatedCorpus& corpus : corpora) {
     std::cout << "Fig. 11 - Label effort vs cost saving (" << corpus.name
               << ", alpha=2/3, " << runs << " runs)\n";
     TextTable table;
     table.SetHeader({"k", "cost saving", "target", "min", "q1", "median", "q3",
                      "max"});
+    std::vector<double> median_at_k1(targets.size(), 0.0);
     for (const size_t k : batch_sizes) {
       const double saving = 1.0 - 1.0 / std::pow(static_cast<double>(k), alpha);
-      for (const double target : targets) {
+      for (size_t t = 0; t < targets.size(); ++t) {
+        const double target = targets[t];
         std::vector<double> efforts;
         for (size_t run = 0; run < runs; ++run) {
           efforts.push_back(
               EffortToPrecision(corpus, k, target, args.seed + 997 * run));
         }
         const BoxStats box = ComputeBoxStats(efforts);
+        if (k == batch_sizes.front()) median_at_k1[t] = box.median;
+        if (k == batch_sizes.back() && box.median < median_at_k1[t]) {
+          effort_grows_with_k = false;
+        }
         table.AddRow({std::to_string(k), FormatPercent(saving, 1),
                       FormatDouble(target, 1), FormatPercent(box.min, 0),
                       FormatPercent(box.q1, 0), FormatPercent(box.median, 0),
@@ -63,8 +72,9 @@ int Main(int argc, char** argv) {
     table.Print(std::cout);
     std::cout << "\n";
   }
-  PrintShapeCheck(true,
-                  "higher k trades extra label effort for set-up cost savings "
+  PrintShapeCheck(effort_grows_with_k,
+                  "higher k trades extra label effort for set-up cost savings: "
+                  "median effort at k=20 >= k=1 on every corpus and target "
                   "(paper: start small, grow k as claims accumulate)");
   return 0;
 }

@@ -41,12 +41,11 @@ ArmResult RunArm(const EmulatedCorpus& corpus, bool fast, size_t iterations,
     // with Rao-Blackwellized conditionals, so a short schedule suffices.
     options.guidance.fanout_burn_in = 1;
     options.guidance.fanout_samples = 5;
-    options.icrf.gibbs.num_threads = 1;
+    options.icrf.backend = CrfBackend::kChromatic;
     options.icrf.gibbs.burn_in = 5;
     options.icrf.gibbs.num_samples = 12;
   } else {
     options.guidance.fanout = FanoutKernel::kPerCandidate;
-    options.icrf.gibbs.num_threads = 0;
   }
   // The trace (and so the precision) is deterministic given the seed; only
   // the wall time varies. Keep the min across reps: scheduling noise can

@@ -70,7 +70,8 @@ int Main(int argc, char** argv) {
       ICrf icrf(&db, icrf_options, args.seed);
       BeliefState state(db.num_claims());
       if (!icrf.Infer(&state).ok()) return 1;
-      auto strategy = MakeStrategy(StrategyKind::kHybrid, StreamGuidance(args.seed));
+      auto strategy = MakeStrategy(StrategyKind::kHybrid,
+                                   StreamGuidance(args.seed), &ComputePool());
       auto* hybrid = dynamic_cast<HybridControl*>(strategy.get());
       GuidedValidations(db, &icrf, &state, strategy.get(), hybrid,
                         db.num_claims(), &offline_order);
@@ -94,8 +95,8 @@ int Main(int argc, char** argv) {
       for (size_t d = 0; d < db.num_documents(); ++d) {
         stream.AddDocument(db.document(static_cast<DocumentId>(d)));
       }
-      auto strategy =
-          MakeStrategy(StrategyKind::kHybrid, StreamGuidance(args.seed));
+      auto strategy = MakeStrategy(StrategyKind::kHybrid,
+                                   StreamGuidance(args.seed), &ComputePool());
       auto* hybrid = dynamic_cast<HybridControl*>(strategy.get());
 
       std::vector<ClaimId> stream_order;

@@ -43,7 +43,8 @@ int main() {
 
   GuidanceConfig guidance;
   guidance.seed = 41;
-  auto strategy = MakeStrategy(StrategyKind::kInfoGain, guidance);
+  auto strategy =
+      MakeStrategy(StrategyKind::kInfoGain, guidance, &ComputePool());
 
   TextTable table;
   table.SetHeader({"round", "claim", "consensus", "confidence", "correct",

@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
 
   GuidanceConfig guidance;
   guidance.seed = 31;
-  auto strategy = MakeStrategy(StrategyKind::kInfoGain, guidance);
+  auto strategy =
+      MakeStrategy(StrategyKind::kInfoGain, guidance, &ComputePool());
   OracleUser oracle;
 
   const size_t max_rounds = auto_mode ? 10 : db.num_claims();

@@ -30,19 +30,24 @@
 # the decoders and byte parsers (the JSON parser, the wire codec and its
 # golden fixtures, the binary readers and the fact-database record, the
 # session checkpoint and its golden files, the event server's frame
-# reassembly and the metrics endpoint's HTTP head read), so malformed,
-# truncated and pipelined input stays memory-safe.
+# reassembly, the metrics endpoint's HTTP head read and the session
+# manager's create path, which refuses oversized sample counts from the
+# wire), so malformed, truncated and pipelined input stays memory-safe.
 #
 # TSAN=1 builds with ThreadSanitizer and runs the service/, api/, fleet/,
-# obs/ and crf/ suites — the ones exercising the SessionManager's
+# obs/, crf/ and core/ suites — the ones exercising the SessionManager's
 # per-session locking, the RequestQueue worker pool, the event server's
 # loop thread and dispatch pool, the router's connection pool, the
 # sharded MetricsRegistry counters under contention
 # (obs_metrics_test) and its HTTP scrape thread (obs_exposition_test), the
-# HypotheticalEngine's striped caches and the parallel inference kernels
+# HypotheticalEngine's striped caches, the parallel inference kernels
 # (chromatic color-class sweeps in crf_chromatic_test, sharded batched
 # fan-out in crf_fanout_test, DispatchMarginals' per-component fan-out in
-# crf_solver_test) — so the concurrent serving path stays race-clean.
+# crf_solver_test), the guidance, batch and E-step calls that borrow the
+# shared compute pool (core_*_test, service_session_manager_test) and the
+# pool's per-call completion under concurrent callers
+# (common_thread_pool_test) — so the concurrent serving path stays
+# race-clean.
 
 set -euo pipefail
 
@@ -300,7 +305,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
   status=0
   for suite in "$build_dir"/tests/service_*_test "$build_dir"/tests/api_*_test \
                "$build_dir"/tests/fleet_*_test "$build_dir"/tests/crf_*_test \
-               "$build_dir"/tests/obs_*_test \
+               "$build_dir"/tests/core_*_test "$build_dir"/tests/obs_*_test \
                "$build_dir"/tests/common_thread_pool_test \
                "$build_dir"/tests/common_socket_test; do
     echo "== ${suite##*/}"
@@ -330,7 +335,8 @@ if [[ "${ASAN:-0}" == "1" ]]; then
                "$build_dir"/tests/api_codec_golden_test \
                "$build_dir"/tests/data_io_test \
                "$build_dir"/tests/service_checkpoint_test \
-               "$build_dir"/tests/service_checkpoint_golden_test; do
+               "$build_dir"/tests/service_checkpoint_golden_test \
+               "$build_dir"/tests/service_session_manager_test; do
     echo "== ${suite##*/}"
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 "$suite" \
       --gtest_brief=1 || status=1

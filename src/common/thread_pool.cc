@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 namespace veritas {
 
@@ -41,24 +42,7 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (workers_.size() <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Chunked dynamic scheduling: workers pull the next index atomically.
-  auto cursor = std::make_shared<std::atomic<size_t>>(0);
-  const size_t shards = std::min(n, workers_.size());
-  for (size_t s = 0; s < shards; ++s) {
-    Submit([cursor, n, &fn] {
-      for (;;) {
-        const size_t i = cursor->fetch_add(1);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  Wait();
+  RunCall(n, fn);
 }
 
 void ThreadPool::ParallelForRanges(size_t n, size_t min_grain,
@@ -67,18 +51,39 @@ void ThreadPool::ParallelForRanges(size_t n, size_t min_grain,
   const size_t grain = std::max<size_t>(1, min_grain);
   const size_t shards =
       std::min(workers_.size(), std::max<size_t>(1, n / grain));
-  if (workers_.size() <= 1 || shards <= 1) {
-    fn(0, n);
-    return;
-  }
   const size_t chunk = (n + shards - 1) / shards;
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t begin = s * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    Submit([&fn, begin, end] { fn(begin, end); });
-  }
-  Wait();
+  RunCall((n + chunk - 1) / chunk, [&fn, n, chunk](size_t r) {
+    fn(r * chunk, std::min(n, (r + 1) * chunk));
+  });
+}
+
+void ThreadPool::RunCall(size_t items, const std::function<void(size_t)>& body) {
+  // Shared with the helpers, which may start only after this call returned:
+  // such a helper finds `next` exhausted and never touches `body`.
+  struct Call {
+    std::atomic<size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable all_finished;
+    size_t finished = 0;  // guarded by mutex
+  };
+  auto call = std::make_shared<Call>();
+  auto drain = [call, items, &body] {
+    size_t ran = 0;
+    for (size_t i = call->next.fetch_add(1); i < items;
+         i = call->next.fetch_add(1)) {
+      body(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(call->mutex);
+    call->finished += ran;
+    if (call->finished == items) call->all_finished.notify_all();
+  };
+  const size_t participants = std::min(items, workers_.size());
+  for (size_t h = 1; h < participants; ++h) Submit(drain);
+  drain();
+  std::unique_lock<std::mutex> lock(call->mutex);
+  call->all_finished.wait(lock, [&] { return call->finished == items; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -101,6 +106,11 @@ void ThreadPool::WorkerLoop() {
       if (in_flight_ == 0) all_done_.notify_all();
     }
   }
+}
+
+ThreadPool& ComputePool() {
+  static ThreadPool* pool = new ThreadPool(0);
+  return *pool;
 }
 
 }  // namespace veritas

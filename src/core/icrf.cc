@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "obs/metrics.h"
+#include "optim/tron.h"
 
 namespace veritas {
 
@@ -46,8 +47,13 @@ MetricsRegistry::Histogram* MStepSeconds() {
 
 }  // namespace
 
-ICrf::ICrf(const FactDatabase* db, const ICrfOptions& options, uint64_t seed)
-    : db_(db), options_(options), rng_(seed), model_(CrfModel::ForDatabase(*db)) {}
+ICrf::ICrf(const FactDatabase* db, const ICrfOptions& options, uint64_t seed,
+           ThreadPool* pool)
+    : db_(db),
+      options_(options),
+      pool_(pool),
+      rng_(seed),
+      model_(CrfModel::ForDatabase(*db)) {}
 
 Status ICrf::SyncStructures() {
   if (db_ == nullptr) return Status::InvalidArgument("ICrf: null database");
@@ -98,23 +104,12 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
   // and carried-over probabilities instead.
   const SpinConfig* warm = nullptr;
 
-  // Resolve the backend (crf/solver.h): kAuto keeps the original rule —
-  // num_threads picks between the sequential and chromatic samplers — so
-  // default-configured runs stay byte-identical.
-  CrfBackend backend = options_.backend;
-  if (backend == CrfBackend::kAuto) {
-    backend = options_.gibbs.num_threads > 0 ? CrfBackend::kChromatic
-                                             : CrfBackend::kGibbs;
-  }
+  // Resolve the backend (crf/solver.h): kAuto is the sequential sampler.
+  const CrfBackend backend = options_.backend == CrfBackend::kAuto
+                                 ? CrfBackend::kGibbs
+                                 : options_.backend;
   const BackendMetrics& backend_metrics = MetricsFor(backend);
   backend_metrics.selected->Increment();
-  ThreadPool* pool = nullptr;
-  if (backend != CrfBackend::kGibbs && options_.gibbs.num_threads > 1) {
-    if (gibbs_pool_ == nullptr) {
-      gibbs_pool_ = std::make_unique<ThreadPool>(options_.gibbs.num_threads);
-    }
-    pool = gibbs_pool_.get();
-  }
   for (size_t em = 0; em < options_.max_em_iterations; ++em) {
     ++stats.em_iterations;
     // E-step: rebuild fields from the current weights and previous-iteration
@@ -144,7 +139,7 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
         }
         auto chromatic =
             RunGibbsChromatic(mrf_, *state, warm, nullptr, options_.gibbs,
-                              rng_.NextU64(), chromatic_schedule_, pool);
+                              rng_.NextU64(), chromatic_schedule_, pool_);
         if (!chromatic.ok()) return chromatic.status();
         last_samples_ = std::move(chromatic.value().samples);
         new_probs = std::move(chromatic.value().marginals);
@@ -152,7 +147,7 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
       }
       case CrfBackend::kDispatch: {
         auto dispatch = DispatchMarginals(mrf_, *state, options_.gibbs, warm,
-                                          rng_.NextU64(), pool);
+                                          rng_.NextU64(), pool_);
         if (!dispatch.ok()) return dispatch.status();
         new_probs = std::move(dispatch.value().marginals);
         // No configurations come back; the marginal-threshold configuration
@@ -178,7 +173,7 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
     if (options_.fit_weights) {
       const auto mstep_started = std::chrono::steady_clock::now();  // lint: timing
       auto report = FitCrfWeights(*db_, new_probs, *state, options_.crf,
-                                  options_.tron, &model_);
+                                  TronOptions{}, &model_);
       MStepSeconds()->Record(
           std::chrono::duration<double>(  // lint: timing
               std::chrono::steady_clock::now() - mstep_started)

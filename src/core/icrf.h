@@ -15,8 +15,6 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "common/fields.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -30,7 +28,6 @@
 #include "crf/partition.h"
 #include "crf/solver.h"
 #include "data/model.h"
-#include "optim/tron.h"
 
 namespace veritas {
 
@@ -39,13 +36,11 @@ struct ICrfOptions {
   CrfConfig crf;
   GibbsOptions gibbs;           ///< E-step sampling for full inference
   GibbsOptions hypothetical_gibbs{8, 24, 1};  ///< cheaper sampling for Q+/Q-
-  TronOptions tron;             ///< M-step solver
   size_t max_em_iterations = 4;
   double em_tolerance = 5e-3;   ///< max per-claim probability change to stop
   bool fit_weights = true;      ///< disable to freeze the log-linear weights
-  /// E-step backend (crf/solver.h, DESIGN.md §13). kAuto keeps the
-  /// original rule — gibbs.num_threads == 0 runs the sequential sampler,
-  /// >= 1 the chromatic kernel.
+  /// E-step backend (crf/solver.h, DESIGN.md §13). kAuto runs the
+  /// sequential sampler; the chromatic kernel is chosen by name.
   CrfBackend backend = CrfBackend::kAuto;
 };
 
@@ -54,7 +49,6 @@ FieldsOf<S, ICrfOptions> VisitFields(V& v, S& o) {
   v("crf", o.crf);
   v("gibbs", o.gibbs);
   v("hypothetical_gibbs", o.hypothetical_gibbs);
-  v("tron", o.tron);
   v("max_em_iterations", o.max_em_iterations);
   v("em_tolerance", o.em_tolerance);
   v("fit_weights", o.fit_weights);
@@ -76,8 +70,12 @@ struct InferenceStats {
 class ICrf {
  public:
   /// `db` must outlive the engine. Call SyncStructures() after the database
-  /// gains claims/documents/sources (streaming setting, §7).
-  ICrf(const FactDatabase* db, const ICrfOptions& options, uint64_t seed);
+  /// gains claims/documents/sources (streaming setting, §7). The chromatic
+  /// and dispatch E-steps run on `pool` when it is non-null (borrowed, must
+  /// outlive the engine) and on the calling thread otherwise; their results
+  /// are identical either way.
+  ICrf(const FactDatabase* db, const ICrfOptions& options, uint64_t seed,
+       ThreadPool* pool = nullptr);
 
   /// Rebuilds cached structures (couplings, partition, claim-source map)
   /// from the current database contents. Marks the coupling structure
@@ -168,6 +166,7 @@ class ICrf {
  private:
   const FactDatabase* db_;
   ICrfOptions options_;
+  ThreadPool* pool_;  ///< borrowed E-step pool; null = calling thread
   Rng rng_;
   CrfModel model_;
   std::vector<ClaimMrf::Edge> couplings_;
@@ -180,11 +179,9 @@ class ICrf {
   SampleSet last_samples_;
   SpinConfig warm_config_;
   mutable MarginalEntropyCache entropy_cache_;
-  /// E-step kernel state: the chromatic color schedule — structure-
-  /// dependent, rebuilt after SyncStructures — and the worker pool of the
-  /// chromatic and dispatch kernels, created lazily (> 1 thread only).
+  /// The chromatic color schedule: structure-dependent, rebuilt after
+  /// SyncStructures.
   ChromaticSchedule chromatic_schedule_;
-  std::unique_ptr<ThreadPool> gibbs_pool_;
   bool ready_ = false;
   bool structures_built_ = false;
   bool structure_dirty_ = true;  ///< couplings changed since the last Bind

@@ -59,6 +59,10 @@ double HybridScore(double error_rate, double unreliable_ratio,
 
 namespace {
 
+/// Largest unlabeled-claim count of a component that kOrigin's exact
+/// entropy enumerates; larger cyclic components fall back to Eq. 13.
+constexpr size_t kMaxEnumerationClaims = 16;
+
 /// Knobs of one hypothetical evaluation, derived from the guidance config.
 /// `rng_stream` decorrelates the random streams of IG_C (0) and IG_S (2).
 HypotheticalOptions HypotheticalFromGuidance(const GuidanceConfig& config,
@@ -75,7 +79,7 @@ FanoutOptions FanoutFromGuidance(const GuidanceConfig& config, int rng_stream) {
   FanoutOptions options;
   options.neighborhood_radius = config.neighborhood_radius;
   options.neighborhood_cap = config.neighborhood_cap;
-  options.base_sweeps = config.fanout_base_sweeps;
+  options.base_sweeps = kFanoutBaseSweeps;
   options.burn_in = config.fanout_burn_in;
   options.num_samples = config.fanout_samples;
   options.seed = config.seed;
@@ -108,11 +112,11 @@ std::vector<ClaimId> RankByScore(const std::vector<ClaimId>& candidates,
   return ranked;
 }
 
-/// Runs `fn(i)` over candidates — parallel for the kParallelPartition
-/// variant, serial otherwise.
-void ForEachCandidate(const GuidanceConfig& config, ThreadPool* pool, size_t n,
+/// Runs `fn(i)` over candidates — on `pool` when there is one, serial
+/// otherwise.
+void ForEachCandidate(ThreadPool* pool, size_t n,
                       const std::function<void(size_t)>& fn) {
-  if (config.variant == GuidanceVariant::kParallelPartition && pool != nullptr) {
+  if (pool != nullptr) {
     pool->ParallelFor(n, fn);
   } else {
     for (size_t i = 0; i < n; ++i) fn(i);
@@ -123,10 +127,9 @@ void ForEachCandidate(const GuidanceConfig& config, ThreadPool* pool, size_t n,
 /// contiguous candidate range, so each shard amortizes one FanoutWorker
 /// (and its scratch) over many candidates. Scores stay shard-independent —
 /// every chain draw is a pure function of (seed, claim, branch).
-void ForEachCandidateSharded(const GuidanceConfig& config, ThreadPool* pool,
-                             size_t n,
+void ForEachCandidateSharded(ThreadPool* pool, size_t n,
                              const std::function<void(size_t, size_t)>& fn) {
-  if (config.variant == GuidanceVariant::kParallelPartition && pool != nullptr) {
+  if (pool != nullptr) {
     pool->ParallelForRanges(n, /*min_grain=*/1, fn);
   } else {
     if (n > 0) fn(0, n);
@@ -158,7 +161,7 @@ Result<std::vector<double>> ComputeClaimInfoGains(
     std::vector<double> gains(candidates.size(), 0.0);
     std::vector<Status> failures(candidates.size());
 
-    ForEachCandidateSharded(config, pool, candidates.size(),
+    ForEachCandidateSharded(pool, candidates.size(),
                             [&](size_t begin, size_t end) {
       FanoutWorker worker(&engine, &base.value());
       for (size_t i = begin; i < end; ++i) {
@@ -200,7 +203,7 @@ Result<std::vector<double>> ComputeClaimInfoGains(
   std::vector<double> gains(candidates.size(), 0.0);
   std::vector<Status> failures(candidates.size());
 
-  ForEachCandidate(config, pool, candidates.size(), [&](size_t i) {
+  ForEachCandidate(pool, candidates.size(), [&](size_t i) {
     const ClaimId c = candidates[i];
     const std::vector<ClaimId>& neighborhood = engine.Neighborhood(
         c, config.neighborhood_radius, config.neighborhood_cap);
@@ -216,7 +219,7 @@ Result<std::vector<double>> ComputeClaimInfoGains(
       component = partition.members[partition.component_of[c]];
       entropy_scope = &component;
       auto exact = ExactComponentEntropy(icrf.mrf(), state, component,
-                                         config.max_enumeration_claims);
+                                         kMaxEnumerationClaims);
       if (exact.ok()) {
         h_before = exact.value();
         exact_ok = true;
@@ -240,7 +243,7 @@ Result<std::vector<double>> ComputeClaimInfoGains(
         BeliefState hypo = state;
         hypo.SetLabel(c, value);
         auto exact = ExactComponentEntropy(icrf.mrf(), hypo, *entropy_scope,
-                                           config.max_enumeration_claims);
+                                           kMaxEnumerationClaims);
         if (exact.ok()) {
           h_branch = exact.value();
           branch_exact = true;
@@ -292,7 +295,7 @@ Result<std::vector<double>> ComputeSourceInfoGains(
     std::vector<double> gains(candidates.size(), 0.0);
     std::vector<Status> failures(candidates.size());
 
-    ForEachCandidateSharded(config, pool, candidates.size(),
+    ForEachCandidateSharded(pool, candidates.size(),
                             [&](size_t begin, size_t end) {
       FanoutWorker worker(&engine, &base.value());
       // Stamped source -> slot map, reset in O(1) per candidate.
@@ -413,7 +416,7 @@ Result<std::vector<double>> ComputeSourceInfoGains(
     return total > 0.0 ? agree / total : 0.5;
   };
 
-  ForEachCandidate(config, pool, candidates.size(), [&](size_t i) {
+  ForEachCandidate(pool, candidates.size(), [&](size_t i) {
     const ClaimId c = candidates[i];
     const std::vector<ClaimId>& neighborhood = engine.Neighborhood(
         c, config.neighborhood_radius, config.neighborhood_cap);
@@ -516,8 +519,8 @@ class UncertaintyStrategy : public SelectionStrategy {
 
 class InfoGainStrategy : public SelectionStrategy {
  public:
-  InfoGainStrategy(const GuidanceConfig& config, std::shared_ptr<ThreadPool> pool)
-      : config_(config), pool_(std::move(pool)) {}
+  InfoGainStrategy(const GuidanceConfig& config, ThreadPool* pool)
+      : config_(config), pool_(pool) {}
 
   std::string name() const override { return "info"; }
 
@@ -529,20 +532,20 @@ class InfoGainStrategy : public SelectionStrategy {
       return Status::NotFound("InfoGainStrategy: no unlabeled claims");
     }
     auto gains =
-        ComputeClaimInfoGains(icrf, state, candidates, config_, pool_.get());
+        ComputeClaimInfoGains(icrf, state, candidates, config_, pool_);
     if (!gains.ok()) return gains.status();
     return RankByScore(candidates, gains.value(), k);
   }
 
  private:
   GuidanceConfig config_;
-  std::shared_ptr<ThreadPool> pool_;
+  ThreadPool* pool_;  // borrowed; null = serial
 };
 
 class SourceStrategy : public SelectionStrategy {
  public:
-  SourceStrategy(const GuidanceConfig& config, std::shared_ptr<ThreadPool> pool)
-      : config_(config), pool_(std::move(pool)) {}
+  SourceStrategy(const GuidanceConfig& config, ThreadPool* pool)
+      : config_(config), pool_(pool) {}
 
   std::string name() const override { return "source"; }
 
@@ -554,19 +557,19 @@ class SourceStrategy : public SelectionStrategy {
       return Status::NotFound("SourceStrategy: no unlabeled claims");
     }
     auto gains =
-        ComputeSourceInfoGains(icrf, state, candidates, config_, pool_.get());
+        ComputeSourceInfoGains(icrf, state, candidates, config_, pool_);
     if (!gains.ok()) return gains.status();
     return RankByScore(candidates, gains.value(), k);
   }
 
  private:
   GuidanceConfig config_;
-  std::shared_ptr<ThreadPool> pool_;
+  ThreadPool* pool_;  // borrowed; null = serial
 };
 
 class HybridStrategy : public SelectionStrategy, public HybridControl {
  public:
-  HybridStrategy(const GuidanceConfig& config, std::shared_ptr<ThreadPool> pool)
+  HybridStrategy(const GuidanceConfig& config, ThreadPool* pool)
       : rng_(config.seed ^ 0xa5a5a5a5a5a5a5a5ULL),
         info_(config, pool),
         source_(config, pool) {}
@@ -597,11 +600,8 @@ class HybridStrategy : public SelectionStrategy, public HybridControl {
 }  // namespace
 
 std::unique_ptr<SelectionStrategy> MakeStrategy(StrategyKind kind,
-                                                const GuidanceConfig& config) {
-  std::shared_ptr<ThreadPool> pool;
-  if (config.variant == GuidanceVariant::kParallelPartition) {
-    pool = std::make_shared<ThreadPool>(config.num_threads);
-  }
+                                                const GuidanceConfig& config,
+                                                ThreadPool* pool) {
   switch (kind) {
     case StrategyKind::kRandom:
       return std::make_unique<RandomStrategy>(config);

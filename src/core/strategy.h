@@ -28,8 +28,9 @@ namespace veritas {
 ///   kOrigin           exact entropy where tractable (tree BP or enumeration
 ///                     per component, Eq. 12), serial candidate evaluation.
 ///   kScalable         linear-time approximate entropy (Eq. 13), serial.
-///   kParallelPartition approximate entropy + thread-pool parallelism over
-///                     candidates + neighborhood-partitioned re-inference.
+///   kParallelPartition approximate entropy + neighborhood-partitioned
+///                     re-inference, with candidates evaluated on the
+///                     process-wide ComputePool() that the step borrows.
 enum class GuidanceVariant { kOrigin, kScalable, kParallelPartition };
 
 constexpr Spellings<3> EnumSpellings(GuidanceVariant) {
@@ -61,6 +62,9 @@ constexpr Spellings<2> EnumSpellings(FanoutKernel) {
   return {"per_candidate", "batched"};
 }
 
+/// Sweeps of the batched fan-out's shared base resample.
+inline constexpr size_t kFanoutBaseSweeps = 4;
+
 /// Knobs shared by the guidance strategies.
 struct GuidanceConfig {
   GuidanceVariant variant = GuidanceVariant::kParallelPartition;
@@ -72,18 +76,14 @@ struct GuidanceConfig {
   /// Neighborhood of hypothetical re-inference (partition optimization).
   size_t neighborhood_radius = 2;
   size_t neighborhood_cap = 128;
-  /// Worker threads for kParallelPartition (0 = hardware concurrency).
-  size_t num_threads = 0;
-  /// Maximum unlabeled claims for the enumeration fallback of exact entropy.
-  size_t max_enumeration_claims = 16;
   uint64_t seed = 17;
   /// Hypothetical fan-out kernel for the sampling variants (kOrigin's exact
   /// path is unaffected). kBatched is the default; kPerCandidate remains as
   /// the committed reference the speedup bench measures against.
   FanoutKernel fanout = FanoutKernel::kBatched;
   /// Batched-kernel schedule (ignored under kPerCandidate, which reads
-  /// ICrfOptions.hypothetical_gibbs like it always has).
-  size_t fanout_base_sweeps = 4;
+  /// ICrfOptions.hypothetical_gibbs like it always has); the shared base
+  /// resample runs kFanoutBaseSweeps sweeps.
   size_t fanout_burn_in = 2;
   size_t fanout_samples = 8;
 };
@@ -94,11 +94,8 @@ FieldsOf<S, GuidanceConfig> VisitFields(V& v, S& g) {
   v("candidate_pool", g.candidate_pool);
   v("neighborhood_radius", g.neighborhood_radius);
   v("neighborhood_cap", g.neighborhood_cap);
-  v("num_threads", g.num_threads);
-  v("max_enumeration_claims", g.max_enumeration_claims);
   v("seed", g.seed);
   v("fanout", g.fanout);
-  v("fanout_base_sweeps", g.fanout_base_sweeps);
   v("fanout_burn_in", g.fanout_burn_in);
   v("fanout_samples", g.fanout_samples);
 }
@@ -125,15 +122,19 @@ class SelectionStrategy {
   virtual Rng* mutable_rng() { return nullptr; }
 };
 
-/// Creates a strategy. The returned strategy owns its random stream and,
-/// for the parallel variant, its thread pool.
+/// Creates a strategy. The returned strategy owns its random stream; the
+/// info-gain strategies evaluate candidates on `pool` when it is non-null
+/// (borrowed, must outlive the strategy) and serially otherwise.
 std::unique_ptr<SelectionStrategy> MakeStrategy(StrategyKind kind,
-                                                const GuidanceConfig& config);
+                                                const GuidanceConfig& config,
+                                                ThreadPool* pool = nullptr);
 
 /// Information gain IG_C (Eq. 15) of validating each candidate, computed as
 /// the expected entropy reduction under hypothetical user input (Q+ / Q-
 /// re-inference with frozen weights, restricted to the candidate's coupling
 /// neighborhood). Exposed for the batch selector (§6.2) and diagnostics.
+/// Candidates run on `pool` when it is non-null, serially otherwise; the
+/// scores are identical either way.
 Result<std::vector<double>> ComputeClaimInfoGains(
     const ICrf& icrf, const BeliefState& state,
     const std::vector<ClaimId>& candidates, const GuidanceConfig& config,

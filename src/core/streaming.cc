@@ -6,6 +6,7 @@
 #include "common/math.h"
 #include "common/stopwatch.h"
 #include "optim/logistic.h"
+#include "optim/tron.h"
 
 namespace veritas {
 
@@ -97,7 +98,7 @@ Result<ArrivalStats> StreamingFactChecker::OnClaimArrival(
     objective.AddExample(example.features, example.target, weight);
   }
   if (objective.num_examples() > 0) {
-    TronOptions tron = options_.icrf.tron;
+    TronOptions tron;
     tron.max_iterations = options_.tron_iterations_per_arrival;
     auto report =
         MinimizeTron(objective, icrf_.mutable_model()->mutable_weights(), tron);
@@ -142,7 +143,7 @@ Result<ArrivalStats> StreamingFactChecker::OnUserLabel(ClaimId claim,
                          std::exp(example.log_weight + log_scale_));
   }
   if (objective.num_examples() > 0) {
-    TronOptions tron = options_.icrf.tron;
+    TronOptions tron;
     tron.max_iterations = options_.tron_iterations_per_arrival;
     auto report =
         MinimizeTron(objective, icrf_.mutable_model()->mutable_weights(), tron);

@@ -12,15 +12,14 @@ ValidationProcess::ValidationProcess(const FactDatabase* db, UserModel* user,
     : db_(db),
       user_(user),
       options_(options),
-      icrf_(db, options.icrf, options.seed),
-      strategy_(MakeStrategy(options.strategy, options.guidance)),
+      pool_(options.guidance.variant == GuidanceVariant::kParallelPartition
+                ? &ComputePool()
+                : nullptr),
+      icrf_(db, options.icrf, options.seed, pool_),
+      strategy_(MakeStrategy(options.strategy, options.guidance, pool_)),
       state_(db->num_claims()),
       monitor_(options.termination) {
   hybrid_ = dynamic_cast<HybridControl*>(strategy_.get());
-  if (options_.batch_size > 1 &&
-      options_.guidance.variant == GuidanceVariant::kParallelPartition) {
-    batch_pool_ = std::make_shared<ThreadPool>(options_.guidance.num_threads);
-  }
 }
 
 Status ValidationProcess::Initialize() {
@@ -90,7 +89,7 @@ Result<StepPlan> ValidationProcess::PlanStep() {
         std::min(options_.batch_size, state_.unlabeled_count());
     batch_options.benefit_weight = options_.batch_benefit_weight;
     batch_options.guidance = options_.guidance;
-    auto batch = SelectBatch(icrf_, state_, batch_options, batch_pool_.get());
+    auto batch = SelectBatch(icrf_, state_, batch_options, pool_);
     if (!batch.ok()) return batch.status();
     plan.candidates = batch.value().claims;
     plan.batch = true;
@@ -209,30 +208,12 @@ Result<IterationRecord> ValidationProcess::CompleteStep(const StepAnswers& answe
       HybridScore(last_error_rate_, record.unreliable_ratio, state_.Effort());
   if (hybrid_ != nullptr) hybrid_->set_z(record.z_score);
 
-  // Database uncertainty for the trace and the URR indicator.
-  if (options_.exact_entropy_trace) {
-    double exact_total = 0.0;
-    bool all_exact = true;
-    const auto& partition = icrf_.partition();
-    for (const auto& members : partition.members) {
-      auto component = ExactComponentEntropy(
-          icrf_.mrf(), state_, members, options_.guidance.max_enumeration_claims);
-      if (component.ok()) {
-        exact_total += component.value();
-      } else {
-        exact_total += ApproxSubsetEntropy(state_.probs(), members);
-        all_exact = false;
-      }
-    }
-    (void)all_exact;
-    record.entropy = exact_total;
-  } else {
-    // Incremental path: re-scores only the claims Infer() actually moved;
-    // Total() is bit-identical to ApproxDatabaseEntropy(state_.probs()).
-    MarginalEntropyCache& cache = icrf_.entropy_cache();
-    cache.Refresh(state_.probs(), icrf_.hypothetical().structure_epoch());
-    record.entropy = cache.Total();
-  }
+  // Database uncertainty for the trace and the URR indicator, incrementally:
+  // re-scores only the claims Infer() actually moved; Total() is
+  // bit-identical to ApproxDatabaseEntropy(state_.probs()).
+  MarginalEntropyCache& cache = icrf_.entropy_cache();
+  cache.Refresh(state_.probs(), icrf_.hypothetical().structure_epoch());
+  record.entropy = cache.Total();
 
   // Confirmation check (§5.2).
   if (options_.confirmation_interval > 0 &&

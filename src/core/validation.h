@@ -53,9 +53,6 @@ struct ValidationOptions {
 
   /// Early-termination criteria (§6.1).
   TerminationOptions termination;
-  /// When true, compute the entropy with the exact method where tractable
-  /// (matches GuidanceVariant::kOrigin); otherwise Eq. 13.
-  bool exact_entropy_trace = false;
 
   uint64_t seed = 42;
 };
@@ -71,7 +68,6 @@ FieldsOf<S, ValidationOptions> VisitFields(V& v, S& o) {
   v("batch_benefit_weight", o.batch_benefit_weight);
   v("confirmation_interval", o.confirmation_interval);
   v("termination", o.termination);
-  v("exact_entropy_trace", o.exact_entropy_trace);
   v("seed", o.seed);
 }
 
@@ -240,7 +236,9 @@ class ValidationProcess {
   /// `db` and `user` must outlive the process. `user` may be null when the
   /// process is driven through PlanStep()/CompleteStep() with externally
   /// elicited answers; Run() then fails, and confirmation checks flag labels
-  /// (IterationRecord::flagged) without re-eliciting them.
+  /// (IterationRecord::flagged) without re-eliciting them. Under
+  /// GuidanceVariant::kParallelPartition every step borrows ComputePool();
+  /// the other variants run on the calling thread.
   ValidationProcess(const FactDatabase* db, UserModel* user,
                     const ValidationOptions& options);
 
@@ -290,10 +288,10 @@ class ValidationProcess {
   const FactDatabase* db_;
   UserModel* user_;
   ValidationOptions options_;
+  ThreadPool* pool_;  ///< borrowed by every step; null = calling thread
   ICrf icrf_;
   std::unique_ptr<SelectionStrategy> strategy_;
   HybridControl* hybrid_ = nullptr;  // non-null for the hybrid strategy
-  std::shared_ptr<ThreadPool> batch_pool_;
   BeliefState state_;
   Grounding grounding_;
   TerminationMonitor monitor_;

@@ -73,9 +73,9 @@ std::vector<double> MarginalEntropies(const std::vector<double>& probs) {
 
 Result<double> ExactComponentEntropy(const ClaimMrf& mrf, const BeliefState& state,
                                      const std::vector<ClaimId>& component,
-                                     size_t max_enumeration_claims) {
+                                     size_t max_free) {
   const ComponentProblem sub = ExtractComponent(mrf, state, component);
-  auto exact = SolveExact(sub.mrf, sub.state, max_enumeration_claims);
+  auto exact = SolveExact(sub.mrf, sub.state, max_free);
   if (!exact.ok()) return exact.status();
   return exact.value().entropy;
 }

@@ -33,12 +33,12 @@ std::vector<double> MarginalEntropies(const std::vector<double>& probs);
 
 /// Exact joint entropy (Eq. 12) of one connected component of the MRF:
 /// ExtractComponent, then SolveExact. Errors when the component is cyclic
-/// and has more unlabeled claims than `max_enumeration_claims`; callers
+/// and has more unlabeled claims than `max_free`; callers
 /// then fall back to the approximation (the "exact where tractable" policy
 /// of the origin variant, §8.2).
 Result<double> ExactComponentEntropy(const ClaimMrf& mrf, const BeliefState& state,
                                      const std::vector<ClaimId>& component,
-                                     size_t max_enumeration_claims = 20);
+                                     size_t max_free = 20);
 
 /// Incremental per-claim marginal-entropy cache (DESIGN.md §12). After an
 /// answer is ingested only the claims whose probability actually changed —

@@ -23,13 +23,6 @@ struct GibbsOptions {
   size_t burn_in = 15;      ///< sweeps discarded before collecting samples
   size_t num_samples = 50;  ///< configurations retained
   size_t thin = 1;          ///< sweeps between retained samples
-  /// E-step kernel selector (DESIGN.md §12): 0 keeps the sequential
-  /// RunGibbs sampler; >= 1 switches ICrf to the chromatic counter-based
-  /// kernel (crf/chromatic.h) with that many worker threads and
-  /// Rao-Blackwellized marginals. The chromatic kernel is bit-identical
-  /// across thread counts, but its draws differ from the sequential
-  /// sampler's, so flipping this knob changes (not degrades) results.
-  size_t num_threads = 0;
 };
 
 template <typename V, typename S>
@@ -37,7 +30,6 @@ FieldsOf<S, GibbsOptions> VisitFields(V& v, S& o) {
   v("burn_in", o.burn_in);
   v("num_samples", o.num_samples);
   v("thin", o.thin);
-  v("num_threads", o.num_threads);
 }
 
 /// A set of Gibbs configurations Omega (Eq. 6/7) plus derived statistics.

@@ -355,10 +355,10 @@ Result<ExactInferenceResult> TreeSumProduct(const ClaimMrf& mrf,
 
 Result<ExactInferenceResult> SolveExact(const ClaimMrf& mrf,
                                         const BeliefState& state,
-                                        size_t max_enumeration_claims) {
+                                        size_t max_free) {
   auto tree = TreeSumProduct(mrf, state);
   if (tree.ok()) return tree;
-  return ExactInference(mrf, state, max_enumeration_claims);
+  return ExactInference(mrf, state, max_free);
 }
 
 ComponentProblem ExtractComponent(const ClaimMrf& mrf, const BeliefState& state,

@@ -100,10 +100,10 @@ Result<ExactInferenceResult> TreeSumProduct(const ClaimMrf& mrf,
 /// the origin variant's entropy, DESIGN.md §13): TreeSumProduct first,
 /// enumeration when the label-reduced graph is cyclic. Errors with
 /// FailedPrecondition when the graph is cyclic and has more than
-/// `max_enumeration_claims` unlabeled claims.
+/// `max_free` unlabeled claims.
 Result<ExactInferenceResult> SolveExact(const ClaimMrf& mrf,
                                         const BeliefState& state,
-                                        size_t max_enumeration_claims = 20);
+                                        size_t max_free = 20);
 
 /// One connected component of an MRF as a self-contained problem: claim
 /// `component[i]` becomes local claim i, with its field, its label or

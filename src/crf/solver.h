@@ -9,9 +9,8 @@
 ///   kDispatch   DispatchMarginals below: exact where tractable, sampled
 ///               elsewhere, bit-identical at any thread count.
 ///
-/// `CrfBackend::kAuto` keeps the original selection rule
-/// (GibbsOptions::num_threads == 0 -> kGibbs, >= 1 -> kChromatic), which
-/// is what keeps default-configured runs unchanged.
+/// `CrfBackend::kAuto` resolves to kGibbs; the other kernels are chosen by
+/// name.
 
 #ifndef VERITAS_CRF_SOLVER_H_
 #define VERITAS_CRF_SOLVER_H_
@@ -32,7 +31,7 @@ namespace veritas {
 /// spells it through the table below; unknown spellings are rejected, a
 /// missing key means kAuto).
 enum class CrfBackend {
-  kAuto,       ///< num_threads == 0 -> kGibbs, >= 1 -> kChromatic
+  kAuto,       ///< kGibbs
   kGibbs,      ///< sequential Gibbs sampler
   kChromatic,  ///< chromatic counter-based parallel Gibbs
   kDispatch,   ///< exact where tractable, chromatic sampling elsewhere

@@ -9,6 +9,12 @@ namespace veritas {
 
 namespace {
 
+constexpr double kInitialRadius = 1.0;
+constexpr double kCgTolerance = 0.1;  ///< inner CG: ||r|| <= tol * ||g||
+// Acceptance thresholds and radius update factors follow TRON (Lin et al.).
+constexpr double kEta0 = 1e-4, kEta1 = 0.25, kEta2 = 0.75;
+constexpr double kSigma1 = 0.25, kSigma2 = 0.5, kSigma3 = 4.0;
+
 /// Steihaug CG: approximately minimizes the quadratic model
 /// q(s) = g.s + 0.5 s.H.s subject to ||s|| <= radius. Returns the step in
 /// *step and whether the trust-region boundary was hit in *hit_boundary.
@@ -25,7 +31,7 @@ void SteihaugCg(const DifferentiableObjective& objective,
   std::vector<double> hd(n);
 
   const double g_norm = Norm2(g);
-  const double stop = options.cg_tolerance * g_norm;
+  const double stop = kCgTolerance * g_norm;
   double rr = Dot(residual, residual);
 
   for (size_t iter = 0; iter < options.cg_max_iterations; ++iter) {
@@ -82,7 +88,7 @@ Result<TronReport> MinimizeTron(const DifferentiableObjective& objective,
   std::vector<double> gradient;
   objective.Gradient(*w, &gradient);
   const double g0_norm = Norm2(gradient);
-  double radius = options.initial_radius;
+  double radius = kInitialRadius;
 
   std::vector<double> step;
   std::vector<double> hs;
@@ -114,16 +120,15 @@ Result<TronReport> MinimizeTron(const DifferentiableObjective& objective,
     const double rho = predicted > 0.0 ? actual / predicted : -1.0;
 
     // Radius update per TRON.
-    if (rho < options.eta1) {
-      radius = std::max(1e-12, options.sigma1 * std::min(radius, step_norm));
-    } else if (rho < options.eta2) {
-      radius = std::max(options.sigma1 * radius,
-                        std::min(options.sigma2 * radius * 2.0, radius));
+    if (rho < kEta1) {
+      radius = std::max(1e-12, kSigma1 * std::min(radius, step_norm));
+    } else if (rho < kEta2) {
+      radius = std::max(kSigma1 * radius, std::min(kSigma2 * radius * 2.0, radius));
     } else if (hit_boundary) {
-      radius = std::min(options.sigma3 * radius, 1e12);
+      radius = std::min(kSigma3 * radius, 1e12);
     }
 
-    if (rho > options.eta0) {
+    if (rho > kEta0) {
       *w = std::move(candidate);
       value = candidate_value;
       objective.Gradient(*w, &gradient);

@@ -1,7 +1,9 @@
 #include "service/session.h"
 
 #include <chrono>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "core/grounding.h"
 
@@ -21,8 +23,33 @@ std::unique_ptr<UserModel> MakeUserModel(const UserSpec& spec) {
   return nullptr;
 }
 
+namespace {
+
+Status CheckSampleCounts(const SessionSpec& spec) {
+  const std::pair<const char*, size_t> counts[] = {
+      {"validation.icrf.gibbs.num_samples",
+       spec.validation.icrf.gibbs.num_samples},
+      {"validation.icrf.hypothetical_gibbs.num_samples",
+       spec.validation.icrf.hypothetical_gibbs.num_samples},
+      {"streaming.icrf.gibbs.num_samples", spec.streaming.icrf.gibbs.num_samples},
+      {"streaming.icrf.hypothetical_gibbs.num_samples",
+       spec.streaming.icrf.hypothetical_gibbs.num_samples},
+  };
+  for (const auto& [path, value] : counts) {
+    if (value > kMaxGibbsSamples) {
+      return Status::InvalidArgument(std::string("Session: ") + path + " is " +
+                                     std::to_string(value) + ", above " +
+                                     std::to_string(kMaxGibbsSamples));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::unique_ptr<Session>> Session::Create(FactDatabase db,
                                                  const SessionSpec& spec) {
+  VERITAS_RETURN_IF_ERROR(CheckSampleCounts(spec));
   VERITAS_RETURN_IF_ERROR(db.Validate());
   std::unique_ptr<Session> session(new Session());
   session->spec_ = spec;

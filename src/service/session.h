@@ -81,6 +81,13 @@ FieldsOf<S, SessionSpec> VisitFields(V& v, S& spec) {
   v("streaming", spec.streaming);
 }
 
+/// Largest `num_samples` that Session::Create accepts for any Gibbs
+/// schedule of a spec (`gibbs` and `hypothetical_gibbs`, batch and
+/// streaming). The samplers reserve one configuration per retained sample
+/// up front, so an unchecked count from the wire could exhaust memory at
+/// the first step.
+inline constexpr size_t kMaxGibbsSamples = 65536;
+
 /// Outcome of one Advance()/Answer() call.
 struct StepResult {
   /// The session reached a stop criterion (batch) or drained its stream.
@@ -138,7 +145,9 @@ class Session {
   /// Creates a session over `db`. Batch mode validates the claims in place;
   /// streaming mode treats `db` as the source corpus — sources and
   /// documents are registered up front and the claims arrive one per
-  /// Advance(), mentions and ground truth carried along.
+  /// Advance(), mentions and ground truth carried along. A spec with a
+  /// Gibbs `num_samples` above kMaxGibbsSamples is rejected with
+  /// kInvalidArgument naming its key path.
   static Result<std::unique_ptr<Session>> Create(FactDatabase db,
                                                  const SessionSpec& spec);
 

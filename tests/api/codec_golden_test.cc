@@ -85,19 +85,8 @@ ICrfOptions NonDefaultIcrf(size_t k) {
   o.crf.unlabeled_confidence_scale = 0.1 + k;
   o.crf.unlabeled_mass_cap_ratio = 2.75 + k;
   o.crf.max_pairs_per_source = 300 + k;
-  o.gibbs = GibbsOptions{20 + k, 60 + k, 2 + k, 3 + k};
-  o.hypothetical_gibbs = GibbsOptions{10 + k, 30 + k, 4 + k, 5 + k};
-  o.tron.max_iterations = 70 + k;
-  o.tron.gradient_tolerance = 1e-6 * static_cast<double>(k);
-  o.tron.initial_radius = 0.5 + k;
-  o.tron.cg_max_iterations = 40 + k;
-  o.tron.cg_tolerance = 0.2 + k;
-  o.tron.eta0 = 1e-3 * static_cast<double>(k);
-  o.tron.eta1 = 0.3 + k;
-  o.tron.eta2 = 0.8 + k;
-  o.tron.sigma1 = 0.2 + k;
-  o.tron.sigma2 = 0.6 + k;
-  o.tron.sigma3 = 5.0 + k;
+  o.gibbs = GibbsOptions{20 + k, 60 + k, 2 + k};
+  o.hypothetical_gibbs = GibbsOptions{10 + k, 30 + k, 4 + k};
   o.max_em_iterations = 6 + k;
   o.em_tolerance = 1e-2 * static_cast<double>(k);
   o.fit_weights = false;
@@ -120,11 +109,8 @@ SessionSpec EveryOptionSet() {
   v.guidance.candidate_pool = 65;
   v.guidance.neighborhood_radius = 3;
   v.guidance.neighborhood_cap = 129;
-  v.guidance.num_threads = 2;
-  v.guidance.max_enumeration_claims = 17;
   v.guidance.seed = 9007199254740993ull;
   v.guidance.fanout = FanoutKernel::kPerCandidate;
-  v.guidance.fanout_base_sweeps = 5;
   v.guidance.fanout_burn_in = 6;
   v.guidance.fanout_samples = 9;
   v.strategy = StrategyKind::kInfoGain;
@@ -146,7 +132,6 @@ SessionSpec EveryOptionSet() {
   v.termination.pir_folds = 6;
   v.termination.pir_interval = 12;
   v.termination.pir_patience = 7;
-  v.exact_entropy_trace = true;
   v.seed = 43;
 
   StreamingOptions& s = spec.streaming;
@@ -191,6 +176,19 @@ TEST(CodecGoldenTest, CreateSessionRequest) {
   request.trace_id = "trace \"golden\"\t1";
   request.params = CreateSessionRequest{TinyDatabase(), EveryOptionSet()};
   ExpectRequestFixture(request, "create_session_request.json");
+}
+
+// A peer that still sends the 30 spec members removed with the thread
+// counts and solver constants creates the same session: the decoder ignores
+// unknown members. The fixture is the create request above as committed
+// before they were removed.
+TEST(CodecGoldenTest, RemovedSpecMembersAreIgnored) {
+  auto decoded =
+      DecodeRequest(ReadFixture("create_session_request_removed_members.json"));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  auto encoded = EncodeRequest(decoded.value());
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  EXPECT_EQ(encoded.value(), ReadFixture("create_session_request.json"));
 }
 
 TEST(CodecGoldenTest, StepResponse) {

@@ -72,18 +72,14 @@ SessionSpec RandomSpec(Rng* rng) {
   v.batch_size = AnySize(rng);
   v.batch_benefit_weight = AnyFinite(rng);
   v.confirmation_interval = AnySize(rng);
-  v.exact_entropy_trace = rng->Bernoulli(0.5);
   v.seed = rng->NextU64();
   v.guidance.variant = static_cast<GuidanceVariant>(rng->UniformInt(3));
   v.guidance.candidate_pool = AnySize(rng);
   v.guidance.neighborhood_radius = AnySize(rng);
   v.guidance.neighborhood_cap = AnySize(rng);
-  v.guidance.num_threads = AnySize(rng);
-  v.guidance.max_enumeration_claims = AnySize(rng);
   v.guidance.seed = rng->NextU64();
   v.guidance.fanout = rng->Bernoulli(0.5) ? FanoutKernel::kBatched
                                           : FanoutKernel::kPerCandidate;
-  v.guidance.fanout_base_sweeps = AnySize(rng);
   v.guidance.fanout_burn_in = AnySize(rng);
   v.guidance.fanout_samples = AnySize(rng);
   v.termination.enable_urr = rng->Bernoulli(0.5);
@@ -109,21 +105,9 @@ SessionSpec RandomSpec(Rng* rng) {
   icrf.crf.unlabeled_confidence_scale = AnyFinite(rng);
   icrf.crf.unlabeled_mass_cap_ratio = AnyFinite(rng);
   icrf.crf.max_pairs_per_source = AnySize(rng);
-  icrf.gibbs =
-      GibbsOptions{AnySize(rng), AnySize(rng), AnySize(rng), AnySize(rng)};
+  icrf.gibbs = GibbsOptions{AnySize(rng), AnySize(rng), AnySize(rng)};
   icrf.hypothetical_gibbs =
-      GibbsOptions{AnySize(rng), AnySize(rng), AnySize(rng), AnySize(rng)};
-  icrf.tron.max_iterations = AnySize(rng);
-  icrf.tron.gradient_tolerance = AnyFinite(rng);
-  icrf.tron.initial_radius = AnyFinite(rng);
-  icrf.tron.cg_max_iterations = AnySize(rng);
-  icrf.tron.cg_tolerance = AnyFinite(rng);
-  icrf.tron.eta0 = AnyFinite(rng);
-  icrf.tron.eta1 = AnyFinite(rng);
-  icrf.tron.eta2 = AnyFinite(rng);
-  icrf.tron.sigma1 = AnyFinite(rng);
-  icrf.tron.sigma2 = AnyFinite(rng);
-  icrf.tron.sigma3 = AnyFinite(rng);
+      GibbsOptions{AnySize(rng), AnySize(rng), AnySize(rng)};
   icrf.max_em_iterations = AnySize(rng);
   icrf.em_tolerance = AnyFinite(rng);
   icrf.fit_weights = rng->Bernoulli(0.5);
@@ -262,10 +246,10 @@ TEST(CodecRoundTripTest, SessionSpecEveryFieldSurvives) {
     EXPECT_EQ(decoded.validation.icrf.crf.max_pairs_per_source,
               spec.validation.icrf.crf.max_pairs_per_source);
     EXPECT_EQ(decoded.validation.icrf.backend, spec.validation.icrf.backend);
-    EXPECT_EQ(decoded.validation.icrf.gibbs.num_threads,
-              spec.validation.icrf.gibbs.num_threads);
-    EXPECT_TRUE(BitEqual(decoded.validation.icrf.tron.sigma3,
-                         spec.validation.icrf.tron.sigma3));
+    EXPECT_EQ(decoded.validation.icrf.gibbs.thin,
+              spec.validation.icrf.gibbs.thin);
+    EXPECT_TRUE(BitEqual(decoded.validation.icrf.em_tolerance,
+                         spec.validation.icrf.em_tolerance));
     EXPECT_EQ(decoded.validation.termination.pir_folds,
               spec.validation.termination.pir_folds);
     EXPECT_EQ(decoded.streaming.seed, spec.streaming.seed);

@@ -1,6 +1,7 @@
 #include "core/icrf.h"
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -245,13 +246,15 @@ TEST(ICrfTest, BackendResolvesToOneKernelAndCountsIt) {
     }
     return values;
   };
-  // One Infer() under `backend` with `threads` E-step threads: returns the
-  // probabilities, and requires that exactly the `want` series gained one.
+  // One Infer() under `backend` on a pool of `threads` workers (0 = no
+  // pool): returns the probabilities, and requires that exactly the `want`
+  // series gained one.
   auto infer = [&](CrfBackend backend, size_t threads, CrfBackend want) {
     ICrfOptions options = FastOptions();
     options.backend = backend;
-    options.gibbs.num_threads = threads;
-    ICrf icrf(&corpus.db, options, 12);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    ICrf icrf(&corpus.db, options, 12, pool.get());
     BeliefState state(corpus.db.num_claims());
     const std::vector<uint64_t> before = counts();
     EXPECT_TRUE(icrf.Infer(&state).ok());
@@ -263,9 +266,13 @@ TEST(ICrfTest, BackendResolvesToOneKernelAndCountsIt) {
     return state.probs();
   };
 
+  // kAuto is the sequential sampler whatever pool the engine borrows; the
+  // chromatic kernel is chosen by name.
   EXPECT_EQ(infer(CrfBackend::kAuto, 0, CrfBackend::kGibbs),
             infer(CrfBackend::kGibbs, 0, CrfBackend::kGibbs));
-  EXPECT_EQ(infer(CrfBackend::kAuto, 2, CrfBackend::kChromatic),
+  EXPECT_EQ(infer(CrfBackend::kAuto, 2, CrfBackend::kGibbs),
+            infer(CrfBackend::kGibbs, 0, CrfBackend::kGibbs));
+  EXPECT_EQ(infer(CrfBackend::kChromatic, 1, CrfBackend::kChromatic),
             infer(CrfBackend::kChromatic, 2, CrfBackend::kChromatic));
   infer(CrfBackend::kDispatch, 2, CrfBackend::kDispatch);
 }

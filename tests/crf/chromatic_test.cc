@@ -291,14 +291,15 @@ TEST(ChromaticGibbsTest, RejectsBadArguments) {
 TEST(ChromaticGibbsTest, IcrfEStepIsThreadCountInvariant) {
   const EmulatedCorpus corpus = testing::MakeTinyCorpus(71, 30);
   ICrfOptions options;
+  options.backend = CrfBackend::kChromatic;
   options.gibbs.burn_in = 6;
   options.gibbs.num_samples = 12;
   options.max_em_iterations = 2;
 
   std::vector<std::vector<double>> probs_by_threads;
   for (const size_t threads : {1u, 2u, 4u}) {
-    options.gibbs.num_threads = threads;
-    ICrf icrf(&corpus.db, options, 11);
+    ThreadPool pool(threads);
+    ICrf icrf(&corpus.db, options, 11, &pool);
     BeliefState state(corpus.db.num_claims());
     ASSERT_TRUE(icrf.Infer(&state).ok()) << threads << " threads";
     probs_by_threads.push_back(state.probs());

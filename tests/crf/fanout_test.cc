@@ -37,7 +37,7 @@ FanoutOptions FanoutFromConfig(const GuidanceConfig& config, int rng_stream) {
   FanoutOptions options;
   options.neighborhood_radius = config.neighborhood_radius;
   options.neighborhood_cap = config.neighborhood_cap;
-  options.base_sweeps = config.fanout_base_sweeps;
+  options.base_sweeps = kFanoutBaseSweeps;
   options.burn_in = config.fanout_burn_in;
   options.num_samples = config.fanout_samples;
   options.seed = config.seed;

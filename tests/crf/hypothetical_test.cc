@@ -329,7 +329,6 @@ TEST(HypotheticalEngineTest, ParallelFanOutBoundsScratchByConcurrency) {
 
   GuidanceConfig config;
   config.variant = GuidanceVariant::kParallelPartition;
-  config.num_threads = 4;
   ThreadPool pool(4);
   const std::vector<ClaimId> candidates = CandidatePool(state, 0);
   for (int round = 0; round < 3; ++round) {

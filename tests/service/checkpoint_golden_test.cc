@@ -1,10 +1,11 @@
-// Committed checkpoint files (DESIGN.md §9): loading each v4 fixture and
+// Committed checkpoint files (DESIGN.md §9): loading each v5 fixture and
 // saving it again must reproduce session.bin byte for byte, as the only
 // file in the directory. A field dropped from both the writer and the
 // reader still passes a save -> load -> save round trip of freshly written
 // bytes; it cannot pass this one, because the committed bytes carry the
-// field. The v2 and v3 fixtures under v2/ and v3/ are kept as inputs: there
-// is no reader for either, so each must be refused by the version check.
+// field. The v2, v3 and v4 fixtures under v2/, v3/ and v4/ are kept as
+// inputs: there is no reader for any of them, so each must be refused by
+// the version check.
 
 #include "service/checkpoint.h"
 
@@ -93,6 +94,13 @@ TEST_F(CheckpointGoldenTest, Version3CheckpointsAreRejected) {
   // v3 byte 3 (`exact`) would read as today's `dispatch`.
   ExpectOldVersionRejected(3, "batch_awaiting_answers");
   ExpectOldVersionRejected(3, "streaming_mid_stream");
+}
+
+TEST_F(CheckpointGoldenTest, Version4CheckpointsAreRejected) {
+  // v4 specs carried thread counts, TRON constants and three guidance and
+  // trace knobs; read as v5, their slots would shift every later field.
+  ExpectOldVersionRejected(4, "batch_awaiting_answers");
+  ExpectOldVersionRejected(4, "streaming_mid_stream");
 }
 
 }  // namespace

@@ -238,18 +238,15 @@ TEST_F(CheckpointTest, PendingExternalPlanSurvivesRoundTrip) {
   ExpectBitwiseEqual(live_view.value().probs, restored_view.value().probs);
 }
 
-// Regression: the v1 layout silently dropped gibbs.num_threads, the two CRF
-// backend selectors and the guidance fan-out kernel + schedule, so restored
-// sessions quietly reverted those knobs to defaults (a different kernel than
-// the one checkpointed under). v2 persists all of them.
+// Regression: the v1 layout silently dropped the CRF backend selector and
+// the guidance fan-out kernel + schedule, so restored sessions quietly
+// reverted those knobs to defaults (a different kernel than the one
+// checkpointed under). Since v2 the record persists all of them.
 TEST_F(CheckpointTest, PreviouslyDroppedOptionFieldsSurviveRestore) {
   auto corpus = MakeTinyCorpus(19);
   SessionSpec spec = BatchSpec(91, 2);
-  spec.validation.icrf.gibbs.num_threads = 4;
-  spec.validation.icrf.hypothetical_gibbs.num_threads = 2;
   spec.validation.icrf.backend = CrfBackend::kDispatch;
   spec.validation.guidance.fanout = FanoutKernel::kPerCandidate;
-  spec.validation.guidance.fanout_base_sweeps = 9;
   spec.validation.guidance.fanout_burn_in = 5;
   spec.validation.guidance.fanout_samples = 17;
   auto session = Session::Create(corpus.db, spec);
@@ -260,11 +257,8 @@ TEST_F(CheckpointTest, PreviouslyDroppedOptionFieldsSurviveRestore) {
   auto restored = LoadSessionCheckpoint(dir_);
   ASSERT_TRUE(restored.ok()) << restored.status();
   const SessionSpec& got = restored.value()->spec();
-  EXPECT_EQ(got.validation.icrf.gibbs.num_threads, 4u);
-  EXPECT_EQ(got.validation.icrf.hypothetical_gibbs.num_threads, 2u);
   EXPECT_EQ(got.validation.icrf.backend, CrfBackend::kDispatch);
   EXPECT_EQ(got.validation.guidance.fanout, FanoutKernel::kPerCandidate);
-  EXPECT_EQ(got.validation.guidance.fanout_base_sweeps, 9u);
   EXPECT_EQ(got.validation.guidance.fanout_burn_in, 5u);
   EXPECT_EQ(got.validation.guidance.fanout_samples, 17u);
 }

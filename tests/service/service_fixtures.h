@@ -10,7 +10,8 @@ namespace veritas {
 namespace testing {
 
 /// Validation options tuned for fast-but-nontrivial service tests: cheap
-/// Gibbs, serial guidance (no per-strategy thread pool), small pool.
+/// Gibbs, serial guidance (steps do not borrow the compute pool), small
+/// candidate pool.
 inline ValidationOptions FastValidationOptions(uint64_t seed = 42) {
   ValidationOptions options;
   options.icrf.gibbs = GibbsOptions{5, 12, 1};

@@ -2,9 +2,17 @@
 
 #include <cstring>
 #include <filesystem>
+#include <string>
+#include <thread>
+#include <utility>
+#include <variant>
 
 #include <gtest/gtest.h>
 
+#include "api/codec.h"
+#include "api/service.h"
+#include "common/thread_pool.h"
+#include "service/request_queue.h"
 #include "service/service_fixtures.h"
 
 namespace veritas {
@@ -13,6 +21,43 @@ namespace {
 using testing::BatchSpec;
 using testing::MakeTinyCorpus;
 using testing::StreamingSpec;
+
+/// Threads of this process right now.
+size_t ThreadCount() {
+  size_t threads = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++threads;
+  }
+  return threads;
+}
+
+std::string Frame(const ApiRequest& request) {
+  auto frame = EncodeRequest(request);
+  EXPECT_TRUE(frame.ok()) << frame.status();
+  return frame.ok() ? frame.value() : std::string();
+}
+
+std::string CreateFrame(const FactDatabase& db, const SessionSpec& spec) {
+  ApiRequest request;
+  request.id = 1;
+  request.params = CreateSessionRequest{db, spec};
+  return Frame(request);
+}
+
+std::string AdvanceFrame(SessionId session) {
+  ApiRequest request;
+  request.id = 2;
+  request.params = AdvanceRequest{session};
+  return Frame(request);
+}
+
+ApiResponse Serve(GuidanceApi* api, const std::string& frame) {
+  auto response = DecodeResponse(api->HandleJson(frame));
+  EXPECT_TRUE(response.ok()) << response.status();
+  return response.ok() ? std::move(response).value() : ApiResponse{};
+}
 
 class SessionManagerTest : public ::testing::Test {
  protected:
@@ -407,6 +452,102 @@ TEST_F(SessionManagerTest, ListSessionsSeesSpilledSessionsWithoutRestoring) {
   EXPECT_EQ(spilled, before.sessions_spilled);
   EXPECT_EQ(manager.stats().spill_restores, before.spill_restores)
       << "ListSessions forced a restore";
+}
+
+// Sessions with every option at its default run kParallelPartition
+// guidance, and each step borrows the one process-wide pool: eight of them
+// add at most that pool's threads, however many sessions there are.
+TEST_F(SessionManagerTest, DefaultSessionsShareOneComputePool) {
+  SessionManager manager;
+  auto corpus = MakeTinyCorpus(23);
+  // A sanitizer runtime starts a helper thread with the process's first
+  // thread; start and join one so only the sessions' threads count below.
+  std::thread([] {}).join();
+  const size_t before = ThreadCount();
+  for (int s = 0; s < 8; ++s) {
+    auto id = manager.Create(corpus.db, SessionSpec{});
+    ASSERT_TRUE(id.ok()) << id.status();
+    auto step = manager.Advance(id.value());
+    ASSERT_TRUE(step.ok()) << step.status();
+    EXPECT_TRUE(step.value().iteration_completed);
+  }
+  EXPECT_LE(ThreadCount(), before + ComputePool().num_threads());
+}
+
+// Thread counts are no longer spec members. A peer that still sends them
+// creates its session, the values are ignored, and neither the create nor
+// a step starts a thread.
+TEST_F(SessionManagerTest, WireThreadCountsStartNoThread) {
+  SessionManager manager;
+  RequestQueue queue(&manager, RequestQueueOptions{});
+  GuidanceApi api(&manager, &queue);
+  auto corpus = MakeTinyCorpus(29);
+  std::string frame = CreateFrame(corpus.db, SessionSpec{});
+  for (const std::string object : {"\"guidance\":{", "\"gibbs\":{"}) {
+    const size_t at = frame.find(object);
+    ASSERT_NE(at, std::string::npos) << object;
+    frame.insert(at + object.size(), "\"num_threads\":64,");
+  }
+  ComputePool();  // the default variant borrows it; start it up front
+  const size_t before = ThreadCount();
+
+  const ApiResponse created = Serve(&api, frame);
+  ASSERT_FALSE(IsError(created));
+  EXPECT_EQ(ThreadCount(), before);
+  const ApiResponse step = Serve(
+      &api, AdvanceFrame(std::get<CreateSessionResponse>(created.result).session));
+  ASSERT_FALSE(IsError(step));
+  EXPECT_TRUE(std::get<StepResponse>(step.result).step.iteration_completed);
+  EXPECT_EQ(ThreadCount(), before);
+}
+
+// Regression: the samplers reserve num_samples configurations up front, so
+// one create frame asking for 10^12 samples used to end the backend with an
+// uncaught std::bad_alloc at its first step. Create now refuses it.
+TEST_F(SessionManagerTest, OversizedGibbsSampleCountIsRejectedAtCreate) {
+  SessionManager manager;
+  RequestQueue queue(&manager, RequestQueueOptions{});
+  GuidanceApi api(&manager, &queue);
+  auto corpus = MakeTinyCorpus(31);
+
+  SessionSpec huge = BatchSpec(5, 2);
+  huge.validation.icrf.gibbs.num_samples = 1000000000000;
+  const ApiResponse rejected = Serve(&api, CreateFrame(corpus.db, huge));
+  ASSERT_TRUE(IsError(rejected));
+  const ErrorResponse& error = std::get<ErrorResponse>(rejected.result);
+  EXPECT_EQ(error.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(error.message.find("validation.icrf.gibbs.num_samples"),
+            std::string::npos)
+      << error.message;
+
+  // Every Gibbs schedule of the spec is capped, and the cap itself is fine.
+  const std::pair<std::string, GibbsOptions* (*)(SessionSpec*)> schedules[] = {
+      {"validation.icrf.hypothetical_gibbs.num_samples",
+       [](SessionSpec* s) { return &s->validation.icrf.hypothetical_gibbs; }},
+      {"streaming.icrf.gibbs.num_samples",
+       [](SessionSpec* s) { return &s->streaming.icrf.gibbs; }},
+      {"streaming.icrf.hypothetical_gibbs.num_samples",
+       [](SessionSpec* s) { return &s->streaming.icrf.hypothetical_gibbs; }},
+  };
+  for (const auto& [path, schedule] : schedules) {
+    SessionSpec spec = BatchSpec(5, 2);
+    schedule(&spec)->num_samples = kMaxGibbsSamples;
+    EXPECT_TRUE(manager.Create(corpus.db, spec).ok()) << path;
+    schedule(&spec)->num_samples = kMaxGibbsSamples + 1;
+    auto over = manager.Create(corpus.db, spec);
+    ASSERT_FALSE(over.ok()) << path;
+    EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(over.status().message().find(path), std::string::npos)
+        << over.status();
+  }
+
+  // The backend is still serving: a normal session runs a step.
+  const ApiResponse created = Serve(&api, CreateFrame(corpus.db, BatchSpec(5, 2)));
+  ASSERT_FALSE(IsError(created));
+  const ApiResponse step = Serve(
+      &api, AdvanceFrame(std::get<CreateSessionResponse>(created.result).session));
+  ASSERT_FALSE(IsError(step));
+  EXPECT_TRUE(std::get<StepResponse>(step.result).step.iteration_completed);
 }
 
 }  // namespace
