@@ -283,7 +283,7 @@ void BM_TronMStep(benchmark::State& state) {
   CrfConfig config;
   for (auto _ : state) {
     CrfModel fresh = model;
-    auto report = FitCrfWeights(corpus.db, targets, belief, config, {}, &fresh);
+    auto report = FitCrfWeights(corpus.db, targets, belief, config, &fresh);
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

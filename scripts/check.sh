@@ -27,12 +27,15 @@
 # HypotheticalEngine scratch-buffer pooling, the CSR adjacency and the
 # exact solve's component extraction (crf_solver_test) — so
 # buffer reuse stays leak- and UB-clean; plus the suites that feed bytes to
-# the decoders and byte parsers (the JSON parser, the wire codec and its
-# golden fixtures, the binary readers and the fact-database record, the
-# session checkpoint and its golden files, the event server's frame
-# reassembly, the metrics endpoint's HTTP head read and the session
-# manager's create path, which refuses oversized sample counts from the
-# wire), so malformed, truncated and pipelined input stays memory-safe.
+# the decoders and byte parsers (the JSON reader, the wire codec and its
+# golden fixtures, the seeded mutation of wire frames through the decoders
+# and the envelope readers, the binary readers and the fact-database
+# record, the session checkpoint and its golden files, the event server's
+# frame reassembly, the metrics endpoint's HTTP head read, the session
+# manager's create path, which refuses oversized step work from the wire,
+# and the router and loopback suites, since the router reads and splices
+# untrusted frames itself), so malformed, truncated and pipelined input
+# stays memory-safe.
 #
 # TSAN=1 builds with ThreadSanitizer and runs the service/, api/, fleet/,
 # obs/, crf/ and core/ suites — the ones exercising the SessionManager's
@@ -328,8 +331,11 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # bytes).
   for suite in "$build_dir"/tests/optim_*_test "$build_dir"/tests/crf_*_test \
                "$build_dir"/tests/core_*_test \
+               "$build_dir"/tests/fleet_*_test \
                "$build_dir"/tests/api_json_test \
                "$build_dir"/tests/api_event_server_test \
+               "$build_dir"/tests/api_loopback_test \
+               "$build_dir"/tests/api_wire_mutation_test \
                "$build_dir"/tests/obs_exposition_test \
                "$build_dir"/tests/api_codec_roundtrip_test \
                "$build_dir"/tests/api_codec_golden_test \

@@ -1,8 +1,12 @@
 #include "api/codec.h"
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <type_traits>
 #include <utility>
+#include <variant>
 
 namespace veritas {
 
@@ -13,20 +17,13 @@ Status Contextualize(const Status& status, const char* key) {
   return Status(status.code(), std::string(key) + ": " + status.message());
 }
 
-Status RequireObject(const JsonValue& value, const char* what) {
-  if (!value.is_object()) {
-    return Status::InvalidArgument(std::string(what) + ": expected an object");
-  }
-  return Status::OK();
-}
-
 // ---- the JSON archive ------------------------------------------------------
 // Both directions are visitors over each struct's VisitFields
 // (common/fields.h): a struct is an object keyed by field name, a vector an
 // array, an enum its spelling, an integer an exact decimal, a double the
-// writer's max_digits10 rendering. FactDatabase, BeliefState and the metrics
-// snapshots keep hand-written overloads, because their JSON shape is not
-// their member list.
+// writer's max_digits10 rendering, a string-keyed map an object.
+// FactDatabase, BeliefState and HistogramSnapshot keep hand-written
+// overloads, because their JSON shape is not their member list.
 
 class JsonOut {
  public:
@@ -39,18 +36,26 @@ class JsonOut {
   }
 
   void Write(bool value) { w_->Bool(value); }
+  void Write(int64_t value) { w_->Int(value); }
   void Write(double value) { w_->Double(value); }
   void Write(const std::string& value) { w_->String(value); }
   void Write(const FactDatabase& db);
   void Write(const BeliefState& state);
   void Write(const HistogramSnapshot& hist);
-  void Write(const MetricsSnapshot& snapshot);
 
   template <typename T>
   void Write(const std::vector<T>& items) {
     w_->BeginArray();
     for (const T& item : items) Write(item);
     w_->EndArray();
+  }
+
+  /// A map is an object keyed by its keys.
+  template <typename T>
+  void Write(const std::map<std::string, T>& entries) {
+    w_->BeginObject();
+    for (const auto& [key, value] : entries) (*this)(key.c_str(), value);
+    w_->EndObject();
   }
 
   template <typename T>
@@ -71,208 +76,192 @@ class JsonOut {
   JsonWriter* w_;
 };
 
-template <typename T>
-Status ReadMember(const JsonValue& object, const char* key, T* out);
-
-/// The reader visitor. A missing member leaves the caller's default
-/// untouched (forward/backward compatibility within one api_version); a
-/// present member of the wrong type is an error, and the key path is
-/// threaded into its message so a malformed document names the field.
+/// The reader visitor, pulling straight from a JsonReader. A missing member
+/// leaves the caller's default untouched (forward/backward compatibility
+/// within one api_version), members may come in any order, unknown ones are
+/// skipped, and a present member of the wrong type is an error whose message
+/// carries the key path, so a malformed document names the field.
 class JsonIn {
  public:
-  explicit JsonIn(const JsonValue& object) : object_(object) {}
+  static Status Read(JsonReader& r, bool* out) { return r.ReadBool(out); }
+  static Status Read(JsonReader& r, int64_t* out) { return r.ReadI64(out); }
+  static Status Read(JsonReader& r, double* out) { return r.ReadDouble(out); }
+  static Status Read(JsonReader& r, std::string* out) {
+    return r.ReadString(out);
+  }
+  static Status Read(JsonReader& r, FactDatabase* db);
+  static Status Read(JsonReader& r, BeliefState* state);
+  static Status Read(JsonReader& r, HistogramSnapshot* hist);
 
   template <typename T>
-  void operator()(const char* key, T& field) {
-    if (status_.ok()) status_ = ReadMember(object_, key, &field);
-  }
-
-  const Status& status() const { return status_; }
-
-  static Status Read(const JsonValue& value, bool* out) {
-    return Assign(value.AsBool(), out);
-  }
-  static Status Read(const JsonValue& value, double* out) {
-    return Assign(value.AsDouble(), out);
-  }
-  static Status Read(const JsonValue& value, std::string* out) {
-    return Assign(value.AsString(), out);
-  }
-  static Status Read(const JsonValue& value, FactDatabase* db);
-  static Status Read(const JsonValue& value, BeliefState* state);
-  static Status Read(const JsonValue& value, HistogramSnapshot* hist);
-  static Status Read(const JsonValue& value, MetricsSnapshot* snapshot);
-
-  template <typename T>
-  static Status Read(const JsonValue& value, std::vector<T>* items) {
-    if (!value.is_array()) return Status::InvalidArgument("expected an array");
+  static Status Read(JsonReader& r, std::vector<T>* items) {
     items->clear();
-    items->reserve(value.items().size());
-    for (const JsonValue& item : value.items()) {
-      T decoded{};
-      VERITAS_RETURN_IF_ERROR(Read(item, &decoded));
-      items->push_back(std::move(decoded));
-    }
-    return Status::OK();
+    return r.ReadArray([&] { return Read(r, &items->emplace_back()); });
   }
 
   template <typename T>
-  static Status Read(const JsonValue& value, T* out) {
+  static Status Read(JsonReader& r, std::map<std::string, T>* entries) {
+    entries->clear();
+    return r.ReadObject([&](std::string_view name) {
+      const std::string key(name);
+      return Contextualize(Read(r, &(*entries)[key]), key.c_str());
+    });
+  }
+
+  template <typename T>
+  static Status Read(JsonReader& r, T* out) {
     if constexpr (std::is_enum_v<T>) {
       // Unknown names are rejected, never coerced to a default.
-      auto name = value.AsString();
-      if (!name.ok()) return name.status();
-      if (!EnumFromName(name.value(), out)) {
-        return Status::InvalidArgument("unknown value \"" + name.value() +
-                                       "\"");
+      std::string name;
+      VERITAS_RETURN_IF_ERROR(r.ReadString(&name));
+      if (!EnumFromName(name, out)) {
+        return Status::InvalidArgument("unknown value \"" + name + "\"");
       }
       return Status::OK();
     } else if constexpr (std::is_integral_v<T>) {
       static_assert(std::is_unsigned_v<T>, "schema integers are unsigned");
-      auto parsed = value.AsU64();
-      if (!parsed.ok()) return parsed.status();
-      if (parsed.value() > std::numeric_limits<T>::max()) {
+      uint64_t value = 0;
+      VERITAS_RETURN_IF_ERROR(r.ReadU64(&value));
+      if (value > std::numeric_limits<T>::max()) {
         return Status::OutOfRange("exceeds " +
                                   std::to_string(8 * sizeof(T)) + " bits");
       }
-      *out = static_cast<T>(parsed.value());
+      *out = static_cast<T>(value);
       return Status::OK();
     } else {
-      if (!value.is_object()) {
-        return Status::InvalidArgument("expected an object");
-      }
-      JsonIn fields(value);
-      VisitFields(fields, *out);
-      return fields.status();
+      return ReadFields(r, [out](auto& field) { VisitFields(field, *out); });
     }
   }
 
- private:
-  template <typename T>
-  static Status Assign(Result<T> parsed, T* out) {
-    if (!parsed.ok()) return parsed.status();
-    *out = std::move(parsed).value();
-    return Status::OK();
+  /// Reads an object whose fields `list(field)` names, VisitFields style,
+  /// by calling `field("name", member)` for each: a member goes to the
+  /// field of its name, and members of other names are skipped.
+  template <typename List>
+  static Status ReadFields(JsonReader& r, List list) {
+    return r.ReadObject([&](std::string_view key) {
+      bool found = false;
+      Status status;
+      auto field = [&](const char* name, auto& member) {
+        if (found || key != name) return;
+        found = true;
+        status = Contextualize(Read(r, &member), name);
+      };
+      list(field);
+      return found ? status : r.Skip();
+    });
   }
-
-  const JsonValue& object_;
-  Status status_;
 };
 
+/// ReadFields over the object `span` (a whole value; empty = absent),
+/// refusing another kind of value with "<what>: expected an object".
+template <typename List>
+Status ReadFields(std::string_view span, const char* what, List list) {
+  if (span.empty()) return Status::OK();
+  if (span.front() != '{') {
+    return Status::InvalidArgument(std::string(what) + ": expected an object");
+  }
+  JsonReader r(span);
+  return JsonIn::ReadFields(r, list);
+}
+
+/// Reads the value `span` (empty = absent, which keeps `*out`), with `key`
+/// in the error path.
 template <typename T>
-Status ReadMember(const JsonValue& object, const char* key, T* out) {
-  const JsonValue* member = object.Find(key);
-  if (member == nullptr) return Status::OK();
-  return Contextualize(JsonIn::Read(*member, out), key);
+Status ReadSpan(std::string_view span, const char* key, T* out) {
+  if (span.empty()) return Status::OK();
+  JsonReader r(span);
+  return Contextualize(JsonIn::Read(r, out), key);
 }
 
 // ---- hand-written shapes ---------------------------------------------------
 
+/// The rows of a database's claims and mentions: a claim's truth is "?"
+/// when unknown, and a mention's source is its document's.
+struct ClaimRow {
+  std::string text;
+  std::string truth = "?";
+};
+
+template <typename V, typename S>
+FieldsOf<S, ClaimRow> VisitFields(V& v, S& row) {
+  v("text", row.text);
+  v("truth", row.truth);
+}
+
+struct MentionRow {
+  DocumentId document = 0;
+  ClaimId claim = 0;
+  std::string stance = "support";
+};
+
+template <typename V, typename S>
+FieldsOf<S, MentionRow> VisitFields(V& v, S& row) {
+  v("document", row.document);
+  v("claim", row.claim);
+  v("stance", row.stance);
+}
+
 void JsonOut::Write(const FactDatabase& db) {
+  const auto rows = [this](const char* key, size_t count, auto row) {
+    w_->Key(key).BeginArray();
+    for (size_t i = 0; i < count; ++i) Write(row(i));
+    w_->EndArray();
+  };
   w_->BeginObject();
-  w_->Key("sources").BeginArray();
-  for (size_t s = 0; s < db.num_sources(); ++s) {
-    const Source& source = db.source(static_cast<SourceId>(s));
-    w_->BeginObject();
-    (*this)("name", source.name);
-    (*this)("features", source.features);
-    w_->EndObject();
-  }
-  w_->EndArray();
-  w_->Key("documents").BeginArray();
-  for (size_t d = 0; d < db.num_documents(); ++d) {
-    const Document& document = db.document(static_cast<DocumentId>(d));
-    w_->BeginObject();
-    (*this)("source", document.source);
-    (*this)("features", document.features);
-    w_->EndObject();
-  }
-  w_->EndArray();
-  w_->Key("claims").BeginArray();
-  for (size_t c = 0; c < db.num_claims(); ++c) {
+  rows("sources", db.num_sources(), [&](size_t s) -> const Source& {
+    return db.source(static_cast<SourceId>(s));
+  });
+  rows("documents", db.num_documents(), [&](size_t d) -> const Document& {
+    return db.document(static_cast<DocumentId>(d));
+  });
+  rows("claims", db.num_claims(), [&](size_t c) {
     const ClaimId id = static_cast<ClaimId>(c);
-    w_->BeginObject();
-    w_->Key("text").String(db.claim(id).text);
-    w_->Key("truth").String(
-        db.has_ground_truth(id) ? (db.ground_truth(id) ? "1" : "0") : "?");
-    w_->EndObject();
-  }
-  w_->EndArray();
-  w_->Key("mentions").BeginArray();
-  for (const Clique& clique : db.cliques()) {
-    w_->BeginObject();
-    (*this)("document", clique.document);
-    (*this)("claim", clique.claim);
-    w_->Key("stance").String(clique.stance == Stance::kSupport ? "support"
-                                                               : "refute");
-    w_->EndObject();
-  }
-  w_->EndArray();
+    return ClaimRow{db.claim(id).text,
+                    db.has_ground_truth(id) ? (db.ground_truth(id) ? "1" : "0")
+                                            : "?"};
+  });
+  rows("mentions", db.num_cliques(), [&](size_t i) {
+    const Clique& clique = db.clique(i);
+    return MentionRow{clique.document, clique.claim,
+                      clique.stance == Stance::kSupport ? "support" : "refute"};
+  });
   w_->EndObject();
 }
 
-/// Decodes each element of the array member `key` (absent = none) as an
-/// object and hands its members to `add`.
-template <typename Add>
-Status ReadRows(const JsonValue& value, const char* key, Add add) {
-  const JsonValue* rows = value.Find(key);
-  if (rows == nullptr) return Status::OK();
-  if (!rows->is_array()) {
-    return Status::InvalidArgument(std::string(key) + ": expected an array");
-  }
-  for (const JsonValue& row : rows->items()) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(row, key));
-    VERITAS_RETURN_IF_ERROR(add(row));
-  }
-  return Status::OK();
-}
-
-Status JsonIn::Read(const JsonValue& value, FactDatabase* db) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "db"));
-  FactDatabase decoded;
-  VERITAS_RETURN_IF_ERROR(ReadRows(value, "sources", [&](const JsonValue& row) {
-    Source source;
-    VERITAS_RETURN_IF_ERROR(ReadMember(row, "name", &source.name));
-    VERITAS_RETURN_IF_ERROR(ReadMember(row, "features", &source.features));
-    decoded.AddSource(std::move(source));
-    return Status::OK();
+Status JsonIn::Read(JsonReader& r, FactDatabase* db) {
+  // The rows are collected first and assembled in one fixed order, so the
+  // arrays may come in any order (a mention names a claim and a document).
+  std::vector<Source> sources;
+  std::vector<Document> documents;
+  std::vector<ClaimRow> claims;
+  std::vector<MentionRow> mentions;
+  VERITAS_RETURN_IF_ERROR(ReadFields(r, [&](auto& field) {
+    field("sources", sources);
+    field("documents", documents);
+    field("claims", claims);
+    field("mentions", mentions);
   }));
-  VERITAS_RETURN_IF_ERROR(
-      ReadRows(value, "documents", [&](const JsonValue& row) {
-        Document document;
-        VERITAS_RETURN_IF_ERROR(ReadMember(row, "source", &document.source));
-        VERITAS_RETURN_IF_ERROR(
-            ReadMember(row, "features", &document.features));
-        decoded.AddDocument(std::move(document));
-        return Status::OK();
-      }));
-  VERITAS_RETURN_IF_ERROR(ReadRows(value, "claims", [&](const JsonValue& row) {
-    Claim claim;
-    VERITAS_RETURN_IF_ERROR(ReadMember(row, "text", &claim.text));
-    const ClaimId id = decoded.AddClaim(std::move(claim));
-    std::string truth = "?";
-    VERITAS_RETURN_IF_ERROR(ReadMember(row, "truth", &truth));
-    if (truth == "0") decoded.SetGroundTruth(id, false);
-    else if (truth == "1") decoded.SetGroundTruth(id, true);
-    else if (truth != "?") {
+  FactDatabase decoded;
+  for (Source& source : sources) decoded.AddSource(std::move(source));
+  for (Document& document : documents) {
+    decoded.AddDocument(std::move(document));
+  }
+  for (ClaimRow& row : claims) {
+    const ClaimId id = decoded.AddClaim({std::move(row.text)});
+    if (row.truth == "0") decoded.SetGroundTruth(id, false);
+    else if (row.truth == "1") decoded.SetGroundTruth(id, true);
+    else if (row.truth != "?") {
       return Status::InvalidArgument("claim truth: expected \"?\"/\"0\"/\"1\"");
     }
-    return Status::OK();
-  }));
-  VERITAS_RETURN_IF_ERROR(ReadRows(value, "mentions", [&](const JsonValue& row) {
-    DocumentId document = 0;
-    ClaimId claim = 0;
-    std::string stance = "support";
-    VERITAS_RETURN_IF_ERROR(ReadMember(row, "document", &document));
-    VERITAS_RETURN_IF_ERROR(ReadMember(row, "claim", &claim));
-    VERITAS_RETURN_IF_ERROR(ReadMember(row, "stance", &stance));
-    if (stance != "support" && stance != "refute") {
+  }
+  for (const MentionRow& row : mentions) {
+    if (row.stance != "support" && row.stance != "refute") {
       return Status::InvalidArgument("mention stance: expected support/refute");
     }
-    return decoded.AddMention(
-        document, claim,
-        stance == "support" ? Stance::kSupport : Stance::kRefute);
-  }));
+    VERITAS_RETURN_IF_ERROR(decoded.AddMention(
+        row.document, row.claim,
+        row.stance == "support" ? Stance::kSupport : Stance::kRefute));
+  }
   *db = std::move(decoded);
   return Status::OK();
 }
@@ -288,29 +277,21 @@ void JsonOut::Write(const BeliefState& state) {
   w_->EndObject();
 }
 
-Status JsonIn::Read(const JsonValue& value, BeliefState* state) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "state"));
+Status JsonIn::Read(JsonReader& r, BeliefState* state) {
   std::vector<double> probs;
-  VERITAS_RETURN_IF_ERROR(ReadMember(value, "probs", &probs));
   std::vector<int64_t> labels;
-  if (const JsonValue* v = value.Find("labels")) {
-    if (!v->is_array()) {
-      return Status::InvalidArgument("labels: expected an array");
-    }
-    for (const JsonValue& item : v->items()) {
-      auto parsed = item.AsI64();
-      if (!parsed.ok()) return Contextualize(parsed.status(), "labels");
-      if (parsed.value() < -1 || parsed.value() > 1) {
-        return Status::OutOfRange("labels: expected -1/0/1");
-      }
-      labels.push_back(parsed.value());
-    }
-  }
+  VERITAS_RETURN_IF_ERROR(ReadFields(r, [&](auto& field) {
+    field("probs", probs);
+    field("labels", labels);
+  }));
   if (labels.size() != probs.size()) {
     return Status::InvalidArgument("state: probs/labels size mismatch");
   }
   BeliefState decoded(probs.size());
   for (size_t i = 0; i < probs.size(); ++i) {
+    if (labels[i] < -1 || labels[i] > 1) {
+      return Status::OutOfRange("labels: expected -1/0/1");
+    }
     const ClaimId id = static_cast<ClaimId>(i);
     if (labels[i] >= 0) decoded.SetLabel(id, labels[i] == 1);
     decoded.set_prob(id, probs[i]);
@@ -336,104 +317,101 @@ void JsonOut::Write(const HistogramSnapshot& hist) {
   w_->EndObject();
 }
 
-Status JsonIn::Read(const JsonValue& value, HistogramSnapshot* hist) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "histogram"));
+Status JsonIn::Read(JsonReader& r, HistogramSnapshot* hist) {
   hist->upper_bounds.clear();
-  VERITAS_RETURN_IF_ERROR(ReadMember(value, "bounds", &hist->upper_bounds));
-  hist->upper_bounds.push_back(std::numeric_limits<double>::infinity());
   hist->counts.clear();
-  VERITAS_RETURN_IF_ERROR(ReadMember(value, "counts", &hist->counts));
+  VERITAS_RETURN_IF_ERROR(ReadFields(r, [hist](auto& field) {
+    field("bounds", hist->upper_bounds);
+    field("counts", hist->counts);
+    field("sum", hist->sum);
+    field("count", hist->count);
+  }));
+  hist->upper_bounds.push_back(std::numeric_limits<double>::infinity());
   if (hist->counts.size() != hist->upper_bounds.size()) {
     return Status::InvalidArgument("histogram: bounds/counts size mismatch");
-  }
-  VERITAS_RETURN_IF_ERROR(ReadMember(value, "sum", &hist->sum));
-  return ReadMember(value, "count", &hist->count);
-}
-
-void JsonOut::Write(const MetricsSnapshot& snapshot) {
-  w_->BeginObject();
-  w_->Key("counters").BeginObject();
-  for (const auto& [name, value] : snapshot.counters) {
-    w_->Key(name).UInt(value);
-  }
-  w_->EndObject();
-  w_->Key("gauges").BeginObject();
-  for (const auto& [name, value] : snapshot.gauges) {
-    w_->Key(name).Int(value);
-  }
-  w_->EndObject();
-  w_->Key("histograms").BeginObject();
-  for (const auto& [name, hist] : snapshot.histograms) {
-    w_->Key(name);
-    Write(hist);
-  }
-  w_->EndObject();
-  w_->EndObject();
-}
-
-Status JsonIn::Read(const JsonValue& value, MetricsSnapshot* snapshot) {
-  VERITAS_RETURN_IF_ERROR(RequireObject(value, "metrics"));
-  snapshot->counters.clear();
-  snapshot->gauges.clear();
-  snapshot->histograms.clear();
-  if (const JsonValue* counters = value.Find("counters")) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*counters, "counters"));
-    for (const auto& [name, member] : counters->members()) {
-      auto parsed = member.AsU64();
-      if (!parsed.ok()) return Contextualize(parsed.status(), name.c_str());
-      snapshot->counters[name] = parsed.value();
-    }
-  }
-  if (const JsonValue* gauges = value.Find("gauges")) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*gauges, "gauges"));
-    for (const auto& [name, member] : gauges->members()) {
-      auto parsed = member.AsI64();
-      if (!parsed.ok()) return Contextualize(parsed.status(), name.c_str());
-      snapshot->gauges[name] = parsed.value();
-    }
-  }
-  if (const JsonValue* histograms = value.Find("histograms")) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*histograms, "histograms"));
-    for (const auto& [name, member] : histograms->members()) {
-      HistogramSnapshot hist;
-      VERITAS_RETURN_IF_ERROR(
-          Contextualize(Read(member, &hist), name.c_str()));
-      snapshot->histograms[name] = std::move(hist);
-    }
   }
   return Status::OK();
 }
 
-/// The "result_type" tag naming the active response alternative.
-const char* ResultTypeName(const ApiResponse& response) {
-  switch (response.result.index()) {
-    case 1: return "create_session";
-    case 2: return "step";
-    case 3: return "ground";
-    case 4: return "checkpoint";
-    case 5: return "restore";
-    case 6: return "stats";
-    case 7: return "terminate";
-    case 8: return "metrics";
-    default: return "error";
+/// The "result_type" tag of each ApiResponse::result alternative, by index
+/// (index 0, the error, is tagged by "ok":false instead).
+constexpr const char* kResultTypes[] = {
+    "error",   "create_session", "step",      "ground",  "checkpoint",
+    "restore", "stats",          "terminate", "metrics",
+};
+static_assert(std::size(kResultTypes) ==
+              std::variant_size_v<decltype(ApiResponse::result)>);
+
+/// Whether a params or result alternative carries a `session`.
+template <typename T, typename = void>
+struct HasSession : std::false_type {};
+template <typename T>
+struct HasSession<T, std::void_t<decltype(T::session)>> : std::true_type {};
+
+/// The variant holding a default-constructed alternative `index`.
+template <typename Variant, size_t I = 0>
+Variant Alternative(size_t index) {
+  if constexpr (I + 1 < std::variant_size_v<Variant>) {
+    if (index != I) return Alternative<Variant, I + 1>(index);
   }
+  return Variant(std::in_place_index<I>);
 }
 
-/// Reads the envelope's required api_version and rejects any but this
-/// build's (`what` names the envelope in the message).
-Status CheckApiVersion(const JsonValue& root, const char* what,
-                       uint32_t* version) {
-  const JsonValue* member = root.Find("api_version");
-  if (member == nullptr) {
+/// Reads the whole document `text` and reports, in `spans`, the value
+/// bytes of the root object's members named in `keys`. Syntax errors come
+/// first, as from any whole-document read; then a root of another kind
+/// fails with "<what>: expected an object".
+template <size_t N>
+Status ScanObject(std::string_view text, const char* what,
+                  const char* const (&keys)[N], std::string_view (&spans)[N]) {
+  JsonReader r(text);
+  const size_t first = text.find_first_not_of(" \t\n\r");
+  const bool object = first != std::string_view::npos && text[first] == '{';
+  VERITAS_RETURN_IF_ERROR(
+      object ? r.ReadObject([&](std::string_view key) {
+        for (size_t i = 0; i < N; ++i) {
+          if (key == keys[i]) return r.Skip(&spans[i]);
+        }
+        return r.Skip();
+      })
+             : r.Skip());
+  VERITAS_RETURN_IF_ERROR(r.ExpectEnd());
+  if (!object) {
+    return Status::InvalidArgument(std::string(what) + ": expected an object");
+  }
+  return Status::OK();
+}
+
+/// Reads `session` in the object `payload` into the envelope.
+Status ReadSession(std::string_view payload, const char* what,
+                   Envelope* envelope) {
+  if (payload.empty()) return Status::OK();
+  std::string_view spans[1];
+  VERITAS_RETURN_IF_ERROR(ScanObject(payload, what, {"session"}, spans));
+  envelope->session_literal = spans[0];
+  return ReadSpan(spans[0], "session", &envelope->session);
+}
+
+/// Reads the members every envelope opens with, in the order whose first
+/// error a client sees: `id` (handed to `id_out` at once, so a server can
+/// address its refusal), `trace_id`, then the required api_version, of
+/// which any but this build's is refused (`what` names the envelope).
+Status ReadHeader(std::string_view version, std::string_view id,
+                  std::string_view trace_id, const char* what,
+                  Envelope* envelope, uint64_t* id_out) {
+  VERITAS_RETURN_IF_ERROR(ReadSpan(id, "id", &envelope->id));
+  if (id_out != nullptr) *id_out = envelope->id;
+  VERITAS_RETURN_IF_ERROR(ReadSpan(trace_id, "trace_id", &envelope->trace_id));
+  if (version.empty()) {
     return Status::InvalidArgument(std::string(what) + ": missing api_version");
   }
-  auto value = member->AsU64();
-  if (!value.ok()) return Contextualize(value.status(), "api_version");
-  *version = static_cast<uint32_t>(value.value());
-  if (*version != kApiVersion) {
+  uint64_t value = 0;
+  VERITAS_RETURN_IF_ERROR(ReadSpan(version, "api_version", &value));
+  envelope->api_version = static_cast<uint32_t>(value);
+  if (envelope->api_version != kApiVersion) {
     return Status::FailedPrecondition(
         std::string(what) + ": unsupported api_version " +
-        std::to_string(*version) + " (this build speaks " +
+        std::to_string(envelope->api_version) + " (this build speaks " +
         std::to_string(kApiVersion) + ")");
   }
   return Status::OK();
@@ -442,21 +420,6 @@ Status CheckApiVersion(const JsonValue& root, const char* what,
 }  // namespace
 
 // ---- wire.h helpers --------------------------------------------------------
-
-const char* ApiMethodName(ApiMethod method) {
-  switch (method) {
-    case ApiMethod::kCreateSession: return "create_session";
-    case ApiMethod::kAdvance: return "advance";
-    case ApiMethod::kAnswer: return "answer";
-    case ApiMethod::kGround: return "ground";
-    case ApiMethod::kCheckpoint: return "checkpoint";
-    case ApiMethod::kRestore: return "restore";
-    case ApiMethod::kStats: return "stats";
-    case ApiMethod::kTerminate: return "terminate";
-    case ApiMethod::kMetrics: return "metrics";
-  }
-  return "stats";
-}
 
 ApiResponse MakeErrorResponse(uint64_t id, const Status& status) {
   ApiResponse response;
@@ -480,18 +443,20 @@ void EncodeJson(const T& value, JsonWriter* writer) {
 }
 
 template <typename T>
-Status DecodeJson(const JsonValue& value, T* out) {
-  return JsonIn::Read(value, out);
+Status DecodeJson(std::string_view text, T* out) {
+  JsonReader r(text);
+  VERITAS_RETURN_IF_ERROR(JsonIn::Read(r, out));
+  return r.ExpectEnd();
 }
 
 template void EncodeJson(const FactDatabase&, JsonWriter*);
 template void EncodeJson(const SessionSpec&, JsonWriter*);
 template void EncodeJson(const StepResult&, JsonWriter*);
 template void EncodeJson(const ValidationOutcome&, JsonWriter*);
-template Status DecodeJson(const JsonValue&, FactDatabase*);
-template Status DecodeJson(const JsonValue&, SessionSpec*);
-template Status DecodeJson(const JsonValue&, StepResult*);
-template Status DecodeJson(const JsonValue&, ValidationOutcome*);
+template Status DecodeJson(std::string_view, FactDatabase*);
+template Status DecodeJson(std::string_view, SessionSpec*);
+template Status DecodeJson(std::string_view, StepResult*);
+template Status DecodeJson(std::string_view, ValidationOutcome*);
 
 // ---- envelopes -------------------------------------------------------------
 
@@ -506,7 +471,7 @@ Result<std::string> EncodeRequest(const ApiRequest& request) {
   if (!request.trace_id.empty()) out("trace_id", request.trace_id);
   // Dispatch key, not a defaultable enum field: DecodeRequest rejects a
   // missing or unknown method by hand.
-  w.Key("method").String(ApiMethodName(request.method()));  // lint: enum-checked
+  w.Key("method").String(EnumName(request.method()));  // lint: enum-checked
   w.Key("params").BeginObject();
   std::visit(
       [&out](const auto& params) {
@@ -534,75 +499,72 @@ Result<std::string> EncodeRequest(const ApiRequest& request) {
   return w.Take();
 }
 
-Result<ApiRequest> DecodeRequest(const std::string& json, uint64_t* id_out) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& root = parsed.value();
-  VERITAS_RETURN_IF_ERROR(RequireObject(root, "request"));
-
-  ApiRequest request;
-  VERITAS_RETURN_IF_ERROR(ReadMember(root, "id", &request.id));
-  if (id_out != nullptr) *id_out = request.id;
-  VERITAS_RETURN_IF_ERROR(ReadMember(root, "trace_id", &request.trace_id));
+Result<Envelope> DecodeRequestEnvelope(std::string_view frame,
+                                       uint64_t* id_out) {
+  std::string_view spans[5];
+  auto& [version, id, trace_id, method, params] = spans;
+  VERITAS_RETURN_IF_ERROR(ScanObject(
+      frame, "request", {"api_version", "id", "trace_id", "method", "params"},
+      spans));
+  Envelope envelope;
   VERITAS_RETURN_IF_ERROR(
-      CheckApiVersion(root, "request", &request.api_version));
-
-  std::string method;
-  VERITAS_RETURN_IF_ERROR(ReadMember(root, "method", &method));
-  if (method.empty()) {
-    return Status::InvalidArgument("request: missing method");
+      ReadHeader(version, id, trace_id, "request", &envelope, id_out));
+  std::string name;
+  VERITAS_RETURN_IF_ERROR(ReadSpan(method, "method", &name));
+  if (name.empty()) return Status::InvalidArgument("request: missing method");
+  // Missing or null params reads as an empty object: every member is
+  // optional.
+  if (params != "null") envelope.payload = params;
+  if (!envelope.payload.empty() && envelope.payload.front() != '{') {
+    return Status::InvalidArgument("params: expected an object");
   }
-
-  // Missing params decodes as an empty object: every member is optional.
-  const JsonValue empty;
-  const JsonValue* params = root.Find("params");
-  if (params == nullptr) params = &empty;
-  if (params->kind() != JsonValue::Kind::kNull) {
-    VERITAS_RETURN_IF_ERROR(RequireObject(*params, "params"));
+  if (!EnumFromName(name, &envelope.method)) {
+    return Status::Unimplemented("request: unknown method \"" + name + "\"");
   }
-
-  if (method == "create_session") {
-    CreateSessionRequest create;
-    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "db", &create.db));
-    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "spec", &create.spec));
-    request.params = std::move(create);
-  } else if (method == "advance") {
-    AdvanceRequest advance;
-    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "session", &advance.session));
-    request.params = advance;
-  } else if (method == "answer") {
-    AnswerRequest answer;
-    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "session", &answer.session));
-    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "answers", &answer.answers));
-    request.params = std::move(answer);
-  } else if (method == "ground") {
-    GroundRequest ground;
-    VERITAS_RETURN_IF_ERROR(ReadMember(*params, "session", &ground.session));
-    request.params = ground;
-  } else if (method == "checkpoint") {
-    CheckpointRequest checkpoint;
-    VERITAS_RETURN_IF_ERROR(
-        ReadMember(*params, "session", &checkpoint.session));
-    VERITAS_RETURN_IF_ERROR(
-        ReadMember(*params, "directory", &checkpoint.directory));
-    request.params = std::move(checkpoint);
-  } else if (method == "restore") {
-    RestoreRequest restore;
-    VERITAS_RETURN_IF_ERROR(
-        ReadMember(*params, "directory", &restore.directory));
-    request.params = std::move(restore);
-  } else if (method == "stats") {
-    request.params = StatsRequest{};
-  } else if (method == "metrics") {
-    request.params = MetricsRequest{};
-  } else if (method == "terminate") {
-    TerminateRequest terminate;
-    VERITAS_RETURN_IF_ERROR(
-        ReadMember(*params, "session", &terminate.session));
-    request.params = terminate;
-  } else {
-    return Status::Unimplemented("request: unknown method \"" + method + "\"");
+  switch (envelope.method) {
+    case ApiMethod::kAdvance:
+    case ApiMethod::kAnswer:
+    case ApiMethod::kGround:
+    case ApiMethod::kCheckpoint:
+    case ApiMethod::kTerminate:
+      VERITAS_RETURN_IF_ERROR(
+          ReadSession(envelope.payload, "params", &envelope));
+      break;
+    default:
+      break;
   }
+  return envelope;
+}
+
+Result<ApiRequest> DecodeRequest(const std::string& json, uint64_t* id_out) {
+  auto decoded = DecodeRequestEnvelope(json, id_out);
+  if (!decoded.ok()) return decoded.status();
+  const Envelope& envelope = decoded.value();
+  ApiRequest request;
+  request.api_version = envelope.api_version;
+  request.id = envelope.id;
+  request.trace_id = envelope.trace_id;
+  request.params = Alternative<decltype(request.params)>(
+      static_cast<size_t>(envelope.method));
+  const Status status = std::visit(
+      [&envelope](auto& params) {
+        using T = std::decay_t<decltype(params)>;
+        // The envelope read the session of the methods that address one.
+        if constexpr (HasSession<T>::value) params.session = envelope.session;
+        return ReadFields(envelope.payload, "params", [&](auto& field) {
+          if constexpr (std::is_same_v<T, CreateSessionRequest>) {
+            field("db", params.db);
+            field("spec", params.spec);
+          } else if constexpr (std::is_same_v<T, AnswerRequest>) {
+            field("answers", params.answers);
+          } else if constexpr (std::is_same_v<T, CheckpointRequest> ||
+                               std::is_same_v<T, RestoreRequest>) {
+            field("directory", params.directory);
+          }
+        });
+      },
+      request.params);
+  if (!status.ok()) return status;
   return request;
 }
 
@@ -625,7 +587,7 @@ Result<std::string> EncodeResponse(const ApiResponse& response) {
     w.EndObject();
   } else {
     // Dispatch key: DecodeResponse rejects unknown result types by hand.
-    w.Key("result_type").String(ResultTypeName(response));  // lint: enum-checked
+    w.Key("result_type").String(kResultTypes[response.result.index()]);  // lint: enum-checked
     w.Key("result");
     std::visit(
         [&w, &out](const auto& result) {
@@ -661,83 +623,90 @@ Result<std::string> EncodeResponse(const ApiResponse& response) {
   return w.Take();
 }
 
-Result<ApiResponse> DecodeResponse(const std::string& json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& root = parsed.value();
-  VERITAS_RETURN_IF_ERROR(RequireObject(root, "response"));
-
-  ApiResponse response;
-  VERITAS_RETURN_IF_ERROR(ReadMember(root, "id", &response.id));
-  VERITAS_RETURN_IF_ERROR(ReadMember(root, "trace_id", &response.trace_id));
+Result<Envelope> DecodeResponseEnvelope(std::string_view frame) {
+  std::string_view spans[7];
+  auto& [version, id, trace_id, ok, result_type, result, error] = spans;
+  VERITAS_RETURN_IF_ERROR(ScanObject(frame, "response",
+                                     {"api_version", "id", "trace_id", "ok",
+                                      "result_type", "result", "error"},
+                                     spans));
+  Envelope envelope;
   VERITAS_RETURN_IF_ERROR(
-      CheckApiVersion(root, "response", &response.api_version));
-
-  bool ok = false;
-  VERITAS_RETURN_IF_ERROR(ReadMember(root, "ok", &ok));
-  if (!ok) {
-    const JsonValue* error = root.Find("error");
-    if (error == nullptr) {
+      ReadHeader(version, id, trace_id, "response", &envelope, nullptr));
+  VERITAS_RETURN_IF_ERROR(ReadSpan(ok, "ok", &envelope.ok));
+  if (!envelope.ok) {
+    if (error.empty()) {
       return Status::InvalidArgument("response: failed without an error body");
     }
-    VERITAS_RETURN_IF_ERROR(RequireObject(*error, "error"));
-    uint64_t code = static_cast<uint64_t>(StatusCode::kInternal);
-    VERITAS_RETURN_IF_ERROR(ReadMember(*error, "code", &code));
-    if (code > static_cast<uint64_t>(StatusCode::kUnavailable)) {
-      return Status::InvalidArgument("error: unknown status code " +
-                                     std::to_string(code));
-    }
-    ErrorResponse decoded;
-    decoded.code = static_cast<StatusCode>(code);
-    VERITAS_RETURN_IF_ERROR(ReadMember(*error, "message", &decoded.message));
-    response.result = std::move(decoded);
-    return response;
+    envelope.payload = error;
+    return envelope;
   }
+  std::string type;
+  VERITAS_RETURN_IF_ERROR(ReadSpan(result_type, "result_type", &type));
+  if (result.empty()) return Status::InvalidArgument("response: missing result");
+  envelope.payload = result;
+  // Index 0 is the error, which no result_type names.
+  envelope.result = static_cast<size_t>(
+      std::find(std::begin(kResultTypes) + 1, std::end(kResultTypes), type) -
+      std::begin(kResultTypes));
+  if (envelope.result == std::size(kResultTypes)) {
+    return Status::Unimplemented("response: unknown result_type \"" + type +
+                                 "\"");
+  }
+  if (type == "create_session" || type == "restore") {
+    VERITAS_RETURN_IF_ERROR(ReadSession(result, "result", &envelope));
+  }
+  return envelope;
+}
 
-  std::string result_type;
-  VERITAS_RETURN_IF_ERROR(ReadMember(root, "result_type", &result_type));
-  const JsonValue* result = root.Find("result");
-  if (result == nullptr) {
-    return Status::InvalidArgument("response: missing result");
-  }
-  if (result_type == "create_session") {
-    CreateSessionResponse create;
-    VERITAS_RETURN_IF_ERROR(RequireObject(*result, "result"));
-    VERITAS_RETURN_IF_ERROR(ReadMember(*result, "session", &create.session));
-    response.result = create;
-  } else if (result_type == "step") {
-    StepResponse step;
-    VERITAS_RETURN_IF_ERROR(ReadMember(root, "result", &step.step));
-    response.result = std::move(step);
-  } else if (result_type == "ground") {
-    GroundResponse ground;
-    VERITAS_RETURN_IF_ERROR(ReadMember(root, "result", &ground.view));
-    response.result = std::move(ground);
-  } else if (result_type == "checkpoint") {
-    response.result = CheckpointResponse{};
-  } else if (result_type == "restore") {
-    RestoreResponse restore;
-    VERITAS_RETURN_IF_ERROR(RequireObject(*result, "result"));
-    VERITAS_RETURN_IF_ERROR(ReadMember(*result, "session", &restore.session));
-    response.result = restore;
-  } else if (result_type == "stats") {
-    StatsResponse stats;
-    VERITAS_RETURN_IF_ERROR(RequireObject(*result, "result"));
-    VERITAS_RETURN_IF_ERROR(ReadMember(*result, "stats", &stats.stats));
-    VERITAS_RETURN_IF_ERROR(ReadMember(*result, "sessions", &stats.sessions));
-    response.result = std::move(stats);
-  } else if (result_type == "terminate") {
-    TerminateResponse terminate;
-    VERITAS_RETURN_IF_ERROR(ReadMember(root, "result", &terminate.outcome));
-    response.result = std::move(terminate);
-  } else if (result_type == "metrics") {
-    MetricsResponse metrics;
-    VERITAS_RETURN_IF_ERROR(ReadMember(root, "result", &metrics.snapshot));
-    response.result = std::move(metrics);
-  } else {
-    return Status::Unimplemented("response: unknown result_type \"" +
-                                 result_type + "\"");
-  }
+Result<ApiResponse> DecodeResponse(const std::string& json) {
+  auto decoded = DecodeResponseEnvelope(json);
+  if (!decoded.ok()) return decoded.status();
+  const Envelope& envelope = decoded.value();
+  ApiResponse response;
+  response.api_version = envelope.api_version;
+  response.id = envelope.id;
+  response.trace_id = envelope.trace_id;
+  response.result =
+      Alternative<decltype(response.result)>(envelope.result);
+  const std::string_view body = envelope.payload;
+  const Status status = std::visit(
+      [&](auto& result) -> Status {
+        using T = std::decay_t<decltype(result)>;
+        if constexpr (std::is_same_v<T, ErrorResponse>) {
+          uint64_t code = static_cast<uint64_t>(StatusCode::kInternal);
+          VERITAS_RETURN_IF_ERROR(ReadFields(body, "error", [&](auto& field) {
+            field("code", code);
+            field("message", result.message);
+          }));
+          if (code > static_cast<uint64_t>(StatusCode::kUnavailable)) {
+            return Status::InvalidArgument("error: unknown status code " +
+                                           std::to_string(code));
+          }
+          result.code = static_cast<StatusCode>(code);
+          return Status::OK();
+        } else if constexpr (HasSession<T>::value) {
+          result.session = envelope.session;  // create_session, restore
+          return Status::OK();
+        } else if constexpr (std::is_same_v<T, StepResponse>) {
+          return ReadSpan(body, "result", &result.step);
+        } else if constexpr (std::is_same_v<T, GroundResponse>) {
+          return ReadSpan(body, "result", &result.view);
+        } else if constexpr (std::is_same_v<T, CheckpointResponse>) {
+          return Status::OK();
+        } else if constexpr (std::is_same_v<T, StatsResponse>) {
+          return ReadFields(body, "result", [&](auto& field) {
+            field("stats", result.stats);
+            field("sessions", result.sessions);
+          });
+        } else if constexpr (std::is_same_v<T, TerminateResponse>) {
+          return ReadSpan(body, "result", &result.outcome);
+        } else {
+          return ReadSpan(body, "result", &result.snapshot);
+        }
+      },
+      response.result);
+  if (!status.ok()) return status;
   return response;
 }
 

@@ -1,10 +1,10 @@
 #include "api/json.h"
 
-#include <cerrno>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <type_traits>
 
 namespace veritas {
 
@@ -14,8 +14,10 @@ constexpr size_t kMaxParseDepth = 64;
 
 const char* kHex = "0123456789abcdef";
 
-}  // namespace
-
+/// Escapes a string for a JSON string literal: quote, backslash and control
+/// characters become their escape sequences (\" \\ \n \t \r \b \f, \u00XX
+/// for the rest). Bytes >= 0x20 pass through untouched, so UTF-8 payloads
+/// survive verbatim.
 std::string EscapeJson(const std::string& raw) {
   std::string out;
   out.reserve(raw.size() + 2);
@@ -41,6 +43,8 @@ std::string EscapeJson(const std::string& raw) {
   }
   return out;
 }
+
+}  // namespace
 
 // ---- writer ----------------------------------------------------------------
 
@@ -161,10 +165,12 @@ JsonWriter& JsonWriter::Double(double value) {
   }
   BeforeValue();
   if (status_.ok()) {
-    // max_digits10 precision: strtod() recovers the exact bit pattern.
+    // max_digits10 precision (the bytes of %.17g): from_chars recovers the
+    // exact bit pattern.
     char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    out_ += buffer;
+    const auto written = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                       std::chars_format::general, 17);
+    out_.append(buffer, written.ptr);
   }
   return *this;
 }
@@ -186,80 +192,7 @@ Result<std::string> JsonWriter::Take() {
   return std::move(out_);
 }
 
-// ---- tree ------------------------------------------------------------------
-
-const JsonValue* JsonValue::Find(const std::string& key) const {
-  if (kind_ != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : members_) {
-    if (name == key) return &value;
-  }
-  return nullptr;
-}
-
-Result<bool> JsonValue::AsBool() const {
-  if (kind_ != Kind::kBool) {
-    return Status::InvalidArgument("json: expected a boolean");
-  }
-  return bool_;
-}
-
-Result<std::string> JsonValue::AsString() const {
-  if (kind_ != Kind::kString) {
-    return Status::InvalidArgument("json: expected a string");
-  }
-  return scalar_;
-}
-
-Result<uint64_t> JsonValue::AsU64() const {
-  if (kind_ != Kind::kNumber) {
-    return Status::InvalidArgument("json: expected a number");
-  }
-  if (scalar_.find_first_of(".eE-") != std::string::npos) {
-    return Status::InvalidArgument("json: expected an unsigned integer, got " +
-                                   scalar_);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(scalar_.c_str(), &end, 10);
-  if (errno == ERANGE || end != scalar_.c_str() + scalar_.size()) {
-    return Status::OutOfRange("json: integer out of uint64 range: " + scalar_);
-  }
-  return static_cast<uint64_t>(value);
-}
-
-Result<int64_t> JsonValue::AsI64() const {
-  if (kind_ != Kind::kNumber) {
-    return Status::InvalidArgument("json: expected a number");
-  }
-  if (scalar_.find_first_of(".eE") != std::string::npos) {
-    return Status::InvalidArgument("json: expected an integer, got " + scalar_);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(scalar_.c_str(), &end, 10);
-  if (errno == ERANGE || end != scalar_.c_str() + scalar_.size()) {
-    return Status::OutOfRange("json: integer out of int64 range: " + scalar_);
-  }
-  return static_cast<int64_t>(value);
-}
-
-Result<double> JsonValue::AsDouble() const {
-  if (kind_ != Kind::kNumber) {
-    return Status::InvalidArgument("json: expected a number");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(scalar_.c_str(), &end);
-  if (end != scalar_.c_str() + scalar_.size()) {
-    return Status::InvalidArgument("json: malformed number: " + scalar_);
-  }
-  if (errno == ERANGE && !std::isfinite(value)) {
-    return Status::OutOfRange("json: number overflows double: " + scalar_);
-  }
-  return value;
-}
-
-// ---- parser ----------------------------------------------------------------
+// ---- reader ----------------------------------------------------------------
 
 namespace {
 
@@ -282,250 +215,329 @@ void AppendUtf8(uint32_t cp, std::string* out) {
   }
 }
 
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool IsWhitespace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+/// `literal` (a valid JSON number) as an integer of type T, refusing a
+/// fraction or an exponent (and a sign, for unsigned T) and an overflow.
+template <typename T>
+Status ToInteger(std::string_view literal, T* out) {
+  constexpr bool kUnsigned = std::is_unsigned_v<T>;
+  if (literal.find_first_of(kUnsigned ? ".eE-" : ".eE") !=
+      std::string_view::npos) {
+    return Status::InvalidArgument(
+        std::string("json: expected an ") + (kUnsigned ? "unsigned " : "") +
+        "integer, got " + std::string(literal));
+  }
+  const char* end = literal.data() + literal.size();
+  if (std::from_chars(literal.data(), end, *out).ec != std::errc()) {
+    return Status::OutOfRange(std::string("json: integer out of ") +
+                              (kUnsigned ? "uint64" : "int64") +
+                              " range: " + std::string(literal));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+Status JsonReader::Error(const std::string& message) const {
+  return Status::InvalidArgument("json: " + message + " at offset " +
+                                 std::to_string(pos_));
+}
 
-  Result<JsonValue> Parse() {
-    JsonValue root;
-    VERITAS_RETURN_IF_ERROR(ParseValue(&root, 0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after the document");
+void JsonReader::SkipWhitespace() {
+  while (pos_ < text_.size() && IsWhitespace(text_[pos_])) ++pos_;
+}
+
+bool JsonReader::Consume(char expected) {
+  if (pos_ < text_.size() && text_[pos_] == expected) {
+    ++pos_;
+    return true;
+  }
+  return false;
+}
+
+Status JsonReader::ExpectEnd() {
+  SkipWhitespace();
+  if (pos_ != text_.size()) {
+    return Error("trailing characters after the document");
+  }
+  return Status::OK();
+}
+
+Status JsonReader::StartValue() {
+  if (path_.size() > kMaxParseDepth) return Error("nesting too deep");
+  SkipWhitespace();
+  if (pos_ >= text_.size()) return Error("unexpected end of input");
+  return Status::OK();
+}
+
+Status JsonReader::ReadNumber(std::string_view* literal) {
+  VERITAS_RETURN_IF_ERROR(StartValue());
+  // Every other kind of value starts with a byte of its own.
+  constexpr std::string_view kOtherKinds = "{[\"tfn";
+  if (kOtherKinds.find(text_[pos_]) != std::string_view::npos) {
+    return Status::InvalidArgument("json: expected a number");
+  }
+  return ScanNumber(literal);
+}
+
+Status JsonReader::Open(char open, const char* mismatch) {
+  VERITAS_RETURN_IF_ERROR(StartValue());
+  if (text_[pos_] != open) return Status::InvalidArgument(mismatch);
+  ++pos_;
+  path_.emplace_back();
+  return Status::OK();
+}
+
+Status JsonReader::Next(char close, bool first, bool* more) {
+  SkipWhitespace();
+  *more = !Consume(close);
+  if (first || !*more || Consume(',')) return Status::OK();
+  return Error(std::string("expected ',' or '") + close + "' in " +
+               (close == '}' ? "object" : "array"));
+}
+
+Status JsonReader::ReadKey(std::string_view* key) {
+  SkipWhitespace();
+  if (pos_ >= text_.size() || text_[pos_] != '"') {
+    return Error("expected a member key");
+  }
+  const size_t quote = pos_;
+  VERITAS_RETURN_IF_ERROR(ScanString(nullptr));
+  *key = text_.substr(quote + 1, pos_ - quote - 2);
+  if (key->find('\\') != std::string_view::npos) {
+    // Escaped: decode it once more, into storage that outlives the object.
+    const size_t end = pos_;
+    pos_ = quote;
+    VERITAS_RETURN_IF_ERROR(ScanString(&unescaped_keys_.emplace_back()));
+    pos_ = end;
+    *key = unescaped_keys_.back();
+  }
+  keys_.push_back(*key);
+  path_.back() = *key;
+  SkipWhitespace();
+  if (!Consume(':')) return Error("expected ':' after key");
+  return Status::OK();
+}
+
+Status JsonReader::CloseObject(size_t first_key) {
+  // Sorting makes a repeat adjacent: O(n log n) however hostile the object.
+  const auto begin = keys_.begin() + static_cast<std::ptrdiff_t>(first_key);
+  std::sort(begin, keys_.end());
+  const auto repeat = std::adjacent_find(begin, keys_.end());
+  if (repeat != keys_.end()) {
+    std::string where;
+    for (size_t i = 0; i + 1 < path_.size(); ++i) {
+      if (!path_[i].empty()) where.append(path_[i]).append(": ");
     }
-    return root;
+    return Status::InvalidArgument(where + "json: duplicate member \"" +
+                                   std::string(*repeat) + "\" in the object "
+                                   "ending at offset " + std::to_string(pos_));
   }
+  keys_.erase(begin, keys_.end());
+  path_.pop_back();
+  return Status::OK();
+}
 
- private:
-  Status Error(const std::string& message) const {
-    return Status::InvalidArgument("json: " + message + " at offset " +
-                                   std::to_string(pos_));
+Status JsonReader::Skip(std::string_view* span) {
+  VERITAS_RETURN_IF_ERROR(StartValue());
+  const size_t start = pos_;
+  std::string_view scalar;
+  switch (text_[pos_]) {
+    case '{':
+      VERITAS_RETURN_IF_ERROR(
+          ReadObject([this](std::string_view) { return Skip(); }));
+      break;
+    case '[':
+      VERITAS_RETURN_IF_ERROR(ReadArray([this] { return Skip(); }));
+      break;
+    case '"':
+      VERITAS_RETURN_IF_ERROR(ScanString(nullptr));
+      break;
+    case 't':
+    case 'f':
+    case 'n':
+      VERITAS_RETURN_IF_ERROR(ScanLiteral(&scalar));
+      break;
+    default:
+      VERITAS_RETURN_IF_ERROR(ScanNumber(&scalar));
   }
+  if (span != nullptr) *span = text_.substr(start, pos_ - start);
+  return Status::OK();
+}
 
-  void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+Status JsonReader::ReadBool(bool* out) {
+  VERITAS_RETURN_IF_ERROR(StartValue());
+  if (text_[pos_] != 't' && text_[pos_] != 'f') {
+    return Status::InvalidArgument("json: expected a boolean");
+  }
+  std::string_view literal;
+  VERITAS_RETURN_IF_ERROR(ScanLiteral(&literal));
+  *out = literal == "true";
+  return Status::OK();
+}
+
+Status JsonReader::ReadString(std::string* out) {
+  VERITAS_RETURN_IF_ERROR(StartValue());
+  if (text_[pos_] != '"') {
+    return Status::InvalidArgument("json: expected a string");
+  }
+  return ScanString(out);
+}
+
+Status JsonReader::ReadU64(uint64_t* out) {
+  std::string_view literal;
+  VERITAS_RETURN_IF_ERROR(ReadNumber(&literal));
+  return ToInteger(literal, out);
+}
+
+Status JsonReader::ReadI64(int64_t* out) {
+  std::string_view literal;
+  VERITAS_RETURN_IF_ERROR(ReadNumber(&literal));
+  return ToInteger(literal, out);
+}
+
+Status JsonReader::ReadDouble(double* out) {
+  std::string_view literal;
+  VERITAS_RETURN_IF_ERROR(ReadNumber(&literal));
+  double value = 0.0;
+  const char* end = literal.data() + literal.size();
+  if (std::from_chars(literal.data(), end, value).ec != std::errc()) {
+    // Out of range, and from_chars reports an overflow and an underflow
+    // alike: refuse the overflow, and give the underflow strtod's value, a
+    // zero of the literal's sign.
+    value = std::strtod(std::string(literal).c_str(), nullptr);
+    if (!std::isfinite(value)) {
+      return Status::OutOfRange("json: number overflows double: " +
+                                std::string(literal));
+    }
+  }
+  *out = value;
+  return Status::OK();
+}
+
+Status JsonReader::ScanLiteral(std::string_view* literal) {
+  for (const std::string_view candidate : {"true", "false", "null"}) {
+    if (text_.compare(pos_, candidate.size(), candidate) == 0) {
+      pos_ += candidate.size();
+      *literal = candidate;
+      return Status::OK();
+    }
+  }
+  return Error("unrecognized literal");
+}
+
+Status JsonReader::ScanNumber(std::string_view* literal) {
+  const size_t start = pos_;
+  Consume('-');
+  if (pos_ >= text_.size() || !IsDigit(text_[pos_])) {
+    return Error("malformed number");
+  }
+  if (text_[pos_] == '0') {
+    // Strict JSON: no leading zeros ("0" itself is fine, "01" is not).
+    ++pos_;
+    if (pos_ < text_.size() && IsDigit(text_[pos_])) {
+      return Error("leading zero in number");
+    }
+  } else {
+    while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
+  }
+  if (Consume('.')) {
+    if (pos_ >= text_.size() || !IsDigit(text_[pos_])) {
+      return Error("malformed number fraction");
+    }
+    while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
+  }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-  }
-
-  bool Consume(char expected) {
-    if (pos_ < text_.size() && text_[pos_] == expected) {
-      ++pos_;
-      return true;
+    if (pos_ >= text_.size() || !IsDigit(text_[pos_])) {
+      return Error("malformed number exponent");
     }
-    return false;
+    while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
   }
+  *literal = text_.substr(start, pos_ - start);
+  return Status::OK();
+}
 
-  Status ParseValue(JsonValue* out, size_t depth) {
-    if (depth > kMaxParseDepth) return Error("nesting too deep");
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
+Status JsonReader::ScanHex4(uint32_t* out) {
+  if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
+  uint32_t value = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    const char c = text_[pos_ + i];
+    value <<= 4;
+    if (c >= '0' && c <= '9') value |= static_cast<uint32_t>(c - '0');
+    else if (c >= 'a' && c <= 'f') value |= static_cast<uint32_t>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') value |= static_cast<uint32_t>(c - 'A' + 10);
+    else return Error("bad \\u escape digit");
+  }
+  pos_ += 4;
+  *out = value;
+  return Status::OK();
+}
+
+Status JsonReader::ScanString(std::string* out) {
+  ++pos_;  // opening quote
+  if (out != nullptr) out->clear();
+  for (;;) {
+    // The run of bytes that need no decoding, copied in one append.
+    size_t run = pos_;
+    while (run < text_.size() && text_[run] != '"' && text_[run] != '\\' &&
+           static_cast<unsigned char>(text_[run]) >= 0x20) {
+      ++run;
+    }
+    if (out != nullptr) out->append(text_.data() + pos_, run - pos_);
+    pos_ = run;
+    if (pos_ >= text_.size()) return Error("unterminated string");
     const char c = text_[pos_];
-    switch (c) {
-      case '{': return ParseObject(out, depth);
-      case '[': return ParseArray(out, depth);
-      case '"': {
-        out->kind_ = JsonValue::Kind::kString;
-        return ParseString(&out->scalar_);
-      }
-      case 't':
-      case 'f': return ParseLiteral(out);
-      case 'n': return ParseLiteral(out);
-      default: return ParseNumber(out);
-    }
-  }
-
-  Status ParseObject(JsonValue* out, size_t depth) {
-    ++pos_;  // '{'
-    out->kind_ = JsonValue::Kind::kObject;
-    SkipWhitespace();
-    if (Consume('}')) return Status::OK();
-    for (;;) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected a member key");
-      }
-      std::string key;
-      VERITAS_RETURN_IF_ERROR(ParseString(&key));
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':' after key");
-      JsonValue value;
-      VERITAS_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->members_.emplace_back(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume('}')) return Status::OK();
-      return Error("expected ',' or '}' in object");
-    }
-  }
-
-  Status ParseArray(JsonValue* out, size_t depth) {
-    ++pos_;  // '['
-    out->kind_ = JsonValue::Kind::kArray;
-    SkipWhitespace();
-    if (Consume(']')) return Status::OK();
-    for (;;) {
-      JsonValue value;
-      VERITAS_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->items_.push_back(std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume(']')) return Status::OK();
-      return Error("expected ',' or ']' in array");
-    }
-  }
-
-  Status ParseLiteral(JsonValue* out) {
-    auto matches = [&](const char* literal) {
-      const size_t n = std::strlen(literal);
-      if (text_.compare(pos_, n, literal) != 0) return false;
-      pos_ += n;
-      return true;
-    };
-    if (matches("true")) {
-      out->kind_ = JsonValue::Kind::kBool;
-      out->bool_ = true;
-      return Status::OK();
-    }
-    if (matches("false")) {
-      out->kind_ = JsonValue::Kind::kBool;
-      out->bool_ = false;
-      return Status::OK();
-    }
-    if (matches("null")) {
-      out->kind_ = JsonValue::Kind::kNull;
-      return Status::OK();
-    }
-    return Error("unrecognized literal");
-  }
-
-  Status ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    if (pos_ >= text_.size() ||
-        !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-      return Error("malformed number");
-    }
-    if (text_[pos_] == '0') {
-      // Strict JSON: no leading zeros ("0" itself is fine, "01" is not).
+    if (c == '"') {
       ++pos_;
-      if (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        return Error("leading zero in number");
-      }
-    } else {
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
+      return Status::OK();
     }
-    if (Consume('.')) {
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-        return Error("malformed number fraction");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-        return Error("malformed number exponent");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    out->kind_ = JsonValue::Kind::kNumber;
-    out->scalar_ = text_.substr(start, pos_ - start);
-    return Status::OK();
-  }
-
-  Status ParseHex4(uint32_t* out) {
-    if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_ + static_cast<size_t>(i)];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') value |= static_cast<uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') value |= static_cast<uint32_t>(c - 'A' + 10);
-      else return Error("bad \\u escape digit");
-    }
-    pos_ += 4;
-    *out = value;
-    return Status::OK();
-  }
-
-  Status ParseString(std::string* out) {
-    ++pos_;  // opening quote
-    out->clear();
-    for (;;) {
-      if (pos_ >= text_.size()) return Error("unterminated string");
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("raw control character in string");
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        ++pos_;
+    if (c != '\\') return Error("raw control character in string");
+    ++pos_;
+    if (pos_ >= text_.size()) return Error("truncated escape");
+    const char e = text_[pos_++];
+    char decoded = 0;
+    switch (e) {
+      case '"': decoded = '"'; break;
+      case '\\': decoded = '\\'; break;
+      case '/': decoded = '/'; break;
+      case 'n': decoded = '\n'; break;
+      case 't': decoded = '\t'; break;
+      case 'r': decoded = '\r'; break;
+      case 'b': decoded = '\b'; break;
+      case 'f': decoded = '\f'; break;
+      case 'u': {
+        uint32_t cp = 0;
+        VERITAS_RETURN_IF_ERROR(ScanHex4(&cp));
+        if (cp >= 0xd800 && cp <= 0xdbff) {
+          // High surrogate: a low surrogate must follow.
+          if (!(Consume('\\') && Consume('u'))) {
+            return Error("unpaired high surrogate");
+          }
+          uint32_t low = 0;
+          VERITAS_RETURN_IF_ERROR(ScanHex4(&low));
+          if (low < 0xdc00 || low > 0xdfff) {
+            return Error("invalid low surrogate");
+          }
+          cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+        } else if (cp >= 0xdc00 && cp <= 0xdfff) {
+          return Error("unpaired low surrogate");
+        }
+        if (out != nullptr) AppendUtf8(cp, out);
         continue;
       }
-      ++pos_;
-      if (pos_ >= text_.size()) return Error("truncated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'u': {
-          uint32_t cp = 0;
-          VERITAS_RETURN_IF_ERROR(ParseHex4(&cp));
-          if (cp >= 0xd800 && cp <= 0xdbff) {
-            // High surrogate: a low surrogate must follow.
-            if (!(Consume('\\') && Consume('u'))) {
-              return Error("unpaired high surrogate");
-            }
-            uint32_t low = 0;
-            VERITAS_RETURN_IF_ERROR(ParseHex4(&low));
-            if (low < 0xdc00 || low > 0xdfff) {
-              return Error("invalid low surrogate");
-            }
-            cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
-          } else if (cp >= 0xdc00 && cp <= 0xdfff) {
-            return Error("unpaired low surrogate");
-          }
-          AppendUtf8(cp, out);
-          break;
-        }
-        default: return Error("unrecognized escape");
-      }
+      default: return Error("unrecognized escape");
     }
+    if (out != nullptr) out->push_back(decoded);
   }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-Result<JsonValue> ParseJson(const std::string& text) {
-  return JsonParser(text).Parse();
 }
 
 }  // namespace veritas

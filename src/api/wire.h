@@ -17,6 +17,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "service/session_manager.h"
@@ -29,7 +30,8 @@ namespace veritas {
 /// a mismatch means a breaking change.
 inline constexpr uint32_t kApiVersion = 1;
 
-/// The RPC surface. One enumerator per request message below.
+/// The RPC surface. One enumerator per request message below; its wire
+/// name ("create_session", "advance", ...) is its spelling.
 enum class ApiMethod : uint8_t {
   kCreateSession = 0,
   kAdvance = 1,
@@ -42,8 +44,10 @@ enum class ApiMethod : uint8_t {
   kMetrics = 8,
 };
 
-/// Stable wire name of a method ("create_session", "advance", ...).
-const char* ApiMethodName(ApiMethod method);
+constexpr Spellings<9> EnumSpellings(ApiMethod) {
+  return {"create_session", "advance", "answer",    "ground",  "checkpoint",
+          "restore",        "stats",   "terminate", "metrics"};
+}
 
 // ---- requests --------------------------------------------------------------
 

@@ -172,8 +172,8 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
     // M-step: refit the log-linear weights on soft-labelled cliques (Eq. 8).
     if (options_.fit_weights) {
       const auto mstep_started = std::chrono::steady_clock::now();  // lint: timing
-      auto report = FitCrfWeights(*db_, new_probs, *state, options_.crf,
-                                  TronOptions{}, &model_);
+      auto report =
+          FitCrfWeights(*db_, new_probs, *state, options_.crf, &model_);
       MStepSeconds()->Record(
           std::chrono::duration<double>(  // lint: timing
               std::chrono::steady_clock::now() - mstep_started)

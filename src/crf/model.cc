@@ -167,9 +167,7 @@ ClaimMrf BuildClaimMrf(const FactDatabase& db, const CrfModel& model,
 Result<TronReport> FitCrfWeights(const FactDatabase& db,
                                  const std::vector<double>& targets,
                                  const BeliefState& state,
-                                 const CrfConfig& config,
-                                 const TronOptions& tron_options,
-                                 CrfModel* model) {
+                                 const CrfConfig& config, CrfModel* model) {
   if (model == nullptr) {
     return Status::InvalidArgument("FitCrfWeights: null model");
   }
@@ -214,7 +212,7 @@ Result<TronReport> FitCrfWeights(const FactDatabase& db,
     model->BuildCliqueFeatures(db, i, &x);
     objective.AddExample(x, y, weight);
   }
-  return MinimizeTron(objective, model->mutable_weights(), tron_options);
+  return MinimizeTron(objective, model->mutable_weights(), TronOptions{});
 }
 
 }  // namespace veritas

@@ -110,12 +110,12 @@ ClaimMrf BuildClaimMrf(const FactDatabase& db, const CrfModel& model,
 /// refuting cliques see the flipped target (opposing variables). Cliques of
 /// labelled claims are up-weighted; unlabelled ones are weighted by their
 /// confidence |2P - 1| (the paper's credibility weighting of cliques),
-/// floored so the model never stops learning entirely.
+/// floored so the model never stops learning entirely. TRON runs at its
+/// default options.
 Result<TronReport> FitCrfWeights(const FactDatabase& db,
                                  const std::vector<double>& targets,
                                  const BeliefState& state,
-                                 const CrfConfig& config,
-                                 const TronOptions& tron_options, CrfModel* model);
+                                 const CrfConfig& config, CrfModel* model);
 
 }  // namespace veritas
 

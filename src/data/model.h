@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/status.h"
 
 namespace veritas {
@@ -24,12 +25,24 @@ struct Source {
   std::vector<double> features;
 };
 
+template <typename V, typename S>
+FieldsOf<S, Source> VisitFields(V& v, S& source) {
+  v("name", source.name);
+  v("features", source.features);
+}
+
 /// A document provided by a source. Carries the document-feature vector f^D
 /// of §3.1 (language-quality indicators).
 struct Document {
   SourceId source = 0;
   std::vector<double> features;
 };
+
+template <typename V, typename S>
+FieldsOf<S, Document> VisitFields(V& v, S& document) {
+  v("source", document.source);
+  v("features", document.features);
+}
 
 /// A candidate fact. The representation of the claim text is orthogonal to
 /// the model (§2.1); only its identity and relations matter here.

@@ -63,49 +63,32 @@ Status ParseAddress(const std::string& address, std::string* host,
   return Status::OK();
 }
 
-/// The session id a session-scoped request addresses; create/restore/stats
-/// never reach this.
-SessionId SessionOf(const ApiRequest& request) {
-  switch (request.method()) {
-    case ApiMethod::kAdvance:
-      return std::get<AdvanceRequest>(request.params).session;
-    case ApiMethod::kAnswer:
-      return std::get<AnswerRequest>(request.params).session;
-    case ApiMethod::kGround:
-      return std::get<GroundRequest>(request.params).session;
-    case ApiMethod::kCheckpoint:
-      return std::get<CheckpointRequest>(request.params).session;
-    case ApiMethod::kTerminate:
-      return std::get<TerminateRequest>(request.params).session;
-    default:
-      return 0;
-  }
+/// `frame` with the bytes of `literal` (a view into it) replaced by the
+/// decimal `session`.
+std::string SpliceSession(std::string_view frame, std::string_view literal,
+                          SessionId session) {
+  const size_t at = static_cast<size_t>(literal.data() - frame.data());
+  const std::string digits = std::to_string(session);
+  std::string out;
+  out.reserve(frame.size() - literal.size() + digits.size());
+  out.append(frame, 0, at).append(digits).append(frame, at + literal.size());
+  return out;
 }
 
-void SetSession(ApiRequest* request, SessionId session) {
-  switch (request->method()) {
-    case ApiMethod::kAdvance:
-      std::get<AdvanceRequest>(request->params).session = session;
-      break;
-    case ApiMethod::kAnswer:
-      std::get<AnswerRequest>(request->params).session = session;
-      break;
-    case ApiMethod::kGround:
-      std::get<GroundRequest>(request->params).session = session;
-      break;
-    case ApiMethod::kCheckpoint:
-      std::get<CheckpointRequest>(request->params).session = session;
-      break;
-    case ApiMethod::kTerminate:
-      std::get<TerminateRequest>(request->params).session = session;
-      break;
-    default:
-      break;
-  }
+/// A response the router makes itself, echoing the request's id and trace
+/// id; one that cannot serialize degrades to an error envelope.
+std::string EncodeReply(const Envelope& request, ApiResponse response) {
+  response.id = request.id;
+  response.trace_id = request.trace_id;
+  auto encoded = EncodeResponse(response);
+  if (encoded.ok()) return std::move(encoded).value();
+  auto fallback =
+      EncodeResponse(MakeErrorResponse(request.id, encoded.status()));
+  return fallback.ok() ? std::move(fallback).value() : std::string("{}");
 }
 
-bool IsStepMethod(ApiMethod method) {
-  return method == ApiMethod::kAdvance || method == ApiMethod::kAnswer;
+std::string EncodeError(const Envelope& request, const Status& status) {
+  return EncodeReply(request, MakeErrorResponse(request.id, status));
 }
 
 }  // namespace
@@ -151,50 +134,47 @@ Status SessionRouter::Init() {
 
 std::string SessionRouter::HandleFrame(const std::string& request_frame) {
   uint64_t request_id = 0;
-  auto decoded = DecodeRequest(request_frame, &request_id);
-  const ApiResponse response =
-      decoded.ok() ? Dispatch(decoded.value())
-                   : MakeErrorResponse(request_id, decoded.status());
-  auto encoded = EncodeResponse(response);
-  if (encoded.ok()) return encoded.value();
-  auto fallback =
-      EncodeResponse(MakeErrorResponse(request_id, encoded.status()));
-  return fallback.ok() ? fallback.value() : std::string("{}");
-}
-
-ApiResponse SessionRouter::Dispatch(const ApiRequest& request) {
+  auto decoded = DecodeRequestEnvelope(request_frame, &request_id);
+  if (!decoded.ok()) {
+    // A refused envelope gets a single server's bytes: the id when one was
+    // read, and no trace id.
+    Envelope refused;
+    refused.id = request_id;
+    return EncodeError(refused, decoded.status());
+  }
+  const Envelope& request = decoded.value();
   const auto started = std::chrono::steady_clock::now();
-  ApiResponse response;
-  switch (request.method()) {
+  std::string reply;
+  switch (request.method) {
     case ApiMethod::kCreateSession:
-      response = HandleCreate(request);
-      break;
     case ApiMethod::kRestore:
-      response = HandleRestore(request);
+      // A client-driven restore opens a new fleet session: same admission
+      // and placement path as create.
+      reply = HandleCreate(request_frame, request);
       break;
     case ApiMethod::kStats:
-      response = HandleStats(request);
+      reply = EncodeReply(request, HandleStats(request));
       break;
     case ApiMethod::kMetrics:
-      response = HandleMetrics(request);
+      reply = EncodeReply(request, HandleMetrics(request));
       break;
     default:
-      response = HandleSessionOp(request, SessionOf(request));
+      reply = HandleSessionOp(request_frame, request);
       break;
   }
   if (!request.trace_id.empty()) {
-    // Router-stage span: everything between decode and encode, including
-    // the backend round trip(s) this request needed.
+    // Router-stage span: everything between the envelope read and the
+    // reply, including the backend round trip(s) this request needed.
     Metrics().router_span->Record(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started)
             .count());
-    response.trace_id = request.trace_id;
   }
-  return response;
+  return reply;
 }
 
-ApiResponse SessionRouter::HandleCreate(const ApiRequest& request) {
+std::string SessionRouter::HandleCreate(const std::string& frame,
+                                        const Envelope& request) {
   SessionId router_id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -202,55 +182,38 @@ ApiResponse SessionRouter::HandleCreate(const ApiRequest& request) {
         routes_.size() >= options_.max_sessions) {
       ++admission_rejects_;
       Metrics().admission_rejects->Increment();
-      return MakeErrorResponse(
-          request.id, Status::Unavailable("fleet session limit reached (" +
-                                          std::to_string(
-                                              options_.max_sessions) +
-                                          " live sessions)"));
+      return EncodeError(request,
+                         Status::Unavailable("fleet session limit reached (" +
+                                             std::to_string(
+                                                 options_.max_sessions) +
+                                             " live sessions)"));
     }
     router_id = next_session_id_++;
   }
-  return PlaceSession(request, router_id);
-}
-
-ApiResponse SessionRouter::HandleRestore(const ApiRequest& request) {
-  // A client-driven restore opens a new fleet session: same admission and
-  // placement path as create.
-  return HandleCreate(request);
-}
-
-ApiResponse SessionRouter::PlaceSession(const ApiRequest& request,
-                                        SessionId router_id) {
   for (;;) {
     auto pick = PickBackend(PlacementKey(router_id));
-    if (!pick.ok()) return MakeErrorResponse(request.id, pick.status());
+    if (!pick.ok()) return EncodeError(request, pick.status());
     const size_t backend = pick.value();
-    auto forwarded = Forward(backend, request);
-    if (!forwarded.ok()) {
-      MarkDead(backend, forwarded.status());
+    std::string reply;
+    Envelope placed;
+    const Status sent = Forward(backend, frame, &reply, &placed);
+    if (!sent.ok()) {
+      MarkDead(backend, sent);
       continue;  // the ring shrank; re-pick among survivors
     }
-    ApiResponse response = std::move(forwarded).value();
-    if (IsError(response)) return response;  // backend refused: pass through
-
-    SessionId backend_session = 0;
-    if (auto* created = std::get_if<CreateSessionResponse>(&response.result)) {
-      backend_session = created->session;
-    } else if (auto* restored =
-                   std::get_if<RestoreResponse>(&response.result)) {
-      backend_session = restored->session;
-    } else {
-      return MakeErrorResponse(
-          request.id, Status::Internal("unexpected placement response type"));
+    if (!placed.ok) return reply;  // backend refused: pass through
+    if (placed.session_literal.empty()) {
+      return EncodeError(
+          request, Status::Internal("unexpected placement response type"));
     }
 
     auto route = std::make_shared<RouteState>();
     {
       std::lock_guard<std::mutex> lock(mu_);
       route->backend = backend;
-      route->backend_session = backend_session;
+      route->backend_session = placed.session;
       routes_[router_id] = route;
-      reverse_[{backend, backend_session}] = router_id;
+      reverse_[{backend, placed.session}] = router_id;
       ++sessions_routed_;
     }
     Log("session " + std::to_string(router_id) + " routed to backend " +
@@ -265,18 +228,13 @@ ApiResponse SessionRouter::PlaceSession(const ApiRequest& request,
     }
 
     // The client sees the router's id space.
-    if (auto* created = std::get_if<CreateSessionResponse>(&response.result)) {
-      created->session = router_id;
-    } else if (auto* restored =
-                   std::get_if<RestoreResponse>(&response.result)) {
-      restored->session = router_id;
-    }
-    return response;
+    return SpliceSession(reply, placed.session_literal, router_id);
   }
 }
 
-ApiResponse SessionRouter::HandleSessionOp(const ApiRequest& request,
-                                           SessionId session) {
+std::string SessionRouter::HandleSessionOp(const std::string& frame,
+                                           const Envelope& request) {
+  const SessionId session = request.session;
   std::shared_ptr<RouteState> route;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -284,9 +242,11 @@ ApiResponse SessionRouter::HandleSessionOp(const ApiRequest& request,
     if (it != routes_.end()) route = it->second;
   }
   if (route == nullptr) {
-    return MakeErrorResponse(
-        request.id, Status::NotFound("no session " + std::to_string(session)));
+    return EncodeError(request,
+                       Status::NotFound("no session " + std::to_string(session)));
   }
+  // Router ids start at 1, so a routed session named its id in the frame:
+  // session_literal is not empty.
   std::lock_guard<std::mutex> route_lock(route->mu);
 
   // One forward per live backend the session lands on: transport failure →
@@ -298,29 +258,33 @@ ApiResponse SessionRouter::HandleSessionOp(const ApiRequest& request,
   const size_t max_attempts = backends_.size();
   for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
     size_t backend = 0;
-    ApiRequest forwarded = request;
+    std::string forwarded;
     {
       std::lock_guard<std::mutex> lock(mu_);
       backend = route->backend;
-      SetSession(&forwarded, route->backend_session);
+      forwarded = SpliceSession(frame, request.session_literal,
+                                route->backend_session);
     }
-    auto reply = Forward(backend, forwarded);
-    if (!reply.ok()) {
-      MarkDead(backend, reply.status());
+    std::string reply;
+    Envelope answered;
+    const Status sent = Forward(backend, forwarded, &reply, &answered);
+    if (!sent.ok()) {
+      MarkDead(backend, sent);
       const Status recovered = Failover(session, route.get());
-      if (!recovered.ok()) return MakeErrorResponse(request.id, recovered);
+      if (!recovered.ok()) return EncodeError(request, recovered);
       continue;
     }
-    ApiResponse response = std::move(reply).value();
-    if (IsError(response)) return response;
+    if (!answered.ok) return reply;
 
-    if (IsStepMethod(request.method()) && options_.checkpoint_interval > 0 &&
+    const bool step = request.method == ApiMethod::kAdvance ||
+                      request.method == ApiMethod::kAnswer;
+    if (step && options_.checkpoint_interval > 0 &&
         !options_.checkpoint_dir.empty()) {
       if (++route->steps_since_checkpoint >= options_.checkpoint_interval) {
         CheckpointRoute(session, route.get());
       }
     }
-    if (request.method() == ApiMethod::kTerminate) {
+    if (request.method == ApiMethod::kTerminate) {
       // The checkpoint lives exactly as long as the session. Removed under
       // the route lock, so no checkpoint of this route can race the removal.
       if (!options_.checkpoint_dir.empty()) {
@@ -331,14 +295,13 @@ ApiResponse SessionRouter::HandleSessionOp(const ApiRequest& request,
       reverse_.erase({route->backend, route->backend_session});
       routes_.erase(session);
     }
-    return response;
+    return reply;
   }
-  return MakeErrorResponse(request.id,
-                           Status::Unavailable("no live backends"));
+  return EncodeError(request, Status::Unavailable("no live backends"));
 }
 
-ApiResponse SessionRouter::HandleStats(const ApiRequest& request) {
-  StatsResponse aggregate;
+std::vector<std::pair<size_t, ApiResponse>> SessionRouter::CallLive(
+    const ApiRequest& request) {
   std::vector<size_t> live;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -346,16 +309,25 @@ ApiResponse SessionRouter::HandleStats(const ApiRequest& request) {
       if (backends_[i]->alive) live.push_back(i);
     }
   }
-  ApiRequest stats_request;
-  stats_request.id = request.id;
-  stats_request.params = StatsRequest{};
+  std::vector<std::pair<size_t, ApiResponse>> replies;
   for (size_t backend : live) {
-    auto reply = Forward(backend, stats_request);
+    auto reply = Call(backend, request);
     if (!reply.ok()) {
       MarkDead(backend, reply.status());
       continue;
     }
-    auto* stats = std::get_if<StatsResponse>(&reply.value().result);
+    replies.emplace_back(backend, std::move(reply).value());
+  }
+  return replies;
+}
+
+ApiResponse SessionRouter::HandleStats(const Envelope& request) {
+  StatsResponse aggregate;
+  ApiRequest stats_request;
+  stats_request.id = request.id;
+  stats_request.params = StatsRequest{};
+  for (const auto& [backend, reply] : CallLive(stats_request)) {
+    const auto* stats = std::get_if<StatsResponse>(&reply.result);
     if (stats == nullptr) continue;
     aggregate.stats.sessions_created += stats->stats.sessions_created;
     aggregate.stats.sessions_active += stats->stats.sessions_active;
@@ -390,27 +362,14 @@ ApiResponse SessionRouter::HandleStats(const ApiRequest& request) {
   return response;
 }
 
-ApiResponse SessionRouter::HandleMetrics(const ApiRequest& request) {
+ApiResponse SessionRouter::HandleMetrics(const Envelope& request) {
   MetricsSnapshot aggregate;
-  std::vector<size_t> live;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < backends_.size(); ++i) {
-      if (backends_[i]->alive) live.push_back(i);
-    }
-  }
   ApiRequest metrics_request;
   metrics_request.id = request.id;
   metrics_request.params = MetricsRequest{};
-  for (size_t backend : live) {
-    auto reply = Forward(backend, metrics_request);
-    if (!reply.ok()) {
-      MarkDead(backend, reply.status());
-      continue;
-    }
-    auto* metrics = std::get_if<MetricsResponse>(&reply.value().result);
-    if (metrics == nullptr) continue;
-    MergeSnapshot(&aggregate, metrics->snapshot);
+  for (const auto& [backend, reply] : CallLive(metrics_request)) {
+    const auto* metrics = std::get_if<MetricsResponse>(&reply.result);
+    if (metrics != nullptr) MergeSnapshot(&aggregate, metrics->snapshot);
   }
   // The router's own registry last: router-stage trace spans, forward
   // latencies, failover/ring counters, and the wire metrics of the
@@ -422,25 +381,32 @@ ApiResponse SessionRouter::HandleMetrics(const ApiRequest& request) {
   return response;
 }
 
-Result<ApiResponse> SessionRouter::Forward(size_t backend,
-                                           const ApiRequest& request) {
-  auto encoded = EncodeRequest(request);
-  if (!encoded.ok()) {
-    // An unencodable request is the router's (or client's) fault, never the
-    // backend's: surface it as an application error, not a transport one.
-    return MakeErrorResponse(request.id, encoded.status());
-  }
+Status SessionRouter::Forward(size_t backend, const std::string& frame,
+                              std::string* reply, Envelope* envelope) {
   ScopedLatencyTimer timer(Metrics().forward_seconds);
   auto connection = AcquireConnection(backend);
   if (!connection.ok()) return connection.status();
   Socket socket = std::move(connection).value();
-  VERITAS_RETURN_IF_ERROR(WriteFrame(socket, encoded.value()));
-  auto reply = ReadFrame(socket);
-  if (!reply.ok()) return reply.status();
-  auto decoded = DecodeResponse(reply.value());
+  VERITAS_RETURN_IF_ERROR(WriteFrame(socket, frame));
+  auto read = ReadFrame(socket);
+  if (!read.ok()) return read.status();
+  *reply = std::move(read).value();
+  auto decoded = DecodeResponseEnvelope(*reply);
   if (!decoded.ok()) return decoded.status();
+  *envelope = std::move(decoded).value();
   ReleaseConnection(backend, std::move(socket));
-  return std::move(decoded).value();
+  return Status::OK();
+}
+
+Result<ApiResponse> SessionRouter::Call(size_t backend,
+                                        const ApiRequest& request) {
+  auto encoded = EncodeRequest(request);
+  // The router's fault, never the backend's: an error, not a dead backend.
+  if (!encoded.ok()) return MakeErrorResponse(request.id, encoded.status());
+  std::string reply;
+  Envelope envelope;
+  VERITAS_RETURN_IF_ERROR(Forward(backend, encoded.value(), &reply, &envelope));
+  return DecodeResponse(reply);
 }
 
 Result<Socket> SessionRouter::AcquireConnection(size_t backend) {
@@ -500,7 +466,7 @@ Status SessionRouter::CheckpointRoute(SessionId router_id, RouteState* route) {
     request.params =
         CheckpointRequest{route->backend_session, CheckpointPath(router_id)};
   }
-  auto reply = Forward(backend, request);
+  auto reply = Call(backend, request);
   if (!reply.ok()) {
     MarkDead(backend, reply.status());
     return reply.status();
@@ -527,7 +493,7 @@ Status SessionRouter::Failover(SessionId router_id, RouteState* route) {
     auto pick = PickBackend(PlacementKey(router_id));
     if (!pick.ok()) return pick.status();
     const size_t backend = pick.value();
-    auto reply = Forward(backend, restore);
+    auto reply = Call(backend, restore);
     if (!reply.ok()) {
       MarkDead(backend, reply.status());
       continue;
@@ -620,7 +586,7 @@ Status SessionRouter::Migrate(SessionId session, const std::string& target) {
     source = route->backend;
     terminate.params = TerminateRequest{route->backend_session};
   }
-  auto retired = Forward(source, terminate);
+  auto retired = Call(source, terminate);
   if (!retired.ok()) {
     // Source died under us — its copy is gone either way; the checkpoint
     // still carries the session.
@@ -631,7 +597,7 @@ Status SessionRouter::Migrate(SessionId session, const std::string& target) {
 
   ApiRequest restore;
   restore.params = RestoreRequest{CheckpointPath(session)};
-  auto revived = Forward(target_index, restore);
+  auto revived = Call(target_index, restore);
   if (!revived.ok()) {
     MarkDead(target_index, revived.status());
     return revived.status();

@@ -3,9 +3,13 @@
 /// unchanged v1 wire protocol to the router; the router consistent-hashes
 /// each session onto one of N backend veritas_server workers and forwards
 /// frames, translating session ids both ways (the router owns the
-/// client-visible id space; each backend owns its own). Because the codec
-/// re-encodes envelopes byte-identically, forwarding is transparent — a
-/// client cannot tell a router from a single server.
+/// client-visible id space; each backend owns its own). The router reads
+/// only a frame's envelope (api/codec.h DecodeRequestEnvelope) and forwards
+/// the bytes: a create or restore goes out as the client sent it, a session
+/// operation with only the digits of `params.session` replaced, and a reply
+/// comes back verbatim but for `result.session` of a create or restore — so
+/// forwarding is transparent, and a client cannot tell a router from a
+/// single server.
 ///
 /// Fault tolerance is checkpoint-based exactly-once: with a checkpoint
 /// directory configured, the router checkpoints every session on create and
@@ -134,25 +138,33 @@ class SessionRouter : public FrameHandler {
   explicit SessionRouter(const SessionRouterOptions& options);
   Status Init();
 
-  ApiResponse Dispatch(const ApiRequest& request);
-  ApiResponse HandleCreate(const ApiRequest& request);
-  ApiResponse HandleRestore(const ApiRequest& request);
-  ApiResponse HandleStats(const ApiRequest& request);
+  /// A create or restore opens a fleet session: admission, then placement
+  /// on the ring (re-picking among survivors while a pick is dead), then
+  /// the route under a new router id.
+  std::string HandleCreate(const std::string& frame, const Envelope& request);
+  ApiResponse HandleStats(const Envelope& request);
   /// Aggregates the `metrics` method across live backends (bucketwise
   /// MergeSnapshot) and folds in the router's own registry — its
   /// router-stage trace spans and failover counters live there.
-  ApiResponse HandleMetrics(const ApiRequest& request);
-  ApiResponse HandleSessionOp(const ApiRequest& request, SessionId session);
+  ApiResponse HandleMetrics(const Envelope& request);
+  std::string HandleSessionOp(const std::string& frame,
+                              const Envelope& request);
 
-  /// Places a create/restore request on the ring (retrying over survivors
-  /// when a pick is dead) and registers the route under `router_id`.
-  ApiResponse PlaceSession(const ApiRequest& request, SessionId router_id);
-
-  /// One forwarded round trip. A non-OK Result means TRANSPORT failure
-  /// (connect/write/read/undecodable reply) — the caller must treat the
-  /// backend as dead. Application failures come back OK as ErrorResponse
-  /// envelopes.
-  Result<ApiResponse> Forward(size_t backend, const ApiRequest& request);
+  /// One forwarded round trip: writes `frame`, reads the reply into
+  /// `*reply` and its envelope into `*envelope` (which views `*reply`). A
+  /// non-OK Status means TRANSPORT failure (connect/write/read, or a reply
+  /// whose envelope does not decode) — the caller must treat the backend as
+  /// dead. Application failures come back OK, as error envelopes.
+  Status Forward(size_t backend, const std::string& frame, std::string* reply,
+                 Envelope* envelope);
+  /// A request the router makes itself (checkpoint, restore, terminate,
+  /// stats, metrics): encoded, forwarded and fully decoded. A non-OK Result
+  /// is a transport failure, as for Forward.
+  Result<ApiResponse> Call(size_t backend, const ApiRequest& request);
+  /// Call on every live backend: the replies, by backend, of those whose
+  /// round trip succeeded (the others are marked dead).
+  std::vector<std::pair<size_t, ApiResponse>> CallLive(
+      const ApiRequest& request);
 
   Result<Socket> AcquireConnection(size_t backend);
   void ReleaseConnection(size_t backend, Socket socket);

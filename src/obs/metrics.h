@@ -36,6 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
+
 namespace veritas {
 
 /// One histogram, frozen: `upper_bounds[i]` is the inclusive upper edge of
@@ -64,6 +66,13 @@ struct MetricsSnapshot {
   std::map<std::string, int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 };
+
+template <typename V, typename S>
+FieldsOf<S, MetricsSnapshot> VisitFields(V& v, S& snapshot) {
+  v("counters", snapshot.counters);
+  v("gauges", snapshot.gauges);
+  v("histograms", snapshot.histograms);
+}
 
 /// Adds `from` into `into`: counters and gauges sum; histograms add
 /// bucketwise (bucket layouts are identical across builds of one version;

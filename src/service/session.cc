@@ -4,6 +4,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/grounding.h"
 
@@ -25,21 +26,54 @@ std::unique_ptr<UserModel> MakeUserModel(const UserSpec& spec) {
 
 namespace {
 
-Status CheckSampleCounts(const SessionSpec& spec) {
-  const std::pair<const char*, size_t> counts[] = {
-      {"validation.icrf.gibbs.num_samples",
-       spec.validation.icrf.gibbs.num_samples},
-      {"validation.icrf.hypothetical_gibbs.num_samples",
-       spec.validation.icrf.hypothetical_gibbs.num_samples},
-      {"streaming.icrf.gibbs.num_samples", spec.streaming.icrf.gibbs.num_samples},
-      {"streaming.icrf.hypothetical_gibbs.num_samples",
-       spec.streaming.icrf.hypothetical_gibbs.num_samples},
+/// Refuses a spec that asks one step for more work than the create-time
+/// bounds allow (session.h), naming the key path.
+Status CheckWorkBounds(const SessionSpec& spec) {
+  struct Bound {
+    std::string path;
+    size_t value;
+    size_t limit;
   };
-  for (const auto& [path, value] : counts) {
-    if (value > kMaxGibbsSamples) {
-      return Status::InvalidArgument(std::string("Session: ") + path + " is " +
-                                     std::to_string(value) + ", above " +
-                                     std::to_string(kMaxGibbsSamples));
+  // Every sum comes after the bounds on its terms, which refuse the spec
+  // before a sum that could wrap is read.
+  std::vector<Bound> bounds;
+  const std::pair<std::string, const GibbsOptions*> schedules[] = {
+      {"validation.icrf.gibbs", &spec.validation.icrf.gibbs},
+      {"validation.icrf.hypothetical_gibbs",
+       &spec.validation.icrf.hypothetical_gibbs},
+      {"streaming.icrf.gibbs", &spec.streaming.icrf.gibbs},
+      {"streaming.icrf.hypothetical_gibbs",
+       &spec.streaming.icrf.hypothetical_gibbs},
+  };
+  for (const auto& [path, gibbs] : schedules) {
+    bounds.push_back(
+        {path + ".num_samples", gibbs->num_samples, kMaxGibbsSamples});
+    bounds.push_back({path + ".burn_in", gibbs->burn_in, kMaxGibbsSweeps});
+    bounds.push_back({path + ".thin", gibbs->thin, kMaxGibbsSweeps});
+    bounds.push_back({path + ".burn_in + num_samples * thin",
+                      gibbs->burn_in + gibbs->num_samples * gibbs->thin,
+                      kMaxGibbsSweeps});
+  }
+  const GuidanceConfig& guidance = spec.validation.guidance;
+  bounds.push_back({"validation.icrf.max_em_iterations",
+                    spec.validation.icrf.max_em_iterations, kMaxEmIterations});
+  bounds.push_back({"streaming.icrf.max_em_iterations",
+                    spec.streaming.icrf.max_em_iterations, kMaxEmIterations});
+  bounds.push_back({"validation.guidance.fanout_burn_in",
+                    guidance.fanout_burn_in, kMaxFanoutSweeps});
+  bounds.push_back({"validation.guidance.fanout_samples",
+                    guidance.fanout_samples, kMaxFanoutSweeps});
+  bounds.push_back({"validation.guidance.fanout_burn_in + fanout_samples",
+                    guidance.fanout_burn_in + guidance.fanout_samples,
+                    kMaxFanoutSweeps});
+  bounds.push_back({"streaming.tron_iterations_per_arrival",
+                    spec.streaming.tron_iterations_per_arrival,
+                    kMaxTronIterationsPerArrival});
+  for (const Bound& bound : bounds) {
+    if (bound.value > bound.limit) {
+      return Status::InvalidArgument(
+          "Session: " + bound.path + " is " + std::to_string(bound.value) +
+          ", above " + std::to_string(bound.limit));
     }
   }
   return Status::OK();
@@ -49,7 +83,7 @@ Status CheckSampleCounts(const SessionSpec& spec) {
 
 Result<std::unique_ptr<Session>> Session::Create(FactDatabase db,
                                                  const SessionSpec& spec) {
-  VERITAS_RETURN_IF_ERROR(CheckSampleCounts(spec));
+  VERITAS_RETURN_IF_ERROR(CheckWorkBounds(spec));
   VERITAS_RETURN_IF_ERROR(db.Validate());
   std::unique_ptr<Session> session(new Session());
   session->spec_ = spec;

@@ -88,6 +88,18 @@ FieldsOf<S, SessionSpec> VisitFields(V& v, S& spec) {
 /// the first step.
 inline constexpr size_t kMaxGibbsSamples = 65536;
 
+/// The work a spec may ask of one step, bounded at create so that one frame
+/// cannot pin a queue worker and its session indefinitely. Each bound is far
+/// above any schedule the benches and examples run.
+/// Sweeps of one Gibbs schedule: `burn_in + num_samples * thin`.
+inline constexpr size_t kMaxGibbsSweeps = size_t{1} << 18;
+/// `max_em_iterations` of the batch and the streaming iCRF.
+inline constexpr size_t kMaxEmIterations = 64;
+/// Per-candidate fan-out sweeps: `fanout_burn_in + fanout_samples`.
+inline constexpr size_t kMaxFanoutSweeps = 1024;
+/// `streaming.tron_iterations_per_arrival`.
+inline constexpr size_t kMaxTronIterationsPerArrival = 64;
+
 /// Outcome of one Advance()/Answer() call.
 struct StepResult {
   /// The session reached a stop criterion (batch) or drained its stream.
@@ -145,9 +157,10 @@ class Session {
   /// Creates a session over `db`. Batch mode validates the claims in place;
   /// streaming mode treats `db` as the source corpus — sources and
   /// documents are registered up front and the claims arrive one per
-  /// Advance(), mentions and ground truth carried along. A spec with a
-  /// Gibbs `num_samples` above kMaxGibbsSamples is rejected with
-  /// kInvalidArgument naming its key path.
+  /// Advance(), mentions and ground truth carried along. A spec asking for
+  /// more work than the bounds above (kMaxGibbsSamples through
+  /// kMaxTronIterationsPerArrival) is rejected with kInvalidArgument naming
+  /// its key path.
   static Result<std::unique_ptr<Session>> Create(FactDatabase db,
                                                  const SessionSpec& spec);
 

@@ -206,10 +206,8 @@ Msg RoundTrip(const Msg& message, Encoder encode, Decoder decode) {
   encode(message, &w1);
   auto text1 = w1.Take();
   EXPECT_TRUE(text1.ok()) << text1.status();
-  auto parsed = ParseJson(text1.value());
-  EXPECT_TRUE(parsed.ok()) << parsed.status();
   Msg decoded;
-  const Status status = decode(parsed.value(), &decoded);
+  const Status status = decode(text1.value(), &decoded);
   EXPECT_TRUE(status.ok()) << status;
   JsonWriter w2;
   encode(decoded, &w2);
@@ -496,10 +494,8 @@ TEST(CodecRejectionTest, UnknownEnumValuesRejectedNotCoerced) {
       {"{\"user\":{\"kind\":\"omniscient\"}}"},
   };
   for (const auto& test_case : cases) {
-    auto parsed = ParseJson(test_case.json);
-    ASSERT_TRUE(parsed.ok()) << test_case.json;
     SessionSpec spec;
-    const Status status = DecodeJson(parsed.value(), &spec);
+    const Status status = DecodeJson(test_case.json, &spec);
     EXPECT_FALSE(status.ok()) << test_case.json;
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << test_case.json;
   }
@@ -550,30 +546,26 @@ TEST(CodecRejectionTest, WrongTypeEnumValuesRejected) {
        {"{\"validation\":{\"icrf\":{\"backend\":7}}}",
         "{\"validation\":{\"strategy\":99}}",
         "{\"validation\":{\"guidance\":{\"fanout\":2}}}"}) {
-    auto parsed = ParseJson(json);
-    ASSERT_TRUE(parsed.ok()) << json;
     SessionSpec spec;
-    EXPECT_FALSE(DecodeJson(parsed.value(), &spec).ok()) << json;
+    EXPECT_FALSE(DecodeJson(json, &spec).ok()) << json;
   }
 }
 
 TEST(CodecRoundTripTest, MissingBackendKeysDecodeToDefaults) {
   // Payloads from pre-backend peers carry no backend keys at all: they must
   // decode to kAuto — the exact legacy behavior — not error out.
-  auto parsed = ParseJson(
-      "{\"validation\":{\"icrf\":{\"max_em_iterations\":3}}}");
-  ASSERT_TRUE(parsed.ok());
   SessionSpec spec;
-  ASSERT_TRUE(DecodeJson(parsed.value(), &spec).ok());
+  ASSERT_TRUE(
+      DecodeJson("{\"validation\":{\"icrf\":{\"max_em_iterations\":3}}}", &spec)
+          .ok());
   EXPECT_EQ(spec.validation.icrf.backend, CrfBackend::kAuto);
   EXPECT_EQ(spec.validation.icrf.max_em_iterations, 3u);
 
   // And the known names decode to the matching enumerators.
-  auto explicit_json = ParseJson(
-      "{\"validation\":{\"icrf\":{\"backend\":\"dispatch\"}}}");
-  ASSERT_TRUE(explicit_json.ok());
   SessionSpec explicit_spec;
-  ASSERT_TRUE(DecodeJson(explicit_json.value(), &explicit_spec).ok());
+  ASSERT_TRUE(DecodeJson("{\"validation\":{\"icrf\":{\"backend\":\"dispatch\"}}}",
+                         &explicit_spec)
+                  .ok());
   EXPECT_EQ(explicit_spec.validation.icrf.backend, CrfBackend::kDispatch);
 }
 
@@ -593,10 +585,8 @@ TEST(CodecRejectionTest, UnknownMembersAreTolerated) {
   w.Key("stop_reason").String("ok");
   w.Key("from_the_future").UInt(1);
   w.EndObject();
-  auto parsed = ParseJson(w.Take().value());
-  ASSERT_TRUE(parsed.ok());
   StepResult step;
-  EXPECT_TRUE(DecodeJson(parsed.value(), &step).ok());
+  EXPECT_TRUE(DecodeJson(w.Take().value(), &step).ok());
   EXPECT_TRUE(step.done);
   EXPECT_EQ(step.stop_reason, "ok");
 }

@@ -3,18 +3,46 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/rng.h"
 
 namespace veritas {
 namespace {
 
-Result<JsonValue> WriteAndParse(JsonWriter* writer) {
-  auto text = writer->Take();
-  if (!text.ok()) return text.status();
-  return ParseJson(text.value());
+/// Reads `text` as one whole document of any shape.
+Status Validate(const std::string& text) {
+  JsonReader reader(text);
+  VERITAS_RETURN_IF_ERROR(reader.Skip());
+  return reader.ExpectEnd();
+}
+
+/// Reads `text` as one whole document holding one value of type T.
+template <typename T, typename Read>
+Result<T> ReadWhole(const std::string& text, Read read) {
+  JsonReader reader(text);
+  T value{};
+  VERITAS_RETURN_IF_ERROR((reader.*read)(&value));
+  VERITAS_RETURN_IF_ERROR(reader.ExpectEnd());
+  return value;
+}
+
+Result<std::string> ReadString(const std::string& text) {
+  return ReadWhole<std::string>(text, &JsonReader::ReadString);
+}
+Result<uint64_t> ReadU64(const std::string& text) {
+  return ReadWhole<uint64_t>(text, &JsonReader::ReadU64);
+}
+Result<int64_t> ReadI64(const std::string& text) {
+  return ReadWhole<int64_t>(text, &JsonReader::ReadI64);
+}
+Result<double> ReadDouble(const std::string& text) {
+  return ReadWhole<double>(text, &JsonReader::ReadDouble);
 }
 
 TEST(JsonWriterTest, ObjectArrayNesting) {
@@ -95,19 +123,15 @@ TEST(JsonEscapingTest, ControlQuoteBackslashRoundTrip) {
     w.String(raw);
     auto text = w.Take();
     ASSERT_TRUE(text.ok());
-    auto parsed = ParseJson(text.value());
-    ASSERT_TRUE(parsed.ok()) << parsed.status() << " for " << text.value();
-    auto decoded = parsed.value().AsString();
-    ASSERT_TRUE(decoded.ok());
+    auto decoded = ReadString(text.value());
+    ASSERT_TRUE(decoded.ok()) << decoded.status() << " for " << text.value();
     EXPECT_EQ(decoded.value(), raw);
   }
 }
 
 TEST(JsonEscapingTest, UnicodeEscapesDecode) {
-  auto parsed = ParseJson("\"a\\u0041 \\u00e9 \\u20ac \\ud83d\\ude00\"");
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  auto decoded = parsed.value().AsString();
-  ASSERT_TRUE(decoded.ok());
+  auto decoded = ReadString("\"a\\u0041 \\u00e9 \\u20ac \\ud83d\\ude00\"");
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
   // A, e-acute, euro sign, emoji via surrogate pair - all as UTF-8.
   EXPECT_EQ(decoded.value(), "aA \xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80");
 }
@@ -116,7 +140,8 @@ TEST(JsonEscapingTest, BadEscapesRejected) {
   for (const char* bad :
        {"\"\\q\"", "\"\\u12\"", "\"\\ud800 unpaired\"", "\"\\udc00\"",
         "\"unterminated", "\"raw\tcontrol\""}) {
-    EXPECT_FALSE(ParseJson(bad).ok()) << bad;
+    EXPECT_FALSE(Validate(bad).ok()) << bad;
+    EXPECT_FALSE(ReadString(bad).ok()) << bad;
   }
 }
 
@@ -126,9 +151,7 @@ TEST(JsonNumberTest, U64ExactRoundTrip) {
     const uint64_t value = rng.NextU64();
     JsonWriter w;
     w.UInt(value);
-    auto parsed = WriteAndParse(&w);
-    ASSERT_TRUE(parsed.ok());
-    auto back = parsed.value().AsU64();
+    auto back = ReadU64(w.Take().value());
     ASSERT_TRUE(back.ok()) << back.status();
     // Exact for the full 64-bit range - the reason numbers keep their raw
     // literal instead of passing through double.
@@ -136,9 +159,7 @@ TEST(JsonNumberTest, U64ExactRoundTrip) {
   }
   JsonWriter w;
   w.UInt(UINT64_MAX);
-  auto parsed = WriteAndParse(&w);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().AsU64().value(), UINT64_MAX);
+  EXPECT_EQ(ReadU64(w.Take().value()).value(), UINT64_MAX);
 }
 
 TEST(JsonNumberTest, DoubleBitExactRoundTrip) {
@@ -157,9 +178,13 @@ TEST(JsonNumberTest, DoubleBitExactRoundTrip) {
   for (const double value : values) {
     JsonWriter w;
     w.Double(value);
-    auto parsed = WriteAndParse(&w);
-    ASSERT_TRUE(parsed.ok());
-    auto back = parsed.value().AsDouble();
+    auto text = w.Take();
+    ASSERT_TRUE(text.ok());
+    // The writer's bytes are those of %.17g.
+    char expected[32];
+    std::snprintf(expected, sizeof(expected), "%.17g", value);
+    EXPECT_EQ(text.value(), expected);
+    auto back = ReadDouble(text.value());
     ASSERT_TRUE(back.ok()) << back.status();
     const double decoded = back.value();
     EXPECT_EQ(std::memcmp(&decoded, &value, sizeof(double)), 0)
@@ -168,18 +193,31 @@ TEST(JsonNumberTest, DoubleBitExactRoundTrip) {
 }
 
 TEST(JsonNumberTest, TypedAccessorsAreStrict) {
-  auto parsed = ParseJson("{\"f\":1.5,\"neg\":-3,\"exp\":1e3,\"big\":1e999}");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(parsed.value().Find("f")->AsU64().ok());
-  EXPECT_FALSE(parsed.value().Find("neg")->AsU64().ok());
-  EXPECT_FALSE(parsed.value().Find("exp")->AsU64().ok());
-  EXPECT_EQ(parsed.value().Find("neg")->AsI64().value(), -3);
+  EXPECT_FALSE(ReadU64("1.5").ok());
+  EXPECT_FALSE(ReadU64("-3").ok());
+  EXPECT_FALSE(ReadU64("1e3").ok());
+  EXPECT_FALSE(ReadI64("1.5").ok());
+  EXPECT_EQ(ReadI64("-3").value(), -3);
+  EXPECT_EQ(ReadU64("18446744073709551616").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_FALSE(ReadU64("\"7\"").ok());
+  EXPECT_FALSE(ReadDouble("true").ok());
   // 1e999 overflows double -> error instead of a silent infinity.
-  EXPECT_FALSE(parsed.value().Find("big")->AsDouble().ok());
+  EXPECT_EQ(ReadDouble("1e999").status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(ReadDouble("-1e999").status().code(), StatusCode::kOutOfRange);
+  // An underflow reads as a zero of the literal's sign, as strtod reads it.
+  auto tiny = ReadDouble("1e-400");
+  ASSERT_TRUE(tiny.ok()) << tiny.status();
+  EXPECT_EQ(tiny.value(), 0.0);
+  EXPECT_FALSE(std::signbit(tiny.value()));
+  auto negative_tiny = ReadDouble("-1e-400");
+  ASSERT_TRUE(negative_tiny.ok()) << negative_tiny.status();
+  EXPECT_EQ(negative_tiny.value(), 0.0);
+  EXPECT_TRUE(std::signbit(negative_tiny.value()));
   // NaN/Infinity are not JSON.
-  EXPECT_FALSE(ParseJson("NaN").ok());
-  EXPECT_FALSE(ParseJson("Infinity").ok());
-  EXPECT_FALSE(ParseJson("-Infinity").ok());
+  EXPECT_FALSE(Validate("NaN").ok());
+  EXPECT_FALSE(Validate("Infinity").ok());
+  EXPECT_FALSE(Validate("-Infinity").ok());
 }
 
 TEST(JsonParserTest, MalformedDocumentsRejected) {
@@ -201,25 +239,69 @@ TEST(JsonParserTest, MalformedDocumentsRejected) {
       "{\"a\":1} {\"b\":2}",
   };
   for (const char* bad : cases) {
-    EXPECT_FALSE(ParseJson(bad).ok()) << "accepted: " << bad;
+    EXPECT_FALSE(Validate(bad).ok()) << "accepted: " << bad;
   }
+  // Syntax errors carry the byte offset.
+  const Status status = Validate("[1 2]");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("at offset 3"), std::string::npos) << status;
 }
 
 TEST(JsonParserTest, DepthLimitBoundsRecursion) {
   std::string deep;
   for (int i = 0; i < 200; ++i) deep += '[';
   for (int i = 0; i < 200; ++i) deep += ']';
-  EXPECT_FALSE(ParseJson(deep).ok());
+  EXPECT_FALSE(Validate(deep).ok());
   std::string shallow = "[[[[[[[[1]]]]]]]]";
-  EXPECT_TRUE(ParseJson(shallow).ok());
+  EXPECT_TRUE(Validate(shallow).ok());
 }
 
-TEST(JsonParserTest, UnknownMembersPreservedInTree) {
-  auto parsed = ParseJson("{\"known\":1,\"unknown\":{\"x\":[true,null]}}");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_NE(parsed.value().Find("unknown"), nullptr);
-  EXPECT_EQ(parsed.value().Find("missing"), nullptr);
-  EXPECT_EQ(parsed.value().members().size(), 2u);
+TEST(JsonReaderTest, UnknownMembersOfAnyShapeAreSkipped) {
+  const std::string text =
+      "{\"unknown\":{\"x\":[true,null,{\"y\":\"\\u00e9\"}]},\"known\":1,"
+      "\"list\":[[],{}],\"text\":\"a\\\"b\",\"number\":-1.5e-3,"
+      "\"flag\":false,\"nothing\":null}";
+  JsonReader reader(text);
+  uint64_t known = 0;
+  std::vector<std::string> keys;
+  const Status status = reader.ReadObject([&](std::string_view key) {
+    keys.emplace_back(key);
+    if (key == "known") return reader.ReadU64(&known);
+    return reader.Skip();
+  });
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_TRUE(reader.ExpectEnd().ok());
+  EXPECT_EQ(known, 1u);
+  EXPECT_EQ(keys, (std::vector<std::string>{"unknown", "known", "list", "text",
+                                            "number", "flag", "nothing"}));
+}
+
+TEST(JsonReaderTest, DuplicateMembersRejectedWithKeyPath) {
+  for (const char* text :
+       {"{\"a\":{\"b\":1,\"c\":2,\"b\":1}}",
+        // The same name spelled with an escape is the same name.
+        "{\"a\":{\"b\":1,\"\\u0062\":2}}"}) {
+    const Status status = Validate(text);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(status.message().find("a: json: duplicate member \"b\""),
+              std::string::npos)
+        << status;
+  }
+  // Equal names in different objects are not duplicates.
+  EXPECT_TRUE(Validate("{\"a\":{\"b\":1},\"c\":{\"b\":1},\"b\":[{\"b\":2}]}")
+                  .ok());
+}
+
+TEST(JsonReaderTest, SkipReportsTheValueSpan) {
+  JsonReader reader(" { \"k\" : [1, {\"x\":\"}\"}] , \"n\":7 } ");
+  std::string_view span;
+  const Status status = reader.ReadObject([&](std::string_view key) {
+    if (key == "k") return reader.Skip(&span);
+    return reader.Skip();
+  });
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(span, "[1, {\"x\":\"}\"}]");
+  EXPECT_TRUE(reader.ExpectEnd().ok());
 }
 
 }  // namespace

@@ -148,7 +148,7 @@ TEST(FitCrfWeightsTest, LearnsDiscriminativeWeightsFromLabels) {
     targets[c] = db.ground_truth(static_cast<ClaimId>(c)) ? 1.0 : 0.0;
   }
   CrfConfig config;
-  auto report = FitCrfWeights(db, targets, state, config, {}, &model);
+  auto report = FitCrfWeights(db, targets, state, config, &model);
   ASSERT_TRUE(report.ok());
 
   // The fitted model must separate claims: evidence log-odds should be
@@ -176,9 +176,9 @@ TEST(FitCrfWeightsTest, RejectsBadArguments) {
   CrfModel model = CrfModel::ForDatabase(db);
   BeliefState state(db.num_claims());
   std::vector<double> bad_targets(1, 0.5);
-  EXPECT_FALSE(FitCrfWeights(db, bad_targets, state, {}, {}, &model).ok());
+  EXPECT_FALSE(FitCrfWeights(db, bad_targets, state, {}, &model).ok());
   std::vector<double> targets(db.num_claims(), 0.5);
-  EXPECT_FALSE(FitCrfWeights(db, targets, state, {}, {}, nullptr).ok());
+  EXPECT_FALSE(FitCrfWeights(db, targets, state, {}, nullptr).ok());
 }
 
 bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
@@ -242,7 +242,7 @@ TEST(FitCrfWeightsTest, MatchesStraightLineOracleBitwise) {
   // Two rounds, like consecutive EM iterations: the second warm-starts from
   // the first round's weights.
   for (int round = 0; round < 2; ++round) {
-    auto got = FitCrfWeights(db, targets, state, config, {}, &fast);
+    auto got = FitCrfWeights(db, targets, state, config, &fast);
     auto want = ReferenceFit(db, targets, state, config, &reference);
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(want.ok());

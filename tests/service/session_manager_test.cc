@@ -550,5 +550,78 @@ TEST_F(SessionManagerTest, OversizedGibbsSampleCountIsRejectedAtCreate) {
   EXPECT_TRUE(std::get<StepResponse>(step.result).step.iteration_completed);
 }
 
+// Regression: Create bounded only num_samples, so one create frame with
+// validation.icrf.gibbs.burn_in = 10^12 was accepted and its first Advance
+// never returned, pinning a queue worker and the session. Every field that
+// sizes a step's loops is now bounded at create; the test asserts on Create
+// alone, which returns at once either way.
+TEST_F(SessionManagerTest, OversizedStepWorkIsRejectedAtCreate) {
+  SessionManager manager;
+  RequestQueue queue(&manager, RequestQueueOptions{});
+  GuidanceApi api(&manager, &queue);
+  auto corpus = MakeTinyCorpus(31);
+  constexpr size_t kHuge = 1000000000000;
+
+  const std::pair<std::string, void (*)(SessionSpec*)> oversized[] = {
+      {"validation.icrf.gibbs.burn_in",
+       [](SessionSpec* s) { s->validation.icrf.gibbs.burn_in = kHuge; }},
+      {"validation.icrf.hypothetical_gibbs.burn_in",
+       [](SessionSpec* s) {
+         s->validation.icrf.hypothetical_gibbs.burn_in = kHuge;
+       }},
+      {"streaming.icrf.gibbs.thin",
+       [](SessionSpec* s) { s->streaming.icrf.gibbs.thin = SIZE_MAX; }},
+      {"streaming.icrf.hypothetical_gibbs.burn_in + num_samples * thin",
+       [](SessionSpec* s) {
+         s->streaming.icrf.hypothetical_gibbs.num_samples = kMaxGibbsSamples;
+         s->streaming.icrf.hypothetical_gibbs.thin = 8;
+       }},
+      {"validation.icrf.max_em_iterations",
+       [](SessionSpec* s) { s->validation.icrf.max_em_iterations = kHuge; }},
+      {"streaming.icrf.max_em_iterations",
+       [](SessionSpec* s) { s->streaming.icrf.max_em_iterations = kHuge; }},
+      {"validation.guidance.fanout_samples",
+       [](SessionSpec* s) { s->validation.guidance.fanout_samples = kHuge; }},
+      {"validation.guidance.fanout_burn_in + fanout_samples",
+       [](SessionSpec* s) {
+         s->validation.guidance.fanout_burn_in = kMaxFanoutSweeps / 2 + 1;
+         s->validation.guidance.fanout_samples = kMaxFanoutSweeps / 2;
+       }},
+      {"streaming.tron_iterations_per_arrival",
+       [](SessionSpec* s) { s->streaming.tron_iterations_per_arrival = kHuge; }},
+  };
+  for (const auto& [path, oversize] : oversized) {
+    SessionSpec spec = BatchSpec(5, 2);
+    oversize(&spec);
+    auto refused = manager.Create(corpus.db, spec);
+    ASSERT_FALSE(refused.ok()) << path;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << path;
+    EXPECT_NE(refused.status().message().find(path + " is "),
+              std::string::npos)
+        << refused.status();
+  }
+
+  // Each bound itself is accepted.
+  SessionSpec at_bounds = BatchSpec(5, 2);
+  at_bounds.validation.icrf.gibbs.num_samples = kMaxGibbsSweeps / 4;
+  at_bounds.validation.icrf.gibbs.thin = 2;
+  at_bounds.validation.icrf.gibbs.burn_in = kMaxGibbsSweeps / 2;
+  at_bounds.streaming.icrf.max_em_iterations = kMaxEmIterations;
+  at_bounds.validation.guidance.fanout_burn_in = kMaxFanoutSweeps / 2;
+  at_bounds.validation.guidance.fanout_samples = kMaxFanoutSweeps / 2;
+  at_bounds.streaming.tron_iterations_per_arrival =
+      kMaxTronIterationsPerArrival;
+  EXPECT_TRUE(manager.Create(corpus.db, at_bounds).ok());
+
+  // The backend is still serving: a normal session runs a step.
+  const ApiResponse created =
+      Serve(&api, CreateFrame(corpus.db, BatchSpec(5, 2)));
+  ASSERT_FALSE(IsError(created));
+  const ApiResponse step = Serve(
+      &api, AdvanceFrame(std::get<CreateSessionResponse>(created.result).session));
+  ASSERT_FALSE(IsError(step));
+  EXPECT_TRUE(std::get<StepResponse>(step.result).step.iteration_completed);
+}
+
 }  // namespace
 }  // namespace veritas

@@ -922,7 +922,7 @@ std::vector<Finding> CheckWireCompat(const Config& config) {
     // Rule 1 (codec): every enum parser must reject unknown spellings.
     if (target.is_codec) {
       for (const FunctionDef& fn : functions) {
-        if (fn.name.rfind("Parse", 0) != 0 || fn.name == "ParseJson") continue;
+        if (fn.name.rfind("Parse", 0) != 0) continue;
         if (!rejects(fn)) {
           findings.push_back(
               {rel, fn.line, "wire-compat",

@@ -39,7 +39,7 @@ int Usage(const char* argv0) {
 }
 
 /// Collects the "file" entries of compile_commands.json with the repo's
-/// own JSON parser (the one the wire codec uses).
+/// own JSON reader (the one the wire codec uses).
 bool LoadCompileCommands(const std::string& path,
                          std::vector<std::string>* files) {
   std::ifstream in(path, std::ios::binary);
@@ -49,29 +49,29 @@ bool LoadCompileCommands(const std::string& path,
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  auto parsed = veritas::ParseJson(buffer.str());
-  if (!parsed.ok() || !parsed.value().is_array()) {
-    std::cerr << "veritas-lint: " << path << " is not a JSON array\n";
-    return false;
-  }
+  const std::string text = buffer.str();
   const fs::path base = fs::path(path).parent_path();
-  for (const veritas::JsonValue& entry : parsed.value().items()) {
-    const veritas::JsonValue* file = entry.Find("file");
-    if (file == nullptr) continue;
-    auto name = file->AsString();
-    if (!name.ok()) continue;
-    fs::path resolved(name.value());
+  veritas::JsonReader reader(text);
+  veritas::Status status = reader.ReadArray([&] {
+    std::string file, directory;
+    VERITAS_RETURN_IF_ERROR(reader.ReadObject([&](std::string_view key) {
+      if (key == "file") return reader.ReadString(&file);
+      if (key == "directory") return reader.ReadString(&directory);
+      return reader.Skip();
+    }));
+    if (file.empty()) return veritas::Status::OK();
+    fs::path resolved(file);
     if (resolved.is_relative()) {
-      const veritas::JsonValue* dir = entry.Find("directory");
-      auto dir_name =
-          dir == nullptr ? veritas::Result<std::string>(std::string())
-                         : dir->AsString();
-      resolved = (dir_name.ok() && !dir_name.value().empty()
-                      ? fs::path(dir_name.value())
-                      : base) /
-                 resolved;
+      resolved = (directory.empty() ? base : fs::path(directory)) / resolved;
     }
     files->push_back(resolved.string());
+    return veritas::Status::OK();
+  });
+  if (status.ok()) status = reader.ExpectEnd();
+  if (!status.ok()) {
+    std::cerr << "veritas-lint: " << path
+              << " is not a JSON array of commands: " << status << "\n";
+    return false;
   }
   return true;
 }
