@@ -624,7 +624,6 @@ int RunFleetMode(const EmulatedCorpus& corpus, double latency_ms,
       router_options.backends.push_back(
           "127.0.0.1:" + std::to_string(workers.back().server->port()));
     }
-    router_options.checkpoint_interval = 0;
     auto router = SessionRouter::Start(router_options);
     if (!router.ok()) {
       std::cerr << "router start failed: " << router.status() << "\n";

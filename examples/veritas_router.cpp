@@ -6,14 +6,14 @@
 //
 //   ./examples/example_veritas_router --backends=HOST:PORT,HOST:PORT,...
 //       [--port=N] [--port-file=PATH] [--checkpoint-dir=DIR]
-//       [--checkpoint-interval=N] [--max-sessions=N]
+//       [--max-sessions=N]
 //       [--metrics-port=N] [--metrics-port-file=PATH] [--log-level=LEVEL]
 //
 //   --backends=...          comma-separated worker addresses (required)
 //   --port=N                TCP port to listen on (default 0 = ephemeral)
 //   --port-file=P           write the bound port to file P (for scripts)
-//   --checkpoint-dir=D      enable checkpoint/failover, storing under D
-//   --checkpoint-interval=N steps between checkpoints (default 1)
+//   --checkpoint-dir=D      enable checkpoint/failover, storing under D: a
+//                           checkpoint on create and after every step
 //   --max-sessions=N        fleet-wide live-session cap (default 0 = off)
 //   --metrics-port=N        serve the Prometheus exposition of the ROUTER's
 //                           own registry on this loopback port (0 =
@@ -50,7 +50,7 @@ namespace {
 
 constexpr char kUsage[] =
     "--backends=HOST:PORT,... [--port=N] [--port-file=PATH]\n"
-    "    [--checkpoint-dir=DIR] [--checkpoint-interval=N] [--max-sessions=N]\n"
+    "    [--checkpoint-dir=DIR] [--max-sessions=N]\n"
     "    [--metrics-port=N] [--metrics-port-file=PATH] [--log-level=LEVEL]";
 
 std::vector<std::string> SplitCommas(const std::string& text) {
@@ -86,10 +86,6 @@ int main(int argc, char** argv) {
       port_file = value;
     } else if (FlagValue(arg, "checkpoint-dir", &value)) {
       router_options.checkpoint_dir = value;
-    } else if (FlagValue(arg, "checkpoint-interval", &value)) {
-      if (!ParseSize(value, &router_options.checkpoint_interval)) {
-        UsageError(argv[0], kUsage, arg);
-      }
     } else if (FlagValue(arg, "max-sessions", &value)) {
       if (!ParseSize(value, &router_options.max_sessions)) {
         UsageError(argv[0], kUsage, arg);

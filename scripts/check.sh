@@ -146,7 +146,7 @@ run_fleet_smoke() {
   rm -f "$tmp_dir/router.port"
   "$build_dir"/examples/example_veritas_router \
     --backends="$backends" --port=0 --port-file="$tmp_dir/router.port" \
-    --checkpoint-dir="$tmp_dir/ckpt" --checkpoint-interval=1 \
+    --checkpoint-dir="$tmp_dir/ckpt" \
     > "$tmp_dir/router.log" &
   local router_pid=$!
   for _ in $(seq 1 100); do

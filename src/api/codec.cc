@@ -407,13 +407,14 @@ Status ReadHeader(std::string_view version, std::string_view id,
   }
   uint64_t value = 0;
   VERITAS_RETURN_IF_ERROR(ReadSpan(version, "api_version", &value));
-  envelope->api_version = static_cast<uint32_t>(value);
-  if (envelope->api_version != kApiVersion) {
+  // Compared at full width: narrowing first would read 2^32 + 1 as 1.
+  if (value != kApiVersion) {
     return Status::FailedPrecondition(
         std::string(what) + ": unsupported api_version " +
-        std::to_string(envelope->api_version) + " (this build speaks " +
+        std::to_string(value) + " (this build speaks " +
         std::to_string(kApiVersion) + ")");
   }
+  envelope->api_version = kApiVersion;
   return Status::OK();
 }
 

@@ -239,23 +239,4 @@ Status ICrf::RestoreEngine(const BeliefState& state) {
   return Status::OK();
 }
 
-Result<std::vector<double>> ICrf::ResampleProbs(const BeliefState& state,
-                                                const std::vector<ClaimId>* restrict,
-                                                Rng* rng,
-                                                bool neutral_prior) const {
-  if (!ready_) {
-    return Status::FailedPrecondition("ICrf::ResampleProbs: call Infer() first");
-  }
-  auto evaluation =
-      hypothetical_.ResampleScoped(state, restrict, rng, neutral_prior);
-  if (!evaluation.ok()) return evaluation.status();
-  return evaluation.value().probs();
-}
-
-std::vector<ClaimId> ICrf::Neighborhood(ClaimId claim, size_t radius,
-                                        size_t max_claims) const {
-  if (!ready_) return {claim};
-  return hypothetical_.Neighborhood(claim, radius, max_claims);
-}
-
 }  // namespace veritas

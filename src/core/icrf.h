@@ -7,8 +7,7 @@
 /// stages are built on — hypothetical re-inference with frozen weights and
 /// cached bounded coupling neighborhoods — live in the owned
 /// HypotheticalEngine (crf/hypothetical.h, DESIGN.md §8), re-bound after
-/// every Infer(); ResampleProbs/Neighborhood remain as thin delegating
-/// wrappers.
+/// every Infer().
 
 #ifndef VERITAS_CORE_ICRF_H_
 #define VERITAS_CORE_ICRF_H_
@@ -104,29 +103,6 @@ class ICrf {
   /// engine continues the exact Gibbs stream.
   RngState rng_state() const { return rng_.SaveState(); }
   void restore_rng_state(const RngState& state) { rng_.RestoreState(state); }
-
-  /// Hypothetical re-inference with frozen weights and cached fields:
-  /// resamples the claims in `restrict` (all unlabeled claims when null)
-  /// under the labels of `state`, and returns the full probability vector
-  /// (labels fixed, untouched claims keep their `state` probability).
-  /// With `neutral_prior`, the restricted claims' fields drop the carried-
-  /// over probability prior and use the feature evidence alone — required by
-  /// leave-one-out checks (§5.2, §6.1), where the prior of the label under
-  /// scrutiny would anchor the chain to that very label.
-  /// Thread-safe: callers supply their own Rng. Requires a prior Infer().
-  /// Thin wrapper over HypotheticalEngine::ResampleScoped that copies the
-  /// pooled result out; hot paths hold an Evaluation lease via
-  /// hypothetical() instead.
-  Result<std::vector<double>> ResampleProbs(const BeliefState& state,
-                                            const std::vector<ClaimId>* restrict,
-                                            Rng* rng,
-                                            bool neutral_prior = false) const;
-
-  /// Bounded coupling-graph neighborhood of a claim (partition optimization,
-  /// §5.1). Requires a prior Infer(). Copies the engine's cached
-  /// neighborhood out; hot paths use hypothetical().Neighborhood().
-  std::vector<ClaimId> Neighborhood(ClaimId claim, size_t radius,
-                                    size_t max_claims) const;
 
   /// The shared hypothetical re-inference engine (DESIGN.md §8), bound to
   /// the current model after every Infer(). Guidance, batching,

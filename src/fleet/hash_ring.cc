@@ -6,8 +6,14 @@
 
 namespace veritas {
 
-HashRing::HashRing(size_t vnodes_per_shard)
-    : vnodes_per_shard_(vnodes_per_shard == 0 ? 1 : vnodes_per_shard) {}
+namespace {
+
+/// Points per shard. More vnodes = tighter balance, linearly more memory
+/// and log-factor lookup cost; 64 keeps per-shard load within a few tens
+/// of percent of fair for small fleets.
+constexpr size_t kVnodesPerShard = 64;
+
+}  // namespace
 
 void HashRing::AddShard(const std::string& shard) {
   auto it = std::lower_bound(shards_.begin(), shards_.end(), shard);
@@ -44,9 +50,9 @@ Result<std::string> HashRing::ShardFor(const std::string& key) const {
 
 void HashRing::Rebuild() {
   ring_.clear();
-  ring_.reserve(shards_.size() * vnodes_per_shard_);
+  ring_.reserve(shards_.size() * kVnodesPerShard);
   for (const std::string& shard : shards_) {
-    for (size_t v = 0; v < vnodes_per_shard_; ++v) {
+    for (size_t v = 0; v < kVnodesPerShard; ++v) {
       ring_.emplace_back(HashBytes(shard, /*seed=*/v + 1), shard);
     }
   }

@@ -3,10 +3,10 @@
 /// placement keys) onto named shards (backend addresses) such that adding
 /// or removing one shard remaps only ~1/N of the key space, instead of
 /// reshuffling everything the way `hash(key) % N` does. Each shard owns
-/// `vnodes_per_shard` points on a 64-bit ring; a key maps to the shard
-/// owning the first point at or clockwise after the key's hash. The vnode
-/// spread is what keeps per-shard load balanced (the property test pins
-/// both the balance band and the remap bound).
+/// 64 points (vnodes) on a 64-bit ring; a key maps to the shard owning the
+/// first point at or clockwise after the key's hash. The vnode spread is
+/// what keeps per-shard load balanced (the property test pins both the
+/// balance band and the remap bound).
 ///
 /// Deterministic and insertion-order independent: the same shard set always
 /// produces the same ring, so a restarted router re-derives identical
@@ -27,11 +27,6 @@ namespace veritas {
 
 class HashRing {
  public:
-  /// More vnodes = tighter balance, linearly more memory and log-factor
-  /// lookup cost. 64 keeps per-shard load within a few tens of percent of
-  /// fair for small fleets.
-  explicit HashRing(size_t vnodes_per_shard = 64);
-
   /// Adds a shard (idempotent).
   void AddShard(const std::string& shard);
 
@@ -53,7 +48,6 @@ class HashRing {
  private:
   void Rebuild();
 
-  size_t vnodes_per_shard_;
   std::vector<std::string> shards_;  ///< sorted (uniqueness + determinism)
   /// The ring: (point hash, shard) sorted by (hash, shard) — the name
   /// tiebreak makes collisions deterministic regardless of insertion order.

@@ -18,7 +18,6 @@ namespace {
 /// and the router-stage trace span.
 struct RouterMetrics {
   MetricsRegistry::Counter* failovers;
-  MetricsRegistry::Counter* migrations;
   MetricsRegistry::Counter* ring_changes;
   MetricsRegistry::Counter* admission_rejects;
   MetricsRegistry::Histogram* forward_seconds;
@@ -30,7 +29,6 @@ const RouterMetrics& Metrics() {
     MetricsRegistry& registry = GlobalMetrics();
     RouterMetrics m;
     m.failovers = registry.counter("veritas_router_failovers_total");
-    m.migrations = registry.counter("veritas_router_migrations_total");
     m.ring_changes = registry.counter("veritas_router_ring_changes_total");
     m.admission_rejects =
         registry.counter("veritas_router_admission_rejects_total");
@@ -94,12 +92,19 @@ std::string EncodeError(const Envelope& request, const Status& status) {
 }  // namespace
 
 SessionRouter::SessionRouter(const SessionRouterOptions& options)
-    : options_(options), ring_(options.vnodes_per_backend) {}
+    : options_(options) {}
 
 Result<std::unique_ptr<SessionRouter>> SessionRouter::Start(
     const SessionRouterOptions& options) {
   if (options.backends.empty()) {
     return Status::InvalidArgument("SessionRouter: no backends configured");
+  }
+  if (options.checkpoint_interval != 1) {
+    return Status::InvalidArgument(
+        "SessionRouter: checkpoint_interval must be 1, not " +
+        std::to_string(options.checkpoint_interval) +
+        ": failover replays only the in-flight request, so a session "
+        "checkpointed less often than every step would be rewound");
   }
   std::unique_ptr<SessionRouter> router(new SessionRouter(options));
   VERITAS_RETURN_IF_ERROR(router->Init());
@@ -213,7 +218,6 @@ std::string SessionRouter::HandleCreate(const std::string& frame,
       route->backend = backend;
       route->backend_session = placed.session;
       routes_[router_id] = route;
-      reverse_[{backend, placed.session}] = router_id;
       ++sessions_routed_;
     }
     Log("session " + std::to_string(router_id) + " routed to backend " +
@@ -224,7 +228,8 @@ std::string SessionRouter::HandleCreate(const std::string& frame,
       // recoverable. Failure here means the backend died immediately after
       // placement; the next operation on the session surfaces it.
       std::lock_guard<std::mutex> route_lock(route->mu);
-      CheckpointRoute(router_id, route.get());
+      const Status checkpointed = CheckpointRoute(router_id, route.get());
+      if (!checkpointed.ok()) MarkDead(backend, checkpointed);
     }
 
     // The client sees the router's id space.
@@ -255,6 +260,8 @@ std::string SessionRouter::HandleSessionOp(const std::string& frame,
   // mean the step executed, and re-running it on live state would
   // double-step; the failover restore rewinds to the checkpoint first,
   // which makes the replay exact.
+  const bool step = request.method == ApiMethod::kAdvance ||
+                    request.method == ApiMethod::kAnswer;
   const size_t max_attempts = backends_.size();
   for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
     size_t backend = 0;
@@ -267,7 +274,13 @@ std::string SessionRouter::HandleSessionOp(const std::string& frame,
     }
     std::string reply;
     Envelope answered;
-    const Status sent = Forward(backend, forwarded, &reply, &answered);
+    Status sent = Forward(backend, forwarded, &reply, &answered);
+    if (sent.ok() && answered.ok && step && !options_.checkpoint_dir.empty()) {
+      // A step's reply waits for the step's checkpoint. One lost in
+      // transport means the backend died before the step was on disk: the
+      // step replays on a survivor from the checkpoint taken before it.
+      sent = CheckpointRoute(session, route.get());
+    }
     if (!sent.ok()) {
       MarkDead(backend, sent);
       const Status recovered = Failover(session, route.get());
@@ -275,15 +288,6 @@ std::string SessionRouter::HandleSessionOp(const std::string& frame,
       continue;
     }
     if (!answered.ok) return reply;
-
-    const bool step = request.method == ApiMethod::kAdvance ||
-                      request.method == ApiMethod::kAnswer;
-    if (step && options_.checkpoint_interval > 0 &&
-        !options_.checkpoint_dir.empty()) {
-      if (++route->steps_since_checkpoint >= options_.checkpoint_interval) {
-        CheckpointRoute(session, route.get());
-      }
-    }
     if (request.method == ApiMethod::kTerminate) {
       // The checkpoint lives exactly as long as the session. Removed under
       // the route lock, so no checkpoint of this route can race the removal.
@@ -292,7 +296,6 @@ std::string SessionRouter::HandleSessionOp(const std::string& frame,
         std::filesystem::remove_all(CheckpointPath(session), ec);
       }
       std::lock_guard<std::mutex> lock(mu_);
-      reverse_.erase({route->backend, route->backend_session});
       routes_.erase(session);
     }
     return reply;
@@ -326,7 +329,18 @@ ApiResponse SessionRouter::HandleStats(const Envelope& request) {
   ApiRequest stats_request;
   stats_request.id = request.id;
   stats_request.params = StatsRequest{};
-  for (const auto& [backend, reply] : CallLive(stats_request)) {
+  const auto replies = CallLive(stats_request);
+  // Backend session ids translate into the router's id space; a backend
+  // session the router does not route (e.g. mid-terminate) is not
+  // client-visible.
+  std::map<std::pair<size_t, SessionId>, SessionId> router_ids;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [router_id, route] : routes_) {
+      router_ids[{route->backend, route->backend_session}] = router_id;
+    }
+  }
+  for (const auto& [backend, reply] : replies) {
     const auto* stats = std::get_if<StatsResponse>(&reply.result);
     if (stats == nullptr) continue;
     aggregate.stats.sessions_created += stats->stats.sessions_created;
@@ -342,12 +356,9 @@ ApiResponse SessionRouter::HandleStats(const Envelope& request) {
     // backends need not have peaked simultaneously), consistent with every
     // other field being a fleet-wide sum.
     aggregate.stats.peak_resident_bytes += stats->stats.peak_resident_bytes;
-    std::lock_guard<std::mutex> lock(mu_);
     for (SessionInfo info : stats->sessions) {
-      // Translate into the router's id space; a backend session the router
-      // does not know (e.g. mid-terminate) is not client-visible.
-      auto it = reverse_.find({backend, info.id});
-      if (it == reverse_.end()) continue;
+      auto it = router_ids.find({backend, info.id});
+      if (it == router_ids.end()) continue;
       info.id = it->second;
       aggregate.sessions.push_back(info);
     }
@@ -467,15 +478,14 @@ Status SessionRouter::CheckpointRoute(SessionId router_id, RouteState* route) {
         CheckpointRequest{route->backend_session, CheckpointPath(router_id)};
   }
   auto reply = Call(backend, request);
-  if (!reply.ok()) {
-    MarkDead(backend, reply.status());
-    return reply.status();
-  }
+  if (!reply.ok()) return reply.status();
   if (IsError(reply.value())) {
-    return ToStatus(std::get<ErrorResponse>(reply.value().result));
+    // The file on disk is now older than the session, and failing over to
+    // it would rewind the session: it has no checkpoint until one lands.
+    route->has_checkpoint = false;
+    return Status::OK();
   }
   route->has_checkpoint = true;
-  route->steps_since_checkpoint = 0;
   std::lock_guard<std::mutex> lock(mu_);
   ++checkpoints_;
   return Status::OK();
@@ -507,16 +517,13 @@ Status SessionRouter::Failover(SessionId router_id, RouteState* route) {
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      reverse_.erase({route->backend, route->backend_session});
       route->backend = backend;
       route->backend_session = restored->session;
-      reverse_[{backend, restored->session}] = router_id;
       ++failovers_;
     }
     Metrics().failovers->Increment();
     // The restored session IS the checkpoint state: replaying the lost
     // step from here reproduces the unfailed trace bit-for-bit.
-    route->steps_since_checkpoint = 0;
     Log("session " + std::to_string(router_id) + " failed over to backend " +
         backends_[backend]->address);
     return Status::OK();
@@ -530,7 +537,6 @@ RouterStats SessionRouter::stats() const {
   stats.sessions_live = routes_.size();
   stats.admission_rejects = admission_rejects_;
   stats.checkpoints = checkpoints_;
-  stats.migrations = migrations_;
   stats.failovers = failovers_;
   for (const auto& backend : backends_) {
     if (backend->alive) ++stats.backends_live;
@@ -545,83 +551,6 @@ Result<std::string> SessionRouter::BackendOf(SessionId session) const {
     return Status::NotFound("no session " + std::to_string(session));
   }
   return backends_[it->second->backend]->address;
-}
-
-Status SessionRouter::Migrate(SessionId session, const std::string& target) {
-  if (options_.checkpoint_dir.empty()) {
-    return Status::FailedPrecondition(
-        "migration requires a checkpoint_dir");
-  }
-  std::shared_ptr<RouteState> route;
-  size_t target_index = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = routes_.find(session);
-    if (it == routes_.end()) {
-      return Status::NotFound("no session " + std::to_string(session));
-    }
-    route = it->second;
-    auto target_it = backend_index_.find(target);
-    if (target_it == backend_index_.end()) {
-      return Status::NotFound("no backend '" + target + "'");
-    }
-    target_index = target_it->second;
-    if (!backends_[target_index]->alive) {
-      return Status::FailedPrecondition("backend '" + target + "' is dead");
-    }
-  }
-  std::lock_guard<std::mutex> route_lock(route->mu);
-  if (route->backend == target_index) return Status::OK();
-
-  // Quiesced (route->mu held): checkpoint captures the exact pre-move
-  // state, the source copy is then retired, the target revives the
-  // checkpoint. Restore-then-continue is bit-identical, so the move is
-  // invisible in the trace.
-  VERITAS_RETURN_IF_ERROR(CheckpointRoute(session, route.get()));
-
-  size_t source = 0;
-  ApiRequest terminate;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    source = route->backend;
-    terminate.params = TerminateRequest{route->backend_session};
-  }
-  auto retired = Call(source, terminate);
-  if (!retired.ok()) {
-    // Source died under us — its copy is gone either way; the checkpoint
-    // still carries the session.
-    MarkDead(source, retired.status());
-  } else if (IsError(retired.value())) {
-    return ToStatus(std::get<ErrorResponse>(retired.value().result));
-  }
-
-  ApiRequest restore;
-  restore.params = RestoreRequest{CheckpointPath(session)};
-  auto revived = Call(target_index, restore);
-  if (!revived.ok()) {
-    MarkDead(target_index, revived.status());
-    return revived.status();
-  }
-  if (IsError(revived.value())) {
-    return ToStatus(std::get<ErrorResponse>(revived.value().result));
-  }
-  auto* restored = std::get_if<RestoreResponse>(&revived.value().result);
-  if (restored == nullptr) {
-    return Status::Internal("unexpected restore response type");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    reverse_.erase({route->backend, route->backend_session});
-    route->backend = target_index;
-    route->backend_session = restored->session;
-    reverse_[{target_index, restored->session}] = session;
-    ++migrations_;
-  }
-  Metrics().migrations->Increment();
-  route->steps_since_checkpoint = 0;
-  Log("session " + std::to_string(session) + " migrated to backend " +
-      target);
-  return Status::OK();
 }
 
 std::string SessionRouter::PlacementKey(SessionId router_id) const {

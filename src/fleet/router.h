@@ -11,18 +11,18 @@
 /// forwarding is transparent, and a client cannot tell a router from a
 /// single server.
 ///
-/// Fault tolerance is checkpoint-based exactly-once: with a checkpoint
-/// directory configured, the router checkpoints every session on create and
-/// after every `checkpoint_interval` completed steps. Any transport failure
-/// to a backend is treated as that backend's death (backends never close
-/// router connections while alive): the backend leaves the ring, the
-/// session is restored from its checkpoint on a surviving backend, and the
-/// in-flight request is retried there. Restore-then-continue is
-/// bit-identical to never-checkpointed (the PR 4 guarantee), so with
-/// interval 1 a mid-step crash replays deterministically and the client
-/// observes the exact trace an unfailed run produces. No blind same-backend
-/// retries ever happen — a lost response must NOT re-execute a step on live
-/// state.
+/// Fault tolerance is checkpoint-based exactly-once, with one policy: with
+/// a checkpoint directory configured, the router checkpoints every session
+/// on create and after every completed step (advance or answer), and a
+/// step's reply leaves only once its checkpoint is acknowledged. Any
+/// transport failure to a backend is treated as that backend's death
+/// (backends never close router connections while alive): the backend
+/// leaves the ring, the session is restored from its checkpoint on a
+/// surviving backend, and the in-flight request is retried there.
+/// Restore-then-continue is bit-identical to never-checkpointed, so the
+/// replayed step yields the exact bytes the dead backend would have sent.
+/// No blind same-backend retries ever happen — a lost response must NOT
+/// re-execute a step on live state.
 ///
 /// Also the fleet's admission control point: `max_sessions` caps live
 /// sessions across all backends (kUnavailable on the excess create, the
@@ -55,18 +55,16 @@ struct SessionRouterOptions {
   /// Where router-initiated checkpoints live (shared filesystem with the
   /// backends), one `session-<router id>` directory per live session,
   /// removed when the session terminates. Empty disables checkpointing —
-  /// and with it failover and migration.
+  /// and with it failover.
   std::string checkpoint_dir;
-  /// Completed steps (advance/answer) between router checkpoints. 1 =
-  /// checkpoint after every step: any crash replays at most the in-flight
-  /// step, which is exactly-once under deterministic replay. 0 disables
-  /// step checkpoints (sessions are still checkpointed on create when a
-  /// directory is set).
+  /// Must be 1, its default: failover replays only the in-flight request,
+  /// so checkpointing less often than every step would rewind a session
+  /// by the steps since its last checkpoint. Start refuses any other
+  /// value. Only the repository benchmark (perfbench/src/fleet.cc) still
+  /// assigns it, which is why the field stays.
   size_t checkpoint_interval = 1;
   /// Fleet-wide live-session cap; 0 = unlimited.
   size_t max_sessions = 0;
-  /// Consistent-hash vnodes per backend (fleet/hash_ring.h).
-  size_t vnodes_per_backend = 64;
 };
 
 /// Aggregate router counters (the fleet bench and failover tests read
@@ -76,7 +74,6 @@ struct RouterStats {
   size_t sessions_live = 0;
   size_t admission_rejects = 0;
   size_t checkpoints = 0;        ///< router-initiated only
-  size_t migrations = 0;
   size_t failovers = 0;
   size_t backends_live = 0;
 };
@@ -101,12 +98,6 @@ class SessionRouter : public FrameHandler {
   /// use this to aim their kill.
   Result<std::string> BackendOf(SessionId session) const;
 
-  /// Moves `session` to `target` (a configured, live backend address):
-  /// checkpoint on the source, terminate there, restore on the target.
-  /// Requires a checkpoint_dir. The session id is unchanged; the trace is
-  /// bit-identical across the move.
-  Status Migrate(SessionId session, const std::string& target);
-
   /// Observer for routing/failover events ("session 3 routed to backend
   /// 127.0.0.1:9001", "backend ... marked dead: ...", "session 3 failed
   /// over to ..."). Set before serving traffic; called with no router locks
@@ -130,8 +121,7 @@ class SessionRouter : public FrameHandler {
   struct RouteState {
     size_t backend = 0;            ///< guarded by SessionRouter::mu_
     SessionId backend_session = 0; ///< guarded by SessionRouter::mu_
-    size_t steps_since_checkpoint = 0;  ///< guarded by mu
-    bool has_checkpoint = false;        ///< guarded by mu
+    bool has_checkpoint = false;   ///< guarded by mu
     std::mutex mu;
   };
 
@@ -174,6 +164,10 @@ class SessionRouter : public FrameHandler {
   void MarkDead(size_t backend, const Status& cause);
 
   /// Router-initiated checkpoint of a route (route->mu held by caller).
+  /// A non-OK Status is a transport failure, as for Forward. A backend
+  /// that refuses the checkpoint leaves the file on disk stale, so the
+  /// route loses `has_checkpoint` until a later checkpoint lands; that
+  /// refusal comes back OK.
   Status CheckpointRoute(SessionId router_id, RouteState* route);
   /// Restores the route from its checkpoint on a surviving backend
   /// (route->mu held by caller).
@@ -191,14 +185,10 @@ class SessionRouter : public FrameHandler {
   mutable std::mutex mu_;
   HashRing ring_;
   std::map<SessionId, std::shared_ptr<RouteState>> routes_;
-  /// (backend index, backend session id) -> router session id; translates
-  /// backend StatsResponse session lists into the client-visible id space.
-  std::map<std::pair<size_t, SessionId>, SessionId> reverse_;
   SessionId next_session_id_ = 1;
   size_t sessions_routed_ = 0;
   size_t admission_rejects_ = 0;
   size_t checkpoints_ = 0;
-  size_t migrations_ = 0;
   size_t failovers_ = 0;
 };
 

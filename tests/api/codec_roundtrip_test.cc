@@ -456,6 +456,29 @@ TEST(CodecRejectionTest, WrongApiVersionRejected) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(CodecRejectionTest, ApiVersionAbove32BitsRejected) {
+  // 2^32 + 1: the low 32 bits read 1, the version this build speaks.
+  const std::string request =
+      "{\"api_version\":4294967297,\"id\":1,\"method\":\"stats\","
+      "\"params\":{}}";
+  const std::string response =
+      "{\"api_version\":4294967297,\"id\":3,\"ok\":true,"
+      "\"result_type\":\"stats\",\"result\":"
+      "{\"stats\":{\"sessions_created\":2},\"sessions\":[]}}";
+  const Status refusals[] = {
+      DecodeRequest(request).status(),
+      DecodeRequestEnvelope(request).status(),
+      DecodeResponse(response).status(),
+      DecodeResponseEnvelope(response).status(),
+  };
+  for (const Status& refused : refusals) {
+    EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
+    EXPECT_NE(refused.message().find("api_version 4294967297"),
+              std::string::npos)
+        << refused;
+  }
+}
+
 TEST(CodecRejectionTest, UnknownMethodRejected) {
   auto decoded = DecodeRequest(
       "{\"api_version\":1,\"id\":4,\"method\":\"explode\",\"params\":{}}");

@@ -98,7 +98,9 @@ TEST(ICrfTest, ResampleRequiresInferFirst) {
   ICrf icrf(&db, FastOptions(), 5);
   BeliefState state(db.num_claims());
   Rng rng(1);
-  EXPECT_FALSE(icrf.ResampleProbs(state, nullptr, &rng).ok());
+  EXPECT_FALSE(icrf.hypothetical()
+                   .ResampleScoped(state, nullptr, &rng, /*neutral_prior=*/false)
+                   .ok());
 }
 
 TEST(ICrfTest, ResampleRestrictedTouchesOnlyScope) {
@@ -111,11 +113,13 @@ TEST(ICrfTest, ResampleRestrictedTouchesOnlyScope) {
   hypo.SetLabel(0, true);
   const std::vector<ClaimId> scope{0};
   Rng rng(2);
-  auto probs = icrf.ResampleProbs(hypo, &scope, &rng);
+  auto probs = icrf.hypothetical().ResampleScoped(hypo, &scope, &rng,
+                                                  /*neutral_prior=*/false);
   ASSERT_TRUE(probs.ok());
-  EXPECT_DOUBLE_EQ(probs.value()[0], 1.0);  // labeled
+  EXPECT_DOUBLE_EQ(probs.value().probs()[0], 1.0);  // labeled
   for (size_t c = 1; c < corpus.db.num_claims(); ++c) {
-    EXPECT_DOUBLE_EQ(probs.value()[c], state.prob(static_cast<ClaimId>(c)));
+    EXPECT_DOUBLE_EQ(probs.value().probs()[c],
+                     state.prob(static_cast<ClaimId>(c)));
   }
 }
 
@@ -131,7 +135,7 @@ TEST(ICrfTest, HypotheticalLabelShiftsNeighborhood) {
   ClaimId center = 0;
   std::vector<ClaimId> hood;
   for (size_t c = 0; c < corpus.db.num_claims(); ++c) {
-    hood = icrf.Neighborhood(static_cast<ClaimId>(c), 1, 16);
+    hood = icrf.hypothetical().Neighborhood(static_cast<ClaimId>(c), 1, 16);
     if (hood.size() > 2) {
       center = static_cast<ClaimId>(c);
       break;
@@ -144,8 +148,10 @@ TEST(ICrfTest, HypotheticalLabelShiftsNeighborhood) {
   BeliefState negative = state;
   negative.SetLabel(center, false);
   Rng rng_a(3), rng_b(3);
-  auto plus = icrf.ResampleProbs(positive, &hood, &rng_a);
-  auto minus = icrf.ResampleProbs(negative, &hood, &rng_b);
+  auto plus = icrf.hypothetical().ResampleScoped(positive, &hood, &rng_a,
+                                                 /*neutral_prior=*/false);
+  auto minus = icrf.hypothetical().ResampleScoped(negative, &hood, &rng_b,
+                                                  /*neutral_prior=*/false);
   ASSERT_TRUE(plus.ok());
   ASSERT_TRUE(minus.ok());
   // Averaged over the neighborhood, the positive hypothesis must yield
@@ -153,8 +159,8 @@ TEST(ICrfTest, HypotheticalLabelShiftsNeighborhood) {
   // shared source are predominantly positive when stances agree).
   double mean_plus = 0.0, mean_minus = 0.0;
   for (const ClaimId c : hood) {
-    mean_plus += plus.value()[c];
-    mean_minus += minus.value()[c];
+    mean_plus += plus.value().probs()[c];
+    mean_minus += minus.value().probs()[c];
   }
   EXPECT_NE(mean_plus, mean_minus);
 }

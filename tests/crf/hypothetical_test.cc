@@ -1,7 +1,7 @@
 // Equivalence suite of the HypotheticalEngine refactor: pins that (a) the
 // flat-CSR Gibbs sweep reproduces the former nested-vector adjacency bit
 // for bit, (b) EvaluateCandidate / EvaluateHoldout reproduce the manual
-// BeliefState-copy + ResampleProbs plumbing the five call sites used to
+// BeliefState-copy + ResampleScoped plumbing the five call sites used to
 // carry, (c) cached neighborhoods equal fresh BFS and honor the
 // invalidation contract when edges change, and (d) the scratch pool
 // actually reuses buffers.
@@ -140,18 +140,19 @@ TEST(HypotheticalEngineTest, EvaluateCandidateMatchesManualResample) {
       // the candidate, re-sample its neighborhood with the candidate rng.
       BeliefState hypo = state;
       hypo.SetLabel(c, branch == 0);
-      const std::vector<ClaimId> hood = icrf.Neighborhood(
+      const std::vector<ClaimId> hood = engine.Neighborhood(
           c, options.neighborhood_radius, options.neighborhood_cap);
       Rng rng = CandidateRng(options.seed, c, branch);
-      auto manual = icrf.ResampleProbs(hypo, &hood, &rng);
+      auto manual =
+          engine.ResampleScoped(hypo, &hood, &rng, /*neutral_prior=*/false);
       ASSERT_TRUE(manual.ok());
 
       auto evaluation = engine.EvaluateCandidate(state, c, branch, options);
       ASSERT_TRUE(evaluation.ok());
       const std::vector<double>& pooled = evaluation.value().probs();
-      ASSERT_EQ(pooled.size(), manual.value().size());
+      ASSERT_EQ(pooled.size(), manual.value().probs().size());
       for (size_t i = 0; i < pooled.size(); ++i) {
-        EXPECT_DOUBLE_EQ(pooled[i], manual.value()[i])
+        EXPECT_DOUBLE_EQ(pooled[i], manual.value().probs()[i])
             << "claim " << c << " branch " << branch << " index " << i;
       }
     }
@@ -180,18 +181,18 @@ TEST(HypotheticalEngineTest, EvaluateHoldoutMatchesManualClearLabel) {
       // re-sample the neighborhood with a neutral prior.
       BeliefState holdout = state;
       holdout.ClearLabel(c, 0.5);
-      const std::vector<ClaimId> hood = icrf.Neighborhood(
+      const std::vector<ClaimId> hood = engine.Neighborhood(
           c, options.neighborhood_radius, options.neighborhood_cap);
       Rng rng = CandidateRng(options.seed, c, rep);
       auto manual =
-          icrf.ResampleProbs(holdout, &hood, &rng, /*neutral_prior=*/true);
+          engine.ResampleScoped(holdout, &hood, &rng, /*neutral_prior=*/true);
       ASSERT_TRUE(manual.ok());
 
       auto evaluation = engine.EvaluateHoldout(state, c, rep, options);
       ASSERT_TRUE(evaluation.ok());
       const std::vector<double>& pooled = evaluation.value().probs();
       for (size_t i = 0; i < pooled.size(); ++i) {
-        EXPECT_DOUBLE_EQ(pooled[i], manual.value()[i])
+        EXPECT_DOUBLE_EQ(pooled[i], manual.value().probs()[i])
             << "claim " << c << " rep " << rep << " index " << i;
       }
     }

@@ -109,6 +109,8 @@ TEST_F(RouterTransparencyTest, RefusedFramesGetTheBytesOfASingleServer) {
       "",
       "{\"api_version\":1,\"id\":2,\"method\":\"advance\",\"params\":{\"sess",
       "{\"api_version\":2,\"id\":3,\"method\":\"stats\",\"params\":{}}",
+      "{\"api_version\":4294967297,\"id\":7,\"method\":\"stats\","
+      "\"params\":{}}",
       "{\"api_version\":1,\"id\":4,\"method\":\"explode\",\"params\":{}}",
       unknown_enum,
       "{\"api_version\":1,\"id\":6,\"method\":\"advance\","

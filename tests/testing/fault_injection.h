@@ -5,13 +5,17 @@
 // SIGKILL: the worker's server, queue, and manager are torn down
 // immediately (live connections sever mid-stream; all session state is
 // lost), while whatever checkpoint files the worker wrote remain on disk.
-// That is exactly the failure a SessionRouter must recover from.
+// That is exactly the failure a SessionRouter must recover from. A frame
+// filter in front of a worker injects the subtler faults: a reply lost in
+// transport, or a request the worker refuses.
 
 #ifndef VERITAS_TESTS_TESTING_FAULT_INJECTION_H_
 #define VERITAS_TESTS_TESTING_FAULT_INJECTION_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +32,14 @@ struct WorkerFleetOptions {
   /// RequestQueue workers per fleet member.
   size_t queue_workers = 1;
 };
+
+/// A test's hook in front of a worker's GuidanceApi: it sees each request
+/// frame first and either answers it itself (returns the reply bytes) or
+/// lets the worker serve it (returns std::nullopt). Called concurrently
+/// from the worker's dispatch pool, so any state it keeps must be
+/// thread-safe.
+using FrameFilter =
+    std::function<std::optional<std::string>(const std::string& frame)>;
 
 /// N live workers on loopback ports. Construction aborts on failure (test
 /// fixture; a bind/listen failure is an environment bug, not a test case).
@@ -57,11 +69,18 @@ class WorkerFleet {
   /// state of worker i. Checkpoint files it wrote stay on disk. Idempotent.
   void Kill(size_t i);
 
+  /// Puts `filter` in front of worker i from its next frame on; an empty
+  /// filter removes it.
+  void SetFilter(size_t i, FrameFilter filter);
+
  private:
+  class Front;
+
   struct Worker {
     std::unique_ptr<SessionManager> manager;
     std::unique_ptr<RequestQueue> queue;
     std::unique_ptr<GuidanceApi> api;
+    std::unique_ptr<Front> front;
     std::unique_ptr<EventApiServer> server;
     uint16_t port = 0;
   };
