@@ -25,9 +25,9 @@
 //
 // --fleet switches to the fleet mode (DESIGN.md §11): one worker stack
 // under 64 concurrent think-time-bound sessions, then the SessionRouter's
-// 1/2/4-backend scaling curve with sessions consistent-hashed across
-// in-process worker stacks. bench_report.sh records the "# fleet" footers
-// into BENCH_guidance.json.
+// 1/2/4-backend scaling curve with sessions spread round robin (router id
+// mod backends) across in-process worker stacks. bench_report.sh records
+// the "# fleet" footers into BENCH_guidance.json.
 //
 // --metrics-overhead switches to the observability cost gate (DESIGN.md
 // §14): the identical one-worker stack with the global metrics registry
@@ -603,8 +603,9 @@ int RunFleetMode(const EmulatedCorpus& corpus, double latency_ms,
     worker.server->Stop();
   }
 
-  // Part B: router scaling. Each backend gets 4 queue workers; 64 sessions
-  // consistent-hash across them (64 sessions: enough keys for the ring to spread load evenly). Capacity is (4 * backends) / think_time,
+  // Part B: router scaling. Each backend gets 4 queue workers; the 64
+  // sessions spread round robin across them (router id mod backends), 16
+  // per backend at 4 backends. Capacity is (4 * backends) / think_time,
   // so the curve rises with the fleet until the 64 closed-loop clients
   // saturate. Checkpointing off: this measures routing, not durability.
   // Longer sessions than part A: session creation is CPU-bound compute that
@@ -663,8 +664,8 @@ int RunFleetMode(const EmulatedCorpus& corpus, double latency_ms,
   const bool scaling_ok = scaling >= 2.5;
   PrintShapeCheck(scaling_ok,
                   "4 backends deliver >= 2.5x the routed step throughput "
-                  "of 1 backend (think-time-bound sessions spread by the "
-                  "consistent-hash ring)");
+                  "of 1 backend (think-time-bound sessions spread round "
+                  "robin by router id)");
   return scaling_ok ? 0 : 1;
 }
 

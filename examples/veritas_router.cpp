@@ -1,8 +1,8 @@
-// veritas_router: fleet front end (DESIGN.md §11). Consistent-hashes
-// sessions onto N backend veritas_server workers and forwards the
-// unchanged v1 wire protocol, checkpointing sessions so a killed worker
-// fails over to a survivor mid-session. Clients connect to the router
-// exactly as they would to a single server.
+// veritas_router: fleet front end (DESIGN.md §11). Places session k on
+// live backend k mod n of N veritas_server workers (in --backends order)
+// and forwards the unchanged v1 wire protocol, checkpointing sessions so a
+// killed worker fails over to a survivor mid-session. Clients connect to
+// the router exactly as they would to a single server.
 //
 //   ./examples/example_veritas_router --backends=HOST:PORT,HOST:PORT,...
 //       [--port=N] [--port-file=PATH] [--checkpoint-dir=DIR]
@@ -24,8 +24,8 @@
 //                           VERITAS_LOG_LEVEL)
 //
 // Routing/failover events ("session 3 routed to backend ...", "backend ...
-// marked dead", "session 3 failed over to ...") print to stdout; the CI
-// fleet smoke greps them.
+// marked dead", "session 3 failed over to ...", "session 3 lost: ...")
+// print to stdout; the CI fleet smoke greps them.
 
 #include <fstream>
 #include <iostream>

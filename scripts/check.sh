@@ -30,7 +30,8 @@
 # the decoders and byte parsers (the JSON reader, the wire codec and its
 # golden fixtures, the seeded mutation of wire frames through the decoders
 # and the envelope readers, the binary readers and the fact-database
-# record, the session checkpoint and its golden files, the event server's
+# record, the session checkpoint, its golden files and the seeded mutation
+# of those files through the checkpoint reader, the event server's
 # frame reassembly, the metrics endpoint's HTTP head read, the session
 # manager's create path, which refuses oversized step work from the wire,
 # and the router and loopback suites, since the router reads and splices
@@ -336,6 +337,7 @@ if [[ "${ASAN:-0}" == "1" ]]; then
                "$build_dir"/tests/api_event_server_test \
                "$build_dir"/tests/api_loopback_test \
                "$build_dir"/tests/api_wire_mutation_test \
+               "$build_dir"/tests/service_checkpoint_mutation_test \
                "$build_dir"/tests/obs_exposition_test \
                "$build_dir"/tests/api_codec_roundtrip_test \
                "$build_dir"/tests/api_codec_golden_test \

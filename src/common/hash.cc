@@ -4,9 +4,9 @@ namespace veritas {
 
 namespace {
 
-/// splitmix64 finalizer, folded over the bytes of a string. Strong enough
-/// mixing that vnode points spread uniformly over the 64-bit ring; cheap
-/// enough to hash a placement key per request.
+/// splitmix64 finalizer, folded over the bytes of a string: strong mixing
+/// at a few operations per byte, cheap enough to checksum every
+/// checkpoint.
 uint64_t Mix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

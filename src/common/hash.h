@@ -9,9 +9,8 @@ namespace veritas {
 /// 64-bit hash of a byte string under `seed`: the splitmix64 finalizer
 /// folded over the bytes, then over the length. Every per-byte step is a
 /// bijection of the running state, so changing any single byte always
-/// changes the result. Places keys and vnodes on the consistent-hash ring
-/// (fleet/hash_ring.h) and checksums checkpoint files
-/// (service/checkpoint.h); both depend on its exact output.
+/// changes the result. Checksums checkpoint files (service/checkpoint.h),
+/// whose committed fixtures depend on its exact output.
 uint64_t HashBytes(const std::string& bytes, uint64_t seed);
 
 }  // namespace veritas

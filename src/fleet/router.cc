@@ -18,7 +18,9 @@ namespace {
 /// and the router-stage trace span.
 struct RouterMetrics {
   MetricsRegistry::Counter* failovers;
-  MetricsRegistry::Counter* ring_changes;
+  /// Backends marked dead. Exported as `ring_changes`, a name kept from
+  /// when placement used a hash ring: exported series names stay stable.
+  MetricsRegistry::Counter* backend_deaths;
   MetricsRegistry::Counter* admission_rejects;
   MetricsRegistry::Histogram* forward_seconds;
   MetricsRegistry::Histogram* router_span;
@@ -29,7 +31,7 @@ const RouterMetrics& Metrics() {
     MetricsRegistry& registry = GlobalMetrics();
     RouterMetrics m;
     m.failovers = registry.counter("veritas_router_failovers_total");
-    m.ring_changes = registry.counter("veritas_router_ring_changes_total");
+    m.backend_deaths = registry.counter("veritas_router_ring_changes_total");
     m.admission_rejects =
         registry.counter("veritas_router_admission_rejects_total");
     m.forward_seconds = registry.histogram("veritas_router_forward_seconds");
@@ -113,9 +115,11 @@ Result<std::unique_ptr<SessionRouter>> SessionRouter::Start(
 
 Status SessionRouter::Init() {
   for (const std::string& address : options_.backends) {
-    if (backend_index_.count(address) != 0) {
-      return Status::InvalidArgument("duplicate backend address '" + address +
-                                     "'");
+    for (const auto& existing : backends_) {
+      if (existing->address == address) {
+        return Status::InvalidArgument("duplicate backend address '" +
+                                       address + "'");
+      }
     }
     auto backend = std::make_unique<Backend>();
     backend->address = address;
@@ -130,9 +134,7 @@ Status SessionRouter::Init() {
                                  probe.status().message());
     }
     backend->idle.push_back(std::move(probe).value());
-    backend_index_[address] = backends_.size();
     backends_.push_back(std::move(backend));
-    ring_.AddShard(address);
   }
   return Status::OK();
 }
@@ -195,43 +197,42 @@ std::string SessionRouter::HandleCreate(const std::string& frame,
     }
     router_id = next_session_id_++;
   }
+  auto route = std::make_shared<RouteState>();
   for (;;) {
-    auto pick = PickBackend(PlacementKey(router_id));
+    auto pick = PickBackend(router_id);
     if (!pick.ok()) return EncodeError(request, pick.status());
     const size_t backend = pick.value();
     std::string reply;
     Envelope placed;
-    const Status sent = Forward(backend, frame, &reply, &placed);
-    if (!sent.ok()) {
-      MarkDead(backend, sent);
-      continue;  // the ring shrank; re-pick among survivors
-    }
-    if (!placed.ok) return reply;  // backend refused: pass through
-    if (placed.session_literal.empty()) {
-      return EncodeError(
-          request, Status::Internal("unexpected placement response type"));
-    }
-
-    auto route = std::make_shared<RouteState>();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+    Status sent = Forward(backend, frame, &reply, &placed);
+    if (sent.ok() && placed.ok) {
+      if (placed.session_literal.empty()) {
+        return EncodeError(
+            request, Status::Internal("unexpected placement response type"));
+      }
       route->backend = backend;
       route->backend_session = placed.session;
+      // Create-time checkpoint: from here on, losing the backend is
+      // recoverable. One lost in transport means the backend died right
+      // after placement, which loses the create with it. The route is not
+      // published yet, so nothing else can reach it.
+      if (!options_.checkpoint_dir.empty()) {
+        sent = CheckpointRoute(router_id, route.get());
+      }
+    }
+    if (!sent.ok()) {
+      MarkDead(backend, sent);
+      continue;  // re-pick among survivors
+    }
+    if (!placed.ok) return reply;  // backend refused: pass through
+
+    {
+      std::lock_guard<std::mutex> lock(mu_);
       routes_[router_id] = route;
       ++sessions_routed_;
     }
     Log("session " + std::to_string(router_id) + " routed to backend " +
         backends_[backend]->address);
-
-    if (!options_.checkpoint_dir.empty()) {
-      // Create-time checkpoint: from here on, losing the backend is
-      // recoverable. Failure here means the backend died immediately after
-      // placement; the next operation on the session surfaces it.
-      std::lock_guard<std::mutex> route_lock(route->mu);
-      const Status checkpointed = CheckpointRoute(router_id, route.get());
-      if (!checkpointed.ok()) MarkDead(backend, checkpointed);
-    }
-
     // The client sees the router's id space.
     return SpliceSession(reply, placed.session_literal, router_id);
   }
@@ -255,9 +256,9 @@ std::string SessionRouter::HandleSessionOp(const std::string& frame,
   std::lock_guard<std::mutex> route_lock(route->mu);
 
   // One forward per live backend the session lands on: transport failure →
-  // failover to a survivor → retry exactly once there, and so on until the
-  // ring empties. Never retried on the SAME backend — a lost response may
-  // mean the step executed, and re-running it on live state would
+  // failover to a survivor → retry exactly once there, and so on until no
+  // backend is left. Never retried on the SAME backend — a lost response
+  // may mean the step executed, and re-running it on live state would
   // double-step; the failover restore rewinds to the checkpoint first,
   // which makes the replay exact.
   const bool step = request.method == ApiMethod::kAdvance ||
@@ -277,27 +278,26 @@ std::string SessionRouter::HandleSessionOp(const std::string& frame,
     Status sent = Forward(backend, forwarded, &reply, &answered);
     if (sent.ok() && answered.ok && step && !options_.checkpoint_dir.empty()) {
       // A step's reply waits for the step's checkpoint. One lost in
-      // transport means the backend died before the step was on disk: the
-      // step replays on a survivor from the checkpoint taken before it.
+      // transport means the backend died before acknowledging it, whether
+      // or not the file landed: the step replays on a survivor from the
+      // slot acknowledged before it, which the lost one could not touch.
       sent = CheckpointRoute(session, route.get());
     }
     if (!sent.ok()) {
       MarkDead(backend, sent);
       const Status recovered = Failover(session, route.get());
-      if (!recovered.ok()) return EncodeError(request, recovered);
+      if (!recovered.ok()) {
+        // Nothing can bring the session back: it leaves the router, and
+        // later requests naming it get kNotFound, as after a terminate.
+        RemoveRoute(session);
+        Log("session " + std::to_string(session) +
+            " lost: " + recovered.message());
+        return EncodeError(request, recovered);
+      }
       continue;
     }
     if (!answered.ok) return reply;
-    if (request.method == ApiMethod::kTerminate) {
-      // The checkpoint lives exactly as long as the session. Removed under
-      // the route lock, so no checkpoint of this route can race the removal.
-      if (!options_.checkpoint_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::remove_all(CheckpointPath(session), ec);
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      routes_.erase(session);
-    }
+    if (request.method == ApiMethod::kTerminate) RemoveRoute(session);
     return reply;
   }
   return EncodeError(request, Status::Unavailable("no live backends"));
@@ -305,15 +305,8 @@ std::string SessionRouter::HandleSessionOp(const std::string& frame,
 
 std::vector<std::pair<size_t, ApiResponse>> SessionRouter::CallLive(
     const ApiRequest& request) {
-  std::vector<size_t> live;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < backends_.size(); ++i) {
-      if (backends_[i]->alive) live.push_back(i);
-    }
-  }
   std::vector<std::pair<size_t, ApiResponse>> replies;
-  for (size_t backend : live) {
+  for (size_t backend : LiveBackends()) {
     auto reply = Call(backend, request);
     if (!reply.ok()) {
       MarkDead(backend, reply.status());
@@ -383,8 +376,8 @@ ApiResponse SessionRouter::HandleMetrics(const Envelope& request) {
     if (metrics != nullptr) MergeSnapshot(&aggregate, metrics->snapshot);
   }
   // The router's own registry last: router-stage trace spans, forward
-  // latencies, failover/ring counters, and the wire metrics of the
-  // transport hosting this router.
+  // latencies, failover and backend-death counters, and the wire metrics of
+  // the transport hosting this router.
   MergeSnapshot(&aggregate, GlobalMetrics().Snapshot());
   ApiResponse response;
   response.id = request.id;
@@ -443,13 +436,19 @@ void SessionRouter::ReleaseConnection(size_t backend, Socket socket) {
   b.idle.push_back(std::move(socket));
 }
 
-Result<size_t> SessionRouter::PickBackend(const std::string& key) const {
+std::vector<size_t> SessionRouter::LiveBackends() const {
+  std::vector<size_t> live;
   std::lock_guard<std::mutex> lock(mu_);
-  auto shard = ring_.ShardFor(key);
-  if (!shard.ok()) {
-    return Status::Unavailable("no live backends");
+  for (size_t i = 0; i < backends_.size(); ++i) {
+    if (backends_[i]->alive) live.push_back(i);
   }
-  return backend_index_.at(shard.value());
+  return live;
+}
+
+Result<size_t> SessionRouter::PickBackend(SessionId router_id) const {
+  const std::vector<size_t> live = LiveBackends();
+  if (live.empty()) return Status::Unavailable("no live backends");
+  return live[router_id % live.size()];
 }
 
 void SessionRouter::MarkDead(size_t backend, const Status& cause) {
@@ -458,34 +457,36 @@ void SessionRouter::MarkDead(size_t backend, const Status& cause) {
     std::lock_guard<std::mutex> lock(mu_);
     if (!b.alive) return;
     b.alive = false;
-    ring_.RemoveShard(b.address);
   }
   {
     std::lock_guard<std::mutex> lock(b.pool_mu);
     b.idle.clear();
   }
-  Metrics().ring_changes->Increment();
+  Metrics().backend_deaths->Increment();
   Log("backend " + b.address + " marked dead: " + cause.message());
 }
 
 Status SessionRouter::CheckpointRoute(SessionId router_id, RouteState* route) {
+  const unsigned slot = 1 - route->slot;
   size_t backend = 0;
   ApiRequest request;
   {
     std::lock_guard<std::mutex> lock(mu_);
     backend = route->backend;
-    request.params =
-        CheckpointRequest{route->backend_session, CheckpointPath(router_id)};
+    request.params = CheckpointRequest{route->backend_session,
+                                       SlotPath(router_id, slot)};
   }
   auto reply = Call(backend, request);
   if (!reply.ok()) return reply.status();
   if (IsError(reply.value())) {
-    // The file on disk is now older than the session, and failing over to
-    // it would rewind the session: it has no checkpoint until one lands.
+    // The acknowledged slot is now older than the session, and failing
+    // over to it would rewind the session: it has no checkpoint until one
+    // lands.
     route->has_checkpoint = false;
     return Status::OK();
   }
   route->has_checkpoint = true;
+  route->slot = slot;
   std::lock_guard<std::mutex> lock(mu_);
   ++checkpoints_;
   return Status::OK();
@@ -498,9 +499,9 @@ Status SessionRouter::Failover(SessionId router_id, RouteState* route) {
                                " has no checkpoint");
   }
   ApiRequest restore;
-  restore.params = RestoreRequest{CheckpointPath(router_id)};
+  restore.params = RestoreRequest{SlotPath(router_id, route->slot)};
   for (;;) {
-    auto pick = PickBackend(PlacementKey(router_id));
+    auto pick = PickBackend(router_id);
     if (!pick.ok()) return pick.status();
     const size_t backend = pick.value();
     auto reply = Call(backend, restore);
@@ -553,12 +554,23 @@ Result<std::string> SessionRouter::BackendOf(SessionId session) const {
   return backends_[it->second->backend]->address;
 }
 
-std::string SessionRouter::PlacementKey(SessionId router_id) const {
-  return "session-" + std::to_string(router_id);
+void SessionRouter::RemoveRoute(SessionId router_id) {
+  // Checkpoints live exactly as long as the session. Removed under the
+  // route lock, so no checkpoint of this route can race the removal.
+  if (!options_.checkpoint_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::remove_all(CheckpointPath(router_id), ec);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  routes_.erase(router_id);
 }
 
 std::string SessionRouter::CheckpointPath(SessionId router_id) const {
   return options_.checkpoint_dir + "/session-" + std::to_string(router_id);
+}
+
+std::string SessionRouter::SlotPath(SessionId router_id, unsigned slot) const {
+  return CheckpointPath(router_id) + "/" + std::to_string(slot);
 }
 
 void SessionRouter::Log(const std::string& message) const {

@@ -1,9 +1,11 @@
 /// \file
 /// SessionRouter (DESIGN.md §11): the fleet front end. Clients speak the
-/// unchanged v1 wire protocol to the router; the router consistent-hashes
-/// each session onto one of N backend veritas_server workers and forwards
-/// frames, translating session ids both ways (the router owns the
-/// client-visible id space; each backend owns its own). The router reads
+/// unchanged v1 wire protocol to the router; the router places each session
+/// on one of N backend veritas_server workers and forwards frames,
+/// translating session ids both ways (the router owns the client-visible id
+/// space; each backend owns its own). Placement is one stateless rule:
+/// router id k goes to live backend k mod n, counting the n still-alive
+/// backends in `SessionRouterOptions::backends` order. The router reads
 /// only a frame's envelope (api/codec.h DecodeRequestEnvelope) and forwards
 /// the bytes: a create or restore goes out as the client sent it, a session
 /// operation with only the digits of `params.session` replaced, and a reply
@@ -17,12 +19,13 @@
 /// step's reply leaves only once its checkpoint is acknowledged. Any
 /// transport failure to a backend is treated as that backend's death
 /// (backends never close router connections while alive): the backend
-/// leaves the ring, the session is restored from its checkpoint on a
-/// surviving backend, and the in-flight request is retried there.
-/// Restore-then-continue is bit-identical to never-checkpointed, so the
-/// replayed step yields the exact bytes the dead backend would have sent.
-/// No blind same-backend retries ever happen — a lost response must NOT
-/// re-execute a step on live state.
+/// stops taking placements, the session is restored from its last
+/// acknowledged checkpoint on a surviving backend, and the in-flight
+/// request is retried there. Restore-then-continue is bit-identical to
+/// never-checkpointed, so the replayed step yields the exact bytes the dead
+/// backend would have sent. No blind same-backend retries ever happen — a
+/// lost response must NOT re-execute a step on live state. A session that
+/// cannot be restored is lost: its route and checkpoints go.
 ///
 /// Also the fleet's admission control point: `max_sessions` caps live
 /// sessions across all backends (kUnavailable on the excess create, the
@@ -44,7 +47,6 @@
 #include "api/frame_handler.h"
 #include "api/wire.h"
 #include "common/socket.h"
-#include "fleet/hash_ring.h"
 
 namespace veritas {
 
@@ -53,9 +55,9 @@ struct SessionRouterOptions {
   /// every backend is probed (one connection) at Start.
   std::vector<std::string> backends;
   /// Where router-initiated checkpoints live (shared filesystem with the
-  /// backends), one `session-<router id>` directory per live session,
-  /// removed when the session terminates. Empty disables checkpointing —
-  /// and with it failover.
+  /// backends), one `session-<router id>` directory per live session with
+  /// two slots, `0/` and `1/`, removed when the session terminates or is
+  /// lost. Empty disables checkpointing — and with it failover.
   std::string checkpoint_dir;
   /// Must be 1, its default: failover replays only the in-flight request,
   /// so checkpointing less often than every step would rewind a session
@@ -100,8 +102,9 @@ class SessionRouter : public FrameHandler {
 
   /// Observer for routing/failover events ("session 3 routed to backend
   /// 127.0.0.1:9001", "backend ... marked dead: ...", "session 3 failed
-  /// over to ..."). Set before serving traffic; called with no router locks
-  /// held is NOT guaranteed — keep it cheap and reentrancy-free.
+  /// over to ...", "session 3 lost: ..."). Set before serving traffic;
+  /// called with no router locks held is NOT guaranteed — keep it cheap
+  /// and reentrancy-free.
   void set_log(std::function<void(const std::string&)> log) {
     log_ = std::move(log);
   }
@@ -122,6 +125,10 @@ class SessionRouter : public FrameHandler {
     size_t backend = 0;            ///< guarded by SessionRouter::mu_
     SessionId backend_session = 0; ///< guarded by SessionRouter::mu_
     bool has_checkpoint = false;   ///< guarded by mu
+    /// Slot of the last acknowledged checkpoint; the next one goes to the
+    /// other slot, so it never overwrites the state a failover restores.
+    /// Starts at 1, so the create-time checkpoint lands in slot 0.
+    unsigned slot = 1;             ///< guarded by mu
     std::mutex mu;
   };
 
@@ -129,8 +136,9 @@ class SessionRouter : public FrameHandler {
   Status Init();
 
   /// A create or restore opens a fleet session: admission, then placement
-  /// on the ring (re-picking among survivors while a pick is dead), then
-  /// the route under a new router id.
+  /// (re-picking among survivors while a pick is dead, including one whose
+  /// create-time checkpoint is lost in transport), then the route under a
+  /// new router id.
   std::string HandleCreate(const std::string& frame, const Envelope& request);
   ApiResponse HandleStats(const Envelope& request);
   /// Aggregates the `metrics` method across live backends (bucketwise
@@ -159,31 +167,39 @@ class SessionRouter : public FrameHandler {
   Result<Socket> AcquireConnection(size_t backend);
   void ReleaseConnection(size_t backend, Socket socket);
 
-  /// Ring pick for a placement key; kUnavailable once the ring is empty.
-  Result<size_t> PickBackend(const std::string& key) const;
+  /// Indices of the backends not marked dead, in `options_.backends` order.
+  std::vector<size_t> LiveBackends() const;
+  /// The placement rule: live backend `router_id % n` of the n live ones;
+  /// kUnavailable when none is alive.
+  Result<size_t> PickBackend(SessionId router_id) const;
   void MarkDead(size_t backend, const Status& cause);
 
-  /// Router-initiated checkpoint of a route (route->mu held by caller).
-  /// A non-OK Status is a transport failure, as for Forward. A backend
-  /// that refuses the checkpoint leaves the file on disk stale, so the
-  /// route loses `has_checkpoint` until a later checkpoint lands; that
-  /// refusal comes back OK.
+  /// Router-initiated checkpoint of a route (route->mu held by caller, or
+  /// the route not yet published), into the slot the last acknowledged
+  /// checkpoint did not use; an acknowledgement makes it the route's slot.
+  /// A non-OK Status is a transport failure, as for Forward: the state may
+  /// or may not have landed, and the route's slot still holds the one
+  /// before. A backend that refuses the checkpoint leaves the route with no
+  /// current checkpoint (`has_checkpoint` false) until a later one lands;
+  /// that refusal comes back OK.
   Status CheckpointRoute(SessionId router_id, RouteState* route);
-  /// Restores the route from its checkpoint on a surviving backend
+  /// Restores the route from its acknowledged slot on a surviving backend
   /// (route->mu held by caller).
   Status Failover(SessionId router_id, RouteState* route);
+  /// Forgets a route and removes its checkpoints (route->mu held by
+  /// caller): after a terminate, or when the session is lost.
+  void RemoveRoute(SessionId router_id);
 
-  std::string PlacementKey(SessionId router_id) const;
+  /// `checkpoint_dir/session-<router id>`, holding both slots.
   std::string CheckpointPath(SessionId router_id) const;
+  std::string SlotPath(SessionId router_id, unsigned slot) const;
   void Log(const std::string& message) const;
 
   SessionRouterOptions options_;
   std::vector<std::unique_ptr<Backend>> backends_;
-  std::map<std::string, size_t> backend_index_;
   std::function<void(const std::string&)> log_;
 
   mutable std::mutex mu_;
-  HashRing ring_;
   std::map<SessionId, std::shared_ptr<RouteState>> routes_;
   SessionId next_session_id_ = 1;
   size_t sessions_routed_ = 0;

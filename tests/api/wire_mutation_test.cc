@@ -1,7 +1,8 @@
 // Seeded mutation of wire frames (DESIGN.md §10): every committed golden
 // document and a corpus of request frames is mutated by byte flips,
 // truncations, and duplicated and deleted spans, with every choice drawn
-// from CounterUniform, so the run is the same on every host. Each mutant
+// from CounterUniform (testing/mutation.h), so the run is the same on every
+// host. Each mutant
 // goes through the request and response decoders and through the envelope
 // readers the router uses. None may crash (run it under ASAN/UBSAN); every
 // mutant that still decodes must re-encode to a fixed point; and the
@@ -10,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -18,12 +18,15 @@
 #include <vector>
 
 #include "api/codec.h"
-#include "common/rng.h"
 #include "testing/corpus_fixtures.h"
+#include "testing/mutation.h"
 #include "testing/wire_fixtures.h"
 
 namespace veritas {
 namespace {
+
+using testing::Draws;
+using testing::Mutate;
 
 constexpr uint64_t kSeed = 0x5eed;
 constexpr size_t kMutantsPerFrame = 1000;
@@ -67,46 +70,6 @@ std::vector<std::string> Corpus() {
     frames.push_back(EncodeRequest(requests[i]).value());
   }
   return frames;
-}
-
-/// Draws from one (seed, stream) counter sequence.
-class Draws {
- public:
-  explicit Draws(uint64_t stream) : stream_(stream) {}
-  /// Uniform in [0, n); n > 0.
-  size_t Below(size_t n) {
-    return static_cast<size_t>(CounterUniform(kSeed, stream_, counter_++) *
-                               static_cast<double>(n));
-  }
-
- private:
-  uint64_t stream_;
-  uint64_t counter_ = 0;
-};
-
-std::string Mutate(const std::string& frame, Draws* draws) {
-  std::string mutant = frame;
-  const size_t edits = 1 + draws->Below(3);
-  for (size_t e = 0; e < edits && !mutant.empty(); ++e) {
-    const size_t at = draws->Below(mutant.size());
-    const size_t length = 1 + draws->Below(std::min<size_t>(
-                                  16, mutant.size() - at));
-    switch (draws->Below(4)) {
-      case 0:  // byte flip
-        mutant[at] = static_cast<char>(draws->Below(256));
-        break;
-      case 1:  // truncation
-        mutant.resize(at);
-        break;
-      case 2:  // duplicated span, inserted anywhere
-        mutant.insert(draws->Below(mutant.size() + 1),
-                      mutant.substr(at, length));
-        break;
-      default:  // deleted span
-        mutant.erase(at, length);
-    }
-  }
-  return mutant;
 }
 
 void CheckRequest(const std::string& mutant) {
@@ -158,7 +121,7 @@ TEST(WireMutationTest, MutantsDecodeToAValueOrAStatus) {
   const std::vector<std::string> corpus = Corpus();
   size_t decoded = 0;
   for (size_t f = 0; f < corpus.size(); ++f) {
-    Draws draws(f);
+    Draws draws(kSeed, f);
     for (size_t m = 0; m < kMutantsPerFrame; ++m) {
       const std::string mutant = Mutate(corpus[f], &draws);
       CheckRequest(mutant);

@@ -3,12 +3,16 @@
 // in-process Session — bit-identical trace, posterior, and grounding —
 // even when the worker hosting it is killed mid-session (checkpoint
 // failover): after a completed iteration, between an advance and its
-// answer, in mid-stream, or between a step's reply and its checkpoint.
-// Also pins the one checkpoint policy (every step; Start refuses any other
-// interval), that a refused checkpoint disables failover until the next
-// one lands, the fleet-level admission control, stats aggregation across
-// workers, the no-checkpoint-means-no-failover contract, and that a router
-// checkpoint lives exactly as long as its session.
+// answer, in mid-stream, between a step's reply and its checkpoint, or
+// after a step's checkpoint landed but before it was acknowledged. Also
+// pins the placement rule (router id k on live backend k mod n), the one
+// checkpoint policy (every step; Start refuses any other interval), that a
+// refused checkpoint disables failover until the next one lands, that a
+// create whose checkpoint is lost lands on a survivor, that a session
+// which cannot fail over leaves the router, the fleet-level admission
+// control, stats aggregation across workers, the
+// no-checkpoint-means-no-failover contract, and that a router checkpoint
+// lives exactly as long as its session.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "api/client.h"
@@ -48,12 +53,28 @@ bool IsCheckpoint(const std::string& frame) {
 
 /// Once it sees a checkpoint request, answers it and every later frame
 /// with bytes that are not a response: to the router, a backend that died
-/// between a step's reply and the step's checkpoint.
-FrameFilter LoseCheckpointsInTransport() {
+/// between a step's reply and the step's checkpoint. Given a `writer`, the
+/// worker's manager writes that checkpoint first, so the file lands: a
+/// backend that died after the step was on disk, before acknowledging it.
+FrameFilter LoseCheckpointsInTransport(SessionManager* writer = nullptr) {
   auto tripped = std::make_shared<std::atomic<bool>>(false);
-  return [tripped](const std::string& frame) -> std::optional<std::string> {
-    if (!tripped->load() && !IsCheckpoint(frame)) return std::nullopt;
-    tripped->store(true);
+  return [tripped, writer](
+             const std::string& frame) -> std::optional<std::string> {
+    if (!tripped->load()) {
+      if (!IsCheckpoint(frame)) return std::nullopt;
+      if (writer != nullptr) {
+        auto request = DecodeRequest(frame);
+        const auto* checkpoint =
+            request.ok()
+                ? std::get_if<CheckpointRequest>(&request.value().params)
+                : nullptr;
+        EXPECT_TRUE(checkpoint != nullptr &&
+                    writer->Checkpoint(checkpoint->session,
+                                       checkpoint->directory)
+                        .ok());
+      }
+      tripped->store(true);
+    }
     return std::string("garbage");
   };
 }
@@ -80,6 +101,34 @@ void ExpectTraceBitIdentical(const std::vector<IterationRecord>& fleet,
   ASSERT_EQ(fleet.size(), local.size());
   for (size_t i = 0; i < local.size(); ++i) {
     ExpectRecordBitIdentical(fleet[i], local[i]);
+  }
+}
+
+/// Runs a streaming session in process to its end: every arrival, then the
+/// final grounding.
+void RunLocalStream(const FactDatabase& db, const SessionSpec& spec,
+                    std::vector<ArrivalStats>* arrivals, GroundingView* view) {
+  auto session = Session::Create(db, spec);
+  ASSERT_TRUE(session.ok()) << session.status();
+  for (;;) {
+    auto advanced = session.value()->Advance();
+    ASSERT_TRUE(advanced.ok()) << advanced.status();
+    if (advanced.value().done) break;
+    ASSERT_TRUE(advanced.value().arrival_processed);
+    arrivals->push_back(advanced.value().arrival);
+  }
+  auto ground = session.value()->Ground();
+  ASSERT_TRUE(ground.ok()) << ground.status();
+  *view = std::move(ground).value();
+}
+
+void ExpectArrivalsBitIdentical(const std::vector<ArrivalStats>& fleet,
+                                const std::vector<ArrivalStats>& local) {
+  ASSERT_EQ(fleet.size(), local.size());
+  for (size_t i = 0; i < local.size(); ++i) {
+    EXPECT_EQ(fleet[i].claim, local[i].claim);
+    EXPECT_TRUE(BitEqual(fleet[i].initial_prob, local[i].initial_prob))
+        << "arrival " << i;
   }
 }
 
@@ -155,6 +204,24 @@ class FailoverTest : public ::testing::Test {
       }
     }
     return trace;
+  }
+
+  /// Drives a streaming session to its end through the router and returns
+  /// the arrivals the client saw. `before_advance` runs before each advance
+  /// and is given the number of arrivals so far.
+  std::vector<ArrivalStats> DriveStream(
+      SessionId session,
+      const std::function<void(size_t arrived)>& before_advance) {
+    std::vector<ArrivalStats> arrivals;
+    for (;;) {
+      before_advance(arrivals.size());
+      auto advanced = client_->Advance(session);
+      EXPECT_TRUE(advanced.ok()) << advanced.status();
+      if (!advanced.ok() || advanced.value().done) break;
+      EXPECT_TRUE(advanced.value().arrival_processed);
+      arrivals.push_back(advanced.value().arrival);
+    }
+    return arrivals;
   }
 
   /// The session's grounding through the router equals `local` bit for bit.
@@ -326,47 +393,19 @@ TEST_F(FailoverTest, StreamingKillMidStreamKeepsEveryArrival) {
 
   std::vector<ArrivalStats> local_arrivals;
   GroundingView local_view;
-  {
-    auto session = Session::Create(corpus.db, spec);
-    ASSERT_TRUE(session.ok()) << session.status();
-    for (;;) {
-      auto advanced = session.value()->Advance();
-      ASSERT_TRUE(advanced.ok()) << advanced.status();
-      if (advanced.value().done) break;
-      ASSERT_TRUE(advanced.value().arrival_processed);
-      local_arrivals.push_back(advanced.value().arrival);
-    }
-    auto view = session.value()->Ground();
-    ASSERT_TRUE(view.ok()) << view.status();
-    local_view = std::move(view).value();
-  }
+  RunLocalStream(corpus.db, spec, &local_arrivals, &local_view);
   ASSERT_GT(local_arrivals.size(), 3u);
 
   auto created = client_->CreateSession(corpus.db, spec);
   ASSERT_TRUE(created.ok()) << created.status();
-  std::vector<ArrivalStats> fleet_arrivals;
-  bool killed = false;
-  for (;;) {
-    // SIGKILL the host after the third arrival: the retried advance must
-    // ingest the fourth claim, neither repeating the third nor skipping.
-    if (fleet_arrivals.size() == 3 && !killed) {
-      KillHost(created.value());
-      killed = true;
-    }
-    auto advanced = client_->Advance(created.value());
-    ASSERT_TRUE(advanced.ok()) << advanced.status();
-    if (advanced.value().done) break;
-    ASSERT_TRUE(advanced.value().arrival_processed);
-    fleet_arrivals.push_back(advanced.value().arrival);
-  }
+  // SIGKILL the host after the third arrival: the retried advance must
+  // ingest the fourth claim, neither repeating the third nor skipping.
+  const std::vector<ArrivalStats> fleet_arrivals =
+      DriveStream(created.value(), [&](size_t arrived) {
+        if (arrived == 3) KillHost(created.value());
+      });
 
-  ASSERT_EQ(fleet_arrivals.size(), local_arrivals.size());
-  for (size_t i = 0; i < local_arrivals.size(); ++i) {
-    EXPECT_EQ(fleet_arrivals[i].claim, local_arrivals[i].claim);
-    EXPECT_TRUE(BitEqual(fleet_arrivals[i].initial_prob,
-                         local_arrivals[i].initial_prob))
-        << "arrival " << i;
-  }
+  ExpectArrivalsBitIdentical(fleet_arrivals, local_arrivals);
   ExpectGroundingBitIdentical(created.value(), local_view);
   EXPECT_EQ(router_->stats().failovers, 1u);
 }
@@ -397,6 +436,91 @@ TEST_F(FailoverTest, CheckpointLostInTransportReplaysTheStep) {
   ExpectGroundingBitIdentical(created.value(), local_view);
   EXPECT_EQ(router_->stats().failovers, 1u);
   EXPECT_NE(HostOf(created.value()), filtered);
+}
+
+TEST_F(FailoverTest, UnacknowledgedCheckpointDoesNotApplyTheAnswerTwice) {
+  StartFleet(2);
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 16);
+  const SessionSpec spec = ExternalAnswerSpec(42, 6);
+
+  std::vector<IterationRecord> local_trace;
+  GroundingView local_view;
+  RunLocalReference(corpus.db, spec, &local_trace, &local_view);
+  ASSERT_GE(local_trace.size(), 3u);
+
+  auto created = client_->CreateSession(corpus.db, spec);
+  ASSERT_TRUE(created.ok()) << created.status();
+  // The first answer's checkpoint lands on disk, but its acknowledgement
+  // never arrives: the replayed answer must start from the slot
+  // acknowledged after the advance, not from the post-answer state.
+  const std::vector<IterationRecord> fleet_trace =
+      DriveBatch(created.value(), corpus.db, [&](size_t completed) {
+        if (completed != 0) return;
+        const size_t host = HostOf(created.value());
+        fleet_->SetFilter(host,
+                          LoseCheckpointsInTransport(fleet_->manager(host)));
+      });
+
+  ExpectTraceBitIdentical(fleet_trace, local_trace);
+  ExpectGroundingBitIdentical(created.value(), local_view);
+  EXPECT_EQ(router_->stats().failovers, 1u);
+}
+
+TEST_F(FailoverTest, UnacknowledgedCheckpointDoesNotSkipAnArrival) {
+  StartFleet(2);
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(11, 10);
+  SessionSpec spec = testing::StreamingSpec(99, 3);
+  spec.user.kind = UserSpec::Kind::kNone;
+
+  std::vector<ArrivalStats> local_arrivals;
+  GroundingView local_view;
+  RunLocalStream(corpus.db, spec, &local_arrivals, &local_view);
+  ASSERT_GT(local_arrivals.size(), 3u);
+
+  auto created = client_->CreateSession(corpus.db, spec);
+  ASSERT_TRUE(created.ok()) << created.status();
+  // The fourth advance's checkpoint lands but is never acknowledged: the
+  // replayed advance must ingest the fourth claim again, not the fifth.
+  const std::vector<ArrivalStats> fleet_arrivals =
+      DriveStream(created.value(), [&](size_t arrived) {
+        if (arrived != 3) return;
+        const size_t host = HostOf(created.value());
+        fleet_->SetFilter(host,
+                          LoseCheckpointsInTransport(fleet_->manager(host)));
+      });
+
+  ExpectArrivalsBitIdentical(fleet_arrivals, local_arrivals);
+  ExpectGroundingBitIdentical(created.value(), local_view);
+  EXPECT_EQ(router_->stats().failovers, 1u);
+}
+
+TEST_F(FailoverTest, CreateWhoseCheckpointIsLostLandsOnASurvivor) {
+  StartFleet(2);
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 16);
+  const SessionSpec spec = ExternalAnswerSpec(42, 6);
+
+  std::vector<IterationRecord> local_trace;
+  GroundingView local_view;
+  RunLocalReference(corpus.db, spec, &local_trace, &local_view);
+  ASSERT_FALSE(local_trace.empty());
+
+  // Router id 1 is placed on worker 1 % 2, which serves the create but
+  // never acknowledges its checkpoint: the create is placed again on the
+  // other worker, and counted once.
+  fleet_->SetFilter(1 % 2, LoseCheckpointsInTransport());
+  auto created = client_->CreateSession(corpus.db, spec);
+  ASSERT_TRUE(created.ok()) << created.status();
+  ASSERT_EQ(created.value(), 1u);
+  EXPECT_EQ(HostOf(created.value()), 0u);
+  const RouterStats stats = router_->stats();
+  EXPECT_EQ(stats.sessions_routed, 1u);
+  EXPECT_EQ(stats.backends_live, 1u);
+
+  const std::vector<IterationRecord> fleet_trace =
+      DriveBatch(created.value(), corpus.db, [](size_t) {});
+  ExpectTraceBitIdentical(fleet_trace, local_trace);
+  ExpectGroundingBitIdentical(created.value(), local_view);
+  EXPECT_EQ(router_->stats().failovers, 0u);
 }
 
 TEST_F(FailoverTest, RefusedCheckpointDisablesFailoverUntilOneLands) {
@@ -466,12 +590,13 @@ TEST_F(FailoverTest, TerminateRemovesOnlyThatSessionsCheckpoint) {
   const std::filesystem::path live_dir =
       std::filesystem::path(checkpoint_dir_) /
       ("session-" + std::to_string(live.value()));
-  ASSERT_TRUE(std::filesystem::exists(done_dir / "session.bin"));
-  ASSERT_TRUE(std::filesystem::exists(live_dir / "session.bin"));
+  // The create's checkpoint went to slot 0, the advance's to slot 1.
+  ASSERT_TRUE(std::filesystem::exists(done_dir / "1" / "session.bin"));
+  ASSERT_TRUE(std::filesystem::exists(live_dir / "1" / "session.bin"));
 
   ASSERT_TRUE(client_->Terminate(done.value()).ok());
   EXPECT_FALSE(std::filesystem::exists(done_dir));
-  EXPECT_TRUE(std::filesystem::exists(live_dir / "session.bin"));
+  EXPECT_TRUE(std::filesystem::exists(live_dir / "1" / "session.bin"));
   EXPECT_EQ(router_->stats().sessions_live, 1u);
 }
 
@@ -517,6 +642,47 @@ TEST_F(FailoverTest, NoCheckpointDirMeansNoFailover) {
   EXPECT_TRUE(client_->Advance(fresh.value()).ok());
 }
 
+TEST_F(FailoverTest, SessionThatCannotFailOverLeavesTheRouter) {
+  StartFleet(2, /*max_sessions=*/1, /*with_checkpoints=*/false);
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 12);
+  auto created = client_->CreateSession(corpus.db, ExternalAnswerSpec(42, 4));
+  ASSERT_TRUE(created.ok()) << created.status();
+  ASSERT_TRUE(client_->Advance(created.value()).ok());
+
+  KillHost(created.value());
+  // The request in flight gets the failover's error; then the session is
+  // gone, as after a terminate, and its admission slot is free.
+  auto terminated = client_->Terminate(created.value());
+  ASSERT_FALSE(terminated.ok());
+  EXPECT_EQ(terminated.status().code(), StatusCode::kUnavailable)
+      << terminated.status();
+  EXPECT_EQ(router_->stats().sessions_live, 0u);
+  auto again = client_->Terminate(created.value());
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kNotFound) << again.status();
+
+  auto fresh = client_->CreateSession(corpus.db, ExternalAnswerSpec(5, 3));
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_TRUE(client_->Advance(fresh.value()).ok());
+}
+
+TEST_F(FailoverTest, LostSessionLeavesNoCheckpoint) {
+  StartFleet(2);
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 12);
+  auto created = client_->CreateSession(corpus.db, ExternalAnswerSpec(42, 4));
+  ASSERT_TRUE(created.ok()) << created.status();
+  ASSERT_TRUE(client_->Advance(created.value()).ok());
+  ASSERT_FALSE(std::filesystem::is_empty(checkpoint_dir_));
+
+  fleet_->Kill(0);
+  fleet_->Kill(1);
+  auto advanced = client_->Advance(created.value());
+  ASSERT_FALSE(advanced.ok());
+  EXPECT_EQ(advanced.status().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(std::filesystem::is_empty(checkpoint_dir_));
+  EXPECT_EQ(router_->stats().sessions_live, 0u);
+}
+
 TEST_F(FailoverTest, FleetAdmissionControlCapsLiveSessions) {
   StartFleet(2, /*max_sessions=*/1);
   const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 12);
@@ -545,9 +711,8 @@ TEST_F(FailoverTest, StatsAggregateAcrossWorkersInRouterIdSpace) {
     ids.push_back(created.value());
     ASSERT_TRUE(client_->Advance(created.value()).ok());
   }
-  // Placement actually used both workers (6 sessions, 2 shards: the vnode
-  // spread makes a 6-0 split astronomically unlikely... but derive, don't
-  // assume).
+  // Router ids alternate between the two workers: 2, 4 and 6 land on the
+  // first.
   size_t on_first = 0;
   for (SessionId id : ids) {
     auto host = router_->BackendOf(id);
@@ -565,12 +730,42 @@ TEST_F(FailoverTest, StatsAggregateAcrossWorkersInRouterIdSpace) {
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(stats.value().sessions[i].id, ids[i]);
   }
-  // Sanity on the split derived above: totals add up regardless of where
-  // sessions landed.
-  EXPECT_LE(on_first, ids.size());
+  EXPECT_EQ(on_first, 3u);
   const RouterStats router_stats = router_->stats();
   EXPECT_EQ(router_stats.sessions_routed, ids.size());
   EXPECT_EQ(router_stats.sessions_live, ids.size());
+}
+
+TEST_F(FailoverTest, PlacementIsRouterIdModuloLiveBackends) {
+  StartFleet(3);
+  const EmulatedCorpus corpus = testing::MakeTinyCorpus(7, 12);
+  for (SessionId id = 1; id <= 6; ++id) {
+    auto created = client_->CreateSession(corpus.db, ExternalAnswerSpec(id, 3));
+    ASSERT_TRUE(created.ok()) << created.status();
+    ASSERT_EQ(created.value(), id);
+    EXPECT_EQ(HostOf(id), id % 3) << "session " << id;
+  }
+
+  // Worker 1 hosted sessions 1 and 4. With workers {0, 2} left, each fails
+  // over to live[id % 2]; the other sessions stay where they are.
+  fleet_->Kill(1);
+  ASSERT_TRUE(client_->Advance(1).ok());
+  ASSERT_TRUE(client_->Advance(4).ok());
+  EXPECT_EQ(HostOf(1), 2u);
+  EXPECT_EQ(HostOf(4), 0u);
+  for (SessionId id : {2, 3, 5, 6}) {
+    EXPECT_EQ(HostOf(id), id % 3) << "session " << id;
+  }
+  EXPECT_EQ(router_->stats().failovers, 2u);
+
+  // New sessions follow the same rule over the survivors.
+  for (SessionId id : {7, 8}) {
+    auto created = client_->CreateSession(corpus.db, ExternalAnswerSpec(id, 3));
+    ASSERT_TRUE(created.ok()) << created.status();
+    ASSERT_EQ(created.value(), id);
+  }
+  EXPECT_EQ(HostOf(7), 2u);
+  EXPECT_EQ(HostOf(8), 0u);
 }
 
 TEST_F(FailoverTest, DoubleKillExhaustsTheFleet) {
@@ -586,6 +781,18 @@ TEST_F(FailoverTest, DoubleKillExhaustsTheFleet) {
   ASSERT_FALSE(advanced.ok());
   EXPECT_EQ(advanced.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(router_->stats().backends_live, 0u);
+}
+
+TEST_F(FailoverTest, StartRefusesADuplicateBackend) {
+  WorkerFleet fleet;
+  SessionRouterOptions options;
+  options.backends = {fleet.address(0), fleet.address(1), fleet.address(0)};
+  auto router = SessionRouter::Start(options);
+  ASSERT_FALSE(router.ok());
+  EXPECT_EQ(router.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(router.status().message().find("duplicate backend address"),
+            std::string::npos)
+      << router.status();
 }
 
 TEST_F(FailoverTest, StartRefusesEveryCheckpointIntervalButOne) {
