@@ -17,7 +17,7 @@ namespace bench {
 /// Command-line knobs shared by all bench binaries.
 ///
 ///   --scale=<f>   multiply the default corpus scales by f
-///   --full        paper-scale corpora (slow; documented in EXPERIMENTS.md)
+///   --full        paper-scale corpora (slow; documented in bench/README.md)
 ///   --runs=<n>    repetitions where applicable
 ///   --seed=<n>    base RNG seed
 struct BenchArgs {

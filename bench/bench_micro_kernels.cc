@@ -50,7 +50,7 @@ void BM_GibbsSweep(benchmark::State& state) {
   CrfConfig config;
   const auto couplings = BuildSourceCouplings(corpus.db, config);
   std::vector<double> prev(corpus.db.num_claims(), 0.5);
-  const ClaimMrf mrf = BuildClaimMrf(corpus.db, model, prev, config, couplings);
+  const ClaimMrf mrf = BuildClaimMrf(corpus.db, model, prev, couplings);
   BeliefState belief(corpus.db.num_claims());
   Rng rng(11);
   GibbsOptions options;
@@ -71,7 +71,7 @@ ClaimMrf MakeBenchMrf(size_t claims) {
   CrfConfig config;
   const auto couplings = BuildSourceCouplings(corpus.db, config);
   std::vector<double> prev(corpus.db.num_claims(), 0.5);
-  return BuildClaimMrf(corpus.db, model, prev, config, couplings);
+  return BuildClaimMrf(corpus.db, model, prev, couplings);
 }
 
 // Bare Gibbs sweeps over the flat-CSR adjacency vs. the pre-refactor
@@ -185,7 +185,7 @@ void BM_NeighborhoodCached(benchmark::State& state) {
   size_t total = 0;
   for (auto _ : state) {
     for (ClaimId c = 0; c < n; ++c) {
-      total += engine.Neighborhood(c, 2, 128).size();
+      total += engine.Neighborhood(c).size();
     }
     benchmark::DoNotOptimize(total);
   }
@@ -200,7 +200,7 @@ void BM_EvaluateCandidatePooled(benchmark::State& state) {
   const ClaimMrf mrf = MakeBenchMrf(static_cast<size_t>(state.range(0)));
   const size_t n = mrf.num_claims();
   HypotheticalEngine engine;
-  GibbsOptions gibbs{8, 24, 1};
+  GibbsOptions gibbs{8, 24};
   engine.Bind(&mrf, nullptr, gibbs, /*structure_changed=*/true);
   BeliefState belief(n);
   HypotheticalOptions options;
@@ -218,7 +218,7 @@ BENCHMARK(BM_EvaluateCandidatePooled)->Arg(200)->Arg(800);
 void BM_EvaluateCandidateFresh(benchmark::State& state) {
   const ClaimMrf mrf = MakeBenchMrf(static_cast<size_t>(state.range(0)));
   const size_t n = mrf.num_claims();
-  GibbsOptions gibbs{8, 24, 1};
+  GibbsOptions gibbs{8, 24};
   BeliefState belief(n);
   HypotheticalOptions options;
   ClaimId c = 0;
@@ -226,8 +226,8 @@ void BM_EvaluateCandidateFresh(benchmark::State& state) {
     // The pre-refactor call-site plumbing, allocation for allocation:
     // BFS the neighborhood, copy the belief state, run RunGibbs (sample
     // set), average marginals, assemble the probability vector.
-    const std::vector<ClaimId> hood = CouplingNeighborhood(
-        mrf, c, options.neighborhood_radius, options.neighborhood_cap);
+    const std::vector<ClaimId> hood =
+        CouplingNeighborhood(mrf, c, kNeighborhoodRadius, kNeighborhoodCap);
     BeliefState hypo = belief;
     hypo.SetLabel(c, true);
     SpinConfig warm(n, 0);
@@ -257,7 +257,7 @@ void BM_BatchedCandidateFanout(benchmark::State& state) {
   const ClaimMrf mrf = MakeBenchMrf(static_cast<size_t>(state.range(0)));
   const size_t n = mrf.num_claims();
   HypotheticalEngine engine;
-  engine.Bind(&mrf, nullptr, GibbsOptions{8, 24, 1},
+  engine.Bind(&mrf, nullptr, GibbsOptions{8, 24},
               /*structure_changed=*/true);
   BeliefState belief(n);
   auto base = engine.PrepareFanoutBase(belief, FanoutOptions{});
@@ -280,10 +280,9 @@ void BM_TronMStep(benchmark::State& state) {
   std::vector<double> targets(corpus.db.num_claims());
   Rng rng(13);
   for (auto& t : targets) t = rng.Uniform();
-  CrfConfig config;
   for (auto _ : state) {
     CrfModel fresh = model;
-    auto report = FitCrfWeights(corpus.db, targets, belief, config, &fresh);
+    auto report = FitCrfWeights(corpus.db, targets, belief, &fresh);
     benchmark::DoNotOptimize(report);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -372,7 +371,7 @@ void BM_CheckpointSaveRestore(benchmark::State& state) {
   const EmulatedCorpus corpus = MakeCorpus(static_cast<size_t>(state.range(0)));
   SessionSpec spec;
   spec.mode = SessionMode::kBatch;
-  spec.validation.icrf.gibbs = GibbsOptions{5, 12, 1};
+  spec.validation.icrf.gibbs = GibbsOptions{5, 12};
   spec.validation.icrf.max_em_iterations = 2;
   spec.validation.guidance.variant = GuidanceVariant::kScalable;
   spec.validation.guidance.candidate_pool = 8;

@@ -79,7 +79,7 @@ SessionSpec ServiceBatchSpec(uint64_t seed, size_t budget, double latency_ms) {
 SessionSpec ServiceStreamingSpec(uint64_t seed, double latency_ms) {
   SessionSpec spec;
   spec.mode = SessionMode::kStreaming;
-  spec.streaming.icrf.gibbs = GibbsOptions{5, 12, 1};
+  spec.streaming.icrf.gibbs = GibbsOptions{5, 12};
   spec.streaming.icrf.max_em_iterations = 2;
   spec.streaming.tron_iterations_per_arrival = 3;
   spec.streaming.seed = seed;

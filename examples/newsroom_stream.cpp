@@ -31,9 +31,6 @@ int main() {
             << crawl.num_sources() << " sources will arrive over time\n\n";
 
   StreamingOptions options;
-  options.step_a = 1.0;
-  options.step_t0 = 2.0;
-  options.step_kappa = 0.7;  // Robbins-Monro: sum gamma = inf, sum gamma^2 < inf
   options.seed = 17;
   StreamingFactChecker checker(options);
   for (size_t s = 0; s < crawl.num_sources(); ++s) {

@@ -20,12 +20,30 @@
 #
 # Usage: scripts/bench_report.sh [build-dir] [output-json]
 #        (defaults: build, BENCH_guidance.json)
+#
+# The build dir must be configured with CMAKE_BUILD_TYPE=Release, e.g.
+#   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+#   scripts/bench_report.sh build-release
+# Any other build type (the default configure gives RelWithDebInfo) is
+# refused with exit 1 before anything is built: its timings are not the
+# ones the report compares against.
 
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-build}"
 out_json="${2:-$repo_root/BENCH_guidance.json}"
+
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' \
+  "$build_dir/CMakeCache.txt" 2>/dev/null || true)"
+if [[ "$build_type" != "Release" ]]; then
+  echo "bench_report.sh: $build_dir has build type '${build_type:-none}';" \
+    "timings are reported from Release builds only." >&2
+  echo "Configure one and pass it:" >&2
+  echo "  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release" >&2
+  echo "  scripts/bench_report.sh build-release" >&2
+  exit 1
+fi
 
 cmake --build "$build_dir" -j "$(nproc)" --target bench_fig02_response_time \
   > /dev/null

@@ -128,7 +128,7 @@ Result<BatchSelection> SelectBatch(const ICrf& icrf, const BeliefState& state,
   delta.reserve(candidates.size());
   for (const ClaimId c : candidates) {
     // Delta_0(c) = w q(c) IG(c) - IG(c) M(c,c) IG(c).
-    delta[c] = options.benefit_weight * importance[c] * info_gain[c] -
+    delta[c] = kBatchBenefitWeight * importance[c] * info_gain[c] -
                info_gain[c] * info_gain[c];
   }
 
@@ -161,7 +161,7 @@ Result<BatchSelection> SelectBatch(const ICrf& icrf, const BeliefState& state,
     }
   }
   selection.utility = BatchUtility(selection.claims, info_gain, importance,
-                                   correlation, options.benefit_weight);
+                                   correlation, kBatchBenefitWeight);
   return selection;
 }
 

@@ -20,11 +20,13 @@
 
 namespace veritas {
 
+/// w, the weight of the individual benefit in the utility F(B) (Eq. 27).
+inline constexpr double kBatchBenefitWeight = 1.0;
+
 /// Options of batched claim selection (§6.2).
 struct BatchOptions {
-  size_t batch_size = 5;      ///< k, the claims validated per iteration
-  double benefit_weight = 1.0;  ///< w in the utility F(B) (Eq. 27)
-  GuidanceConfig guidance;      ///< pool / neighborhood / parallelism knobs
+  size_t batch_size = 5;   ///< k, the claims validated per iteration
+  GuidanceConfig guidance;  ///< candidate pool and fan-out knobs
 };
 
 /// Sparse source-overlap correlation matrix M(c, c') (Eq. 26): the number of

@@ -12,8 +12,6 @@ Result<std::vector<ClaimId>> FindSuspiciousLabels(const ICrf& icrf,
   }
   const HypotheticalEngine& engine = icrf.hypothetical();
   HypotheticalOptions hypothetical_options;
-  hypothetical_options.neighborhood_radius = options.neighborhood_radius;
-  hypothetical_options.neighborhood_cap = options.neighborhood_cap;
   hypothetical_options.seed = options.seed;
   // Neutral prior: the cached field still carries the prior of the very
   // label under scrutiny, which would anchor the re-inference to it

@@ -19,13 +19,10 @@
 namespace veritas {
 
 /// Options of the lightweight confirmation check (§5.2). Never serialized:
-/// validation.cc derives every field from the session's ValidationOptions
-/// (radius/cap from the guidance config, seed from the session seed) at
-/// each confirmation pass, so the wire and checkpoint formats carry the
-/// source values instead.
+/// validation.cc derives the seed from the session seed at each
+/// confirmation pass, so the wire and checkpoint formats carry the source
+/// value instead.
 struct ConfirmationOptions {
-  size_t neighborhood_radius = 2;
-  size_t neighborhood_cap = 128;
   /// A label is flagged only when the re-inferred probability contradicts it
   /// by at least this margin beyond 0.5. The margin filters the Monte-Carlo
   /// noise of the sampled grounding: a mistaken label contradicts evidence

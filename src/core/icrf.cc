@@ -116,7 +116,7 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
     // probabilities (Eq. 6), then solve for marginals. Only the chromatic
     // and dispatch kernels draw a counter-based seed from rng_ (one per
     // E-step); the sequential chain reads rng_ directly, so it must not.
-    mrf_ = BuildClaimMrf(*db_, model_, prev_probs, options_.crf, couplings_);
+    mrf_ = BuildClaimMrf(*db_, model_, prev_probs, couplings_);
     std::vector<double> new_probs;
     const auto sweep_started = std::chrono::steady_clock::now();  // lint: timing
     switch (backend) {
@@ -173,7 +173,7 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
     if (options_.fit_weights) {
       const auto mstep_started = std::chrono::steady_clock::now();  // lint: timing
       auto report =
-          FitCrfWeights(*db_, new_probs, *state, options_.crf, &model_);
+          FitCrfWeights(*db_, new_probs, *state, &model_);
       MStepSeconds()->Record(
           std::chrono::duration<double>(  // lint: timing
               std::chrono::steady_clock::now() - mstep_started)
@@ -200,7 +200,7 @@ Result<InferenceStats> ICrf::Infer(BeliefState* state) {
   // confirmation checks, cross-validation) must see the post-M-step model,
   // not the fields of the last E-step. This matters most right after user
   // input flips the weights — the stale fields would carry the old model.
-  mrf_ = BuildClaimMrf(*db_, model_, prev_probs, options_.crf, couplings_);
+  mrf_ = BuildClaimMrf(*db_, model_, prev_probs, couplings_);
   {
     const std::vector<double> evidence = model_.EvidenceLogOdds(*db_);
     evidence_field_.resize(evidence.size());
@@ -226,7 +226,7 @@ Status ICrf::RestoreEngine(const BeliefState& state) {
   // Post-Infer() invariant: labeled probabilities are 0/1 and unlabeled ones
   // equal the final marginals, so state.probs() IS the prev_probs vector the
   // last BuildClaimMrf of Infer() consumed.
-  mrf_ = BuildClaimMrf(*db_, model_, state.probs(), options_.crf, couplings_);
+  mrf_ = BuildClaimMrf(*db_, model_, state.probs(), couplings_);
   const std::vector<double> evidence = model_.EvidenceLogOdds(*db_);
   evidence_field_.resize(evidence.size());
   for (size_t c = 0; c < evidence.size(); ++c) {

@@ -34,7 +34,7 @@ namespace veritas {
 struct ICrfOptions {
   CrfConfig crf;
   GibbsOptions gibbs;           ///< E-step sampling for full inference
-  GibbsOptions hypothetical_gibbs{8, 24, 1};  ///< cheaper sampling for Q+/Q-
+  GibbsOptions hypothetical_gibbs{8, 24};  ///< cheaper sampling for Q+/Q-
   size_t max_em_iterations = 4;
   double em_tolerance = 5e-3;   ///< max per-claim probability change to stop
   bool fit_weights = true;      ///< disable to freeze the log-linear weights

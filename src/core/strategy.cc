@@ -68,8 +68,6 @@ constexpr size_t kMaxEnumerationClaims = 16;
 HypotheticalOptions HypotheticalFromGuidance(const GuidanceConfig& config,
                                              int rng_stream) {
   HypotheticalOptions options;
-  options.neighborhood_radius = config.neighborhood_radius;
-  options.neighborhood_cap = config.neighborhood_cap;
   options.seed = config.seed;
   options.rng_stream = rng_stream;
   return options;
@@ -77,8 +75,6 @@ HypotheticalOptions HypotheticalFromGuidance(const GuidanceConfig& config,
 
 FanoutOptions FanoutFromGuidance(const GuidanceConfig& config, int rng_stream) {
   FanoutOptions options;
-  options.neighborhood_radius = config.neighborhood_radius;
-  options.neighborhood_cap = config.neighborhood_cap;
   options.base_sweeps = kFanoutBaseSweeps;
   options.burn_in = config.fanout_burn_in;
   options.num_samples = config.fanout_samples;
@@ -166,8 +162,7 @@ Result<std::vector<double>> ComputeClaimInfoGains(
       FanoutWorker worker(&engine, &base.value());
       for (size_t i = begin; i < end; ++i) {
         const ClaimId c = candidates[i];
-        const std::vector<ClaimId>& neighborhood = engine.Neighborhood(
-            c, config.neighborhood_radius, config.neighborhood_cap);
+        const std::vector<ClaimId>& neighborhood = engine.Neighborhood(c);
         const double h_before = entropy_cache.SubsetSum(neighborhood);
         const double p = ClampProb(state.prob(c));
 
@@ -205,8 +200,7 @@ Result<std::vector<double>> ComputeClaimInfoGains(
 
   ForEachCandidate(pool, candidates.size(), [&](size_t i) {
     const ClaimId c = candidates[i];
-    const std::vector<ClaimId>& neighborhood = engine.Neighborhood(
-        c, config.neighborhood_radius, config.neighborhood_cap);
+    const std::vector<ClaimId>& neighborhood = engine.Neighborhood(c);
     const double p = ClampProb(state.prob(c));
 
     // Entropy of the neighborhood/component before validation.
@@ -309,8 +303,7 @@ Result<std::vector<double>> ComputeSourceInfoGains(
 
       for (size_t i = begin; i < end; ++i) {
         const ClaimId c = candidates[i];
-        const std::vector<ClaimId>& neighborhood = engine.Neighborhood(
-            c, config.neighborhood_radius, config.neighborhood_cap);
+        const std::vector<ClaimId>& neighborhood = engine.Neighborhood(c);
         // Affected sources in first-appearance order (matches the legacy
         // dedupe), slotted for O(1) lookup during the delta walk.
         ++stamp;
@@ -418,8 +411,7 @@ Result<std::vector<double>> ComputeSourceInfoGains(
 
   ForEachCandidate(pool, candidates.size(), [&](size_t i) {
     const ClaimId c = candidates[i];
-    const std::vector<ClaimId>& neighborhood = engine.Neighborhood(
-        c, config.neighborhood_radius, config.neighborhood_cap);
+    const std::vector<ClaimId>& neighborhood = engine.Neighborhood(c);
     // Affected sources: any source touching the neighborhood.
     std::vector<SourceId> affected;
     {

@@ -73,9 +73,6 @@ struct GuidanceConfig {
   /// engineering knob on top of the paper (see DESIGN.md); the ablation
   /// bench quantifies its effect.
   size_t candidate_pool = 64;
-  /// Neighborhood of hypothetical re-inference (partition optimization).
-  size_t neighborhood_radius = 2;
-  size_t neighborhood_cap = 128;
   uint64_t seed = 17;
   /// Hypothetical fan-out kernel for the sampling variants (kOrigin's exact
   /// path is unaffected). kBatched is the default; kPerCandidate remains as
@@ -92,8 +89,6 @@ template <typename V, typename S>
 FieldsOf<S, GuidanceConfig> VisitFields(V& v, S& g) {
   v("variant", g.variant);
   v("candidate_pool", g.candidate_pool);
-  v("neighborhood_radius", g.neighborhood_radius);
-  v("neighborhood_cap", g.neighborhood_cap);
   v("seed", g.seed);
   v("fanout", g.fanout);
   v("fanout_burn_in", g.fanout_burn_in);

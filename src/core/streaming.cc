@@ -10,8 +10,14 @@
 
 namespace veritas {
 
+static_assert(kStepA > 0.0 && kStepT0 >= 0.0 && kStepKappa > 0.5 &&
+                  kStepKappa <= 1.0,
+              "StepSchedule::Create must accept the schedule constants");
+
 StreamingFactChecker::StreamingFactChecker(const StreamingOptions& options)
-    : options_(options), icrf_(&db_, options.icrf, options.seed) {}
+    : options_(options),
+      schedule_(StepSchedule::Create(kStepA, kStepT0, kStepKappa).value()),
+      icrf_(&db_, options.icrf, options.seed) {}
 
 SourceId StreamingFactChecker::AddSource(Source source) {
   return db_.AddSource(std::move(source));
@@ -76,10 +82,7 @@ Result<ArrivalStats> StreamingFactChecker::OnClaimArrival(
 
   // Stochastic approximation of the surrogate (Eq. 29): new examples enter
   // with weight gamma_t while all previous examples decay by (1 - gamma_t).
-  auto schedule = StepSchedule::Create(options_.step_a, options_.step_t0,
-                                       options_.step_kappa);
-  if (!schedule.ok()) return schedule.status();
-  const double gamma = std::min(0.95, schedule.value().Step(arrivals_));
+  const double gamma = std::min(0.95, schedule_.Step(arrivals_));
   log_scale_ += std::log1p(-gamma);
   for (const auto& [features, sign] : clique_rows) {
     StreamingWindowExample example;
@@ -88,22 +91,7 @@ Result<ArrivalStats> StreamingFactChecker::OnClaimArrival(
     example.log_weight = std::log(gamma) - log_scale_;
     window_.push_back(std::move(example));
   }
-  while (window_.size() > options_.window_cap) window_.pop_front();
-
-  // M-step (Eq. 30): warm-started TRON on the decayed window.
-  LogisticObjective objective(model.feature_dim(), options_.icrf.crf.l2_lambda);
-  objective.Reserve(window_.size());
-  for (const auto& example : window_) {
-    const double weight = std::exp(example.log_weight + log_scale_);
-    objective.AddExample(example.features, example.target, weight);
-  }
-  if (objective.num_examples() > 0) {
-    TronOptions tron;
-    tron.max_iterations = options_.tron_iterations_per_arrival;
-    auto report =
-        MinimizeTron(objective, icrf_.mutable_model()->mutable_weights(), tron);
-    if (!report.ok()) return report.status();
-  }
+  VERITAS_RETURN_IF_ERROR(FitWindow());
 
   stats.update_seconds = watch.ElapsedSeconds();
   return stats;
@@ -130,27 +118,28 @@ Result<ArrivalStats> StreamingFactChecker::OnUserLabel(ClaimId claim,
     const double target = credible ? 1.0 : 0.0;
     example.target = clique.stance == Stance::kSupport ? target : 1.0 - target;
     // Labeled cliques enter at the labeled weight, undecayed.
-    example.log_weight =
-        std::log(options_.icrf.crf.labeled_weight) - log_scale_;
+    example.log_weight = std::log(kLabeledWeight) - log_scale_;
     window_.push_back(std::move(example));
   }
-  while (window_.size() > options_.window_cap) window_.pop_front();
+  VERITAS_RETURN_IF_ERROR(FitWindow());
+  stats.update_seconds = watch.ElapsedSeconds();
+  return stats;
+}
 
-  LogisticObjective objective(model.feature_dim(), options_.icrf.crf.l2_lambda);
+Status StreamingFactChecker::FitWindow() {
+  while (window_.size() > kWindowCap) window_.pop_front();
+  LogisticObjective objective(icrf_.model().feature_dim(), kL2Lambda);
   objective.Reserve(window_.size());
   for (const auto& example : window_) {
     objective.AddExample(example.features, example.target,
                          std::exp(example.log_weight + log_scale_));
   }
-  if (objective.num_examples() > 0) {
-    TronOptions tron;
-    tron.max_iterations = options_.tron_iterations_per_arrival;
-    auto report =
-        MinimizeTron(objective, icrf_.mutable_model()->mutable_weights(), tron);
-    if (!report.ok()) return report.status();
-  }
-  stats.update_seconds = watch.ElapsedSeconds();
-  return stats;
+  if (objective.num_examples() == 0) return Status::OK();
+  TronOptions tron;
+  tron.max_iterations = options_.tron_iterations_per_arrival;
+  auto report =
+      MinimizeTron(objective, icrf_.mutable_model()->mutable_weights(), tron);
+  return report.status();
 }
 
 Result<InferenceStats> StreamingFactChecker::SyncForValidation() {

@@ -21,17 +21,20 @@
 
 namespace veritas {
 
+/// Robbins-Monro step sizes gamma_t = a / (t0 + t)^kappa of the online-EM
+/// update (Eq. 29). kappa in (0.5, 1] gives sum gamma = inf and
+/// sum gamma^2 < inf, the conditions under which the update converges.
+inline constexpr double kStepA = 1.0;
+inline constexpr double kStepT0 = 2.0;
+inline constexpr double kStepKappa = 0.7;
+/// Examples retained in the surrogate objective; older (down-weighted)
+/// clique examples are discarded, matching the paper's "claim and user
+/// input are discarded after validation".
+inline constexpr size_t kWindowCap = 4096;
+
 /// Options of streaming fact checking (Algorithm 2, §7).
 struct StreamingOptions {
   ICrfOptions icrf;
-  /// Robbins-Monro step sizes gamma_t = a / (t0 + t)^kappa (Eq. 29).
-  double step_a = 1.0;
-  double step_t0 = 2.0;
-  double step_kappa = 0.7;
-  /// Examples retained in the surrogate objective; older (down-weighted)
-  /// clique examples are discarded, matching the paper's "claim and user
-  /// input are discarded after validation".
-  size_t window_cap = 4096;
   /// M-step budget per arrival (TRON outer iterations).
   size_t tron_iterations_per_arrival = 6;
   uint64_t seed = 99;
@@ -40,10 +43,6 @@ struct StreamingOptions {
 template <typename V, typename S>
 FieldsOf<S, StreamingOptions> VisitFields(V& v, S& o) {
   v("icrf", o.icrf);
-  v("step_a", o.step_a);
-  v("step_t0", o.step_t0);
-  v("step_kappa", o.step_kappa);
-  v("window_cap", o.window_cap);
   v("tron_iterations_per_arrival", o.tron_iterations_per_arrival);
   v("seed", o.seed);
 }
@@ -156,7 +155,12 @@ class StreamingFactChecker {
   void RestoreDatabase(FactDatabase db, BeliefState state);
 
  private:
+  /// M-step (Eq. 30): warm-started TRON on the decayed window, after the
+  /// window is trimmed to kWindowCap examples.
+  Status FitWindow();
+
   StreamingOptions options_;
+  StepSchedule schedule_;
   FactDatabase db_;
   BeliefState state_;
   ICrf icrf_;

@@ -104,9 +104,7 @@ bool TerminationMonitor::ShouldStop(std::string* reason) const {
 }
 
 Result<double> EstimateCvPrecision(const ICrf& icrf, const BeliefState& state,
-                                   size_t folds, uint64_t seed,
-                                   size_t neighborhood_radius,
-                                   size_t neighborhood_cap) {
+                                   size_t folds, uint64_t seed) {
   const std::vector<ClaimId> labeled = state.LabeledClaims();
   if (labeled.size() < folds || folds == 0) {
     return Status::FailedPrecondition("EstimateCvPrecision: not enough labels");
@@ -130,8 +128,7 @@ Result<double> EstimateCvPrecision(const ICrf& icrf, const BeliefState& state,
     {
       std::vector<uint8_t> seen(state.num_claims(), 0);
       for (const ClaimId c : fold_claims) {
-        for (const ClaimId n :
-             engine.Neighborhood(c, neighborhood_radius, neighborhood_cap)) {
+        for (const ClaimId n : engine.Neighborhood(c)) {
           if (!seen[n]) {
             seen[n] = 1;
             scope.push_back(n);

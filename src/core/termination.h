@@ -145,9 +145,7 @@ class TerminationMonitor {
 /// first fold claim, fold index), so the estimate is reproducible from
 /// `seed` alone. Errors when fewer labelled claims than folds exist.
 Result<double> EstimateCvPrecision(const ICrf& icrf, const BeliefState& state,
-                                   size_t folds, uint64_t seed,
-                                   size_t neighborhood_radius = 2,
-                                   size_t neighborhood_cap = 128);
+                                   size_t folds, uint64_t seed);
 
 }  // namespace veritas
 

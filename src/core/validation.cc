@@ -87,7 +87,6 @@ Result<StepPlan> ValidationProcess::PlanStep() {
     BatchOptions batch_options;
     batch_options.batch_size =
         std::min(options_.batch_size, state_.unlabeled_count());
-    batch_options.benefit_weight = options_.batch_benefit_weight;
     batch_options.guidance = options_.guidance;
     auto batch = SelectBatch(icrf_, state_, batch_options, pool_);
     if (!batch.ok()) return batch.status();
@@ -233,9 +232,7 @@ Result<IterationRecord> ValidationProcess::CompleteStep(const StepAnswers& answe
       iteration_ % std::max<size_t>(1, options_.termination.pir_interval) == 0) {
     // Salted so the CV chains never collide with the guidance streams.
     auto cv = EstimateCvPrecision(icrf_, state_, options_.termination.pir_folds,
-                                  options_.seed ^ 0x2545f4914f6cdd1dULL,
-                                  options_.guidance.neighborhood_radius,
-                                  options_.guidance.neighborhood_cap);
+                                  options_.seed ^ 0x2545f4914f6cdd1dULL);
     if (cv.ok()) signals.cv_precision = cv.value();
   }
   monitor_.Observe(signals);
@@ -260,8 +257,6 @@ ValidationOutcome ValidationProcess::FinalizedOutcome() {
 
 Status ValidationProcess::RunConfirmationCheck(IterationRecord* record) {
   ConfirmationOptions options;
-  options.neighborhood_radius = options_.guidance.neighborhood_radius;
-  options.neighborhood_cap = options_.guidance.neighborhood_cap;
   // Salted so the audit chains never collide with the guidance streams.
   options.seed = options_.seed ^ 0xd6e8feb86659fd93ULL;
   auto suspicious = FindSuspiciousLabels(icrf_, state_, options);

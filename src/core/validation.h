@@ -44,7 +44,6 @@ struct ValidationOptions {
 
   /// Claims validated per iteration (k = 1 disables batching, §6.2).
   size_t batch_size = 1;
-  double batch_benefit_weight = 1.0;
 
   /// Confirmation check (§5.2): triggered every `confirmation_interval`
   /// validations (0 disables). Flagged labels are re-elicited from the user
@@ -65,7 +64,6 @@ FieldsOf<S, ValidationOptions> VisitFields(V& v, S& o) {
   v("budget", o.budget);
   v("target_precision", o.target_precision);
   v("batch_size", o.batch_size);
-  v("batch_benefit_weight", o.batch_benefit_weight);
   v("confirmation_interval", o.confirmation_interval);
   v("termination", o.termination);
   v("seed", o.seed);

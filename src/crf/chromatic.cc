@@ -1,6 +1,6 @@
 #include "crf/chromatic.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/math.h"
 #include "common/rng.h"
@@ -148,12 +148,10 @@ Result<ChromaticResult> RunGibbsChromatic(
   uint64_t sweep = 0;
   for (size_t b = 0; b < options.burn_in; ++b) sweep_once(sweep++, false);
 
-  const size_t thin = std::max<size_t>(1, options.thin);
   std::vector<SpinConfig> samples;
   samples.reserve(options.num_samples);
   SpinConfig snapshot(n, 0);
   for (size_t s = 0; s < options.num_samples; ++s) {
-    for (size_t t = 0; t + 1 < thin; ++t) sweep_once(sweep++, false);
     sweep_once(sweep++, true);
     for (size_t c = 0; c < n; ++c) snapshot[c] = pm[c] > 0.0 ? 1 : 0;
     samples.push_back(snapshot);

@@ -169,9 +169,8 @@ Result<SampleSet> RunGibbs(const ClaimMrf& mrf, const BeliefState& state,
 
   std::vector<SpinConfig> samples;
   samples.reserve(options.num_samples);
-  const size_t thin = std::max<size_t>(1, options.thin);
   for (size_t s = 0; s < options.num_samples; ++s) {
-    for (size_t t = 0; t < thin; ++t) sweep();
+    sweep();
     samples.push_back(spins);
   }
   return SampleSet(std::move(samples));

@@ -18,18 +18,17 @@
 
 namespace veritas {
 
-/// Gibbs sampling options (E-step of iCRF, §3.2).
+/// Gibbs sampling options (E-step of iCRF, §3.2). Every sweep after burn-in
+/// is retained, so a run costs burn_in + num_samples sweeps.
 struct GibbsOptions {
   size_t burn_in = 15;      ///< sweeps discarded before collecting samples
-  size_t num_samples = 50;  ///< configurations retained
-  size_t thin = 1;          ///< sweeps between retained samples
+  size_t num_samples = 50;  ///< configurations retained, one per sweep
 };
 
 template <typename V, typename S>
 FieldsOf<S, GibbsOptions> VisitFields(V& v, S& o) {
   v("burn_in", o.burn_in);
   v("num_samples", o.num_samples);
-  v("thin", o.thin);
 }
 
 /// A set of Gibbs configurations Omega (Eq. 6/7) plus derived statistics.

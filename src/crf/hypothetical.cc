@@ -63,17 +63,14 @@ void HypotheticalEngine::Bind(const ClaimMrf* mrf,
 }
 
 const std::vector<ClaimId>& HypotheticalEngine::Neighborhood(
-    ClaimId claim, size_t radius, size_t max_claims) const {
+    ClaimId claim) const {
   static const std::vector<ClaimId> kEmpty;
-  if (!bound() || claim >= neighborhood_cache_.size() || max_claims == 0) {
-    return kEmpty;
-  }
+  if (!bound() || claim >= neighborhood_cache_.size()) return kEmpty;
   std::lock_guard<std::mutex> lock(cache_mu_[claim % kCacheStripes]);
   NeighborhoodEntry& entry = neighborhood_cache_[claim];
-  if (!entry.filled || entry.radius != radius || entry.cap != max_claims) {
-    entry.claims = CouplingNeighborhood(*mrf_, claim, radius, max_claims);
-    entry.radius = radius;
-    entry.cap = max_claims;
+  if (!entry.filled) {
+    entry.claims = CouplingNeighborhood(*mrf_, claim, kNeighborhoodRadius,
+                                        kNeighborhoodCap);
     entry.filled = true;
   }
   return entry.claims;
@@ -215,11 +212,8 @@ Status HypotheticalEngine::RunKernel(const BeliefState& state,
   for (size_t b = 0; b < gibbs_.burn_in; ++b) {
     GibbsSweepCsr(*mrf_, fields.data(), sweep_order, &spins, rng);
   }
-  const size_t thin = std::max<size_t>(1, gibbs_.thin);
   for (size_t s = 0; s < gibbs_.num_samples; ++s) {
-    for (size_t t = 0; t < thin; ++t) {
-      GibbsSweepCsr(*mrf_, fields.data(), sweep_order, &spins, rng);
-    }
+    GibbsSweepCsr(*mrf_, fields.data(), sweep_order, &spins, rng);
     for (const size_t c : sweep_order) counts[c] += spins[c];
   }
   const double denom = static_cast<double>(gibbs_.num_samples);
@@ -237,8 +231,7 @@ Result<HypotheticalEngine::Evaluation> HypotheticalEngine::EvaluateCandidate(
         "HypotheticalEngine::EvaluateCandidate: engine not bound; run "
         "inference first");
   }
-  const std::vector<ClaimId>& scope = Neighborhood(
-      claim, options.neighborhood_radius, options.neighborhood_cap);
+  const std::vector<ClaimId>& scope = Neighborhood(claim);
   Rng rng = CandidateRng(options.seed, claim, branch + options.rng_stream);
   const LabelOverride hypothetical{LabelOverride::Kind::kSet, claim,
                                    branch == 0};
@@ -260,8 +253,7 @@ Result<HypotheticalEngine::Evaluation> HypotheticalEngine::EvaluateHoldout(
         "HypotheticalEngine::EvaluateHoldout: engine not bound; run "
         "inference first");
   }
-  const std::vector<ClaimId>& scope = Neighborhood(
-      claim, options.neighborhood_radius, options.neighborhood_cap);
+  const std::vector<ClaimId>& scope = Neighborhood(claim);
   Rng rng = CandidateRng(options.seed, claim, repetition + options.rng_stream);
   const LabelOverride holdout{LabelOverride::Kind::kClear, claim, false};
   Scratch* scratch = AcquireScratch();
@@ -418,8 +410,7 @@ Status FanoutWorker::Evaluate(ClaimId claim, int branch) {
     return Status::InvalidArgument("FanoutWorker::Evaluate: claim out of range");
   }
   const FanoutOptions& options = base_->options();
-  scope_ = &engine_->Neighborhood(claim, options.neighborhood_radius,
-                                  options.neighborhood_cap);
+  scope_ = &engine_->Neighborhood(claim);
   if (scope_->empty()) {
     return Status::FailedPrecondition(
         "FanoutWorker::Evaluate: empty neighborhood");

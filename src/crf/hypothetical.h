@@ -37,12 +37,14 @@ namespace veritas {
 class FanoutBase;
 class FanoutWorker;
 
+/// Coupling-graph neighborhood of every hypothetical re-inference (the
+/// partition optimization of §5.1): claims within kNeighborhoodRadius hops
+/// of the candidate, at most kNeighborhoodCap of them.
+inline constexpr size_t kNeighborhoodRadius = 2;
+inline constexpr size_t kNeighborhoodCap = 128;
+
 /// Knobs of one hypothetical evaluation, shared by every call site.
 struct HypotheticalOptions {
-  /// Coupling-graph neighborhood of the re-inference (partition
-  /// optimization, §5.1).
-  size_t neighborhood_radius = 2;
-  size_t neighborhood_cap = 128;
   /// Base seed of the per-candidate random streams (CandidateRng).
   uint64_t seed = 17;
   /// Offset added to the branch/repetition index when deriving the
@@ -64,8 +66,6 @@ struct HypotheticalOptions {
 /// and ResampleScoped() may be called concurrently (the kParallelPartition
 /// fan-out). Bind() must not race with them —
 /// in the pipeline they run between phases, from the inference stage.
-/// Concurrent Neighborhood() callers must agree on (radius, cap), which the
-/// pipeline guarantees by deriving both from one GuidanceConfig.
 class HypotheticalEngine {
  public:
   HypotheticalEngine();  // out-of-line: members hold the opaque Scratch
@@ -90,18 +90,13 @@ class HypotheticalEngine {
   /// and diagnostics observe the cache-invalidation contract.
   uint64_t structure_epoch() const { return structure_epoch_; }
 
-  /// Cached bounded-BFS coupling neighborhood of `claim` (radius hops,
-  /// capped at `max_claims`, the center always included). Each claim
-  /// caches one (radius, max_claims) entry: the returned reference stays
-  /// valid — and its contents stable — until the next structural
-  /// invalidation *or* a lookup of the same claim with different knobs,
-  /// which recomputes the entry in place. In the pipeline every stage
-  /// derives (radius, cap) from one GuidanceConfig, so entries are stable
-  /// in practice; callers mixing knob values must not hold references
-  /// across lookups. Returns an empty vector when unbound, out of range,
-  /// or max_claims == 0.
-  const std::vector<ClaimId>& Neighborhood(ClaimId claim, size_t radius,
-                                           size_t max_claims) const;
+  /// Cached bounded-BFS coupling neighborhood of `claim`
+  /// (kNeighborhoodRadius hops, capped at kNeighborhoodCap claims, the
+  /// center always included). An entry is computed once per structure
+  /// epoch: the returned reference stays valid, and its contents stable,
+  /// until the next structural invalidation. Returns an empty vector when
+  /// unbound or out of range.
+  const std::vector<ClaimId>& Neighborhood(ClaimId claim) const;
 
  private:
   struct Scratch;  // pooled per-evaluation buffers (defined in the .cc)
@@ -206,8 +201,6 @@ class HypotheticalEngine {
   uint64_t structure_epoch_ = 0;
 
   struct NeighborhoodEntry {
-    size_t radius = 0;
-    size_t cap = 0;
     bool filled = false;
     std::vector<ClaimId> claims;
   };
@@ -228,8 +221,6 @@ class HypotheticalEngine {
 /// num_samples sweeps) is what the shared base buys: equilibration happens
 /// once per step instead of once per candidate evaluation.
 struct FanoutOptions {
-  size_t neighborhood_radius = 2;
-  size_t neighborhood_cap = 128;
   size_t base_sweeps = 4;   ///< shared equilibration sweeps (all unlabeled)
   size_t burn_in = 2;       ///< per-overlay sweeps before sampling
   size_t num_samples = 8;   ///< Rao-Blackwell sampling sweeps per overlay

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "common/math.h"
 #include "optim/logistic.h"
 
 namespace veritas {
@@ -87,7 +86,7 @@ std::vector<ClaimMrf::Edge> BuildSourceCouplings(const FactDatabase& db,
       merged[static_cast<uint64_t>(a) * n + b] += j_value;
     };
 
-    if (full_pairs <= config.max_pairs_per_source) {
+    if (full_pairs <= kMaxPairsPerSource) {
       for (size_t i = 0; i < k; ++i) {
         for (size_t j = i + 1; j < k; ++j) add_pair(i, j, 1.0);
       }
@@ -95,7 +94,7 @@ std::vector<ClaimMrf::Edge> BuildSourceCouplings(const FactDatabase& db,
       // Ring plus strided chords: preserves the component structure and the
       // per-claim coupling budget while bounding the edge count. The scale
       // factor keeps the total coupling mass of the source comparable.
-      const size_t budget = config.max_pairs_per_source;
+      const size_t budget = kMaxPairsPerSource;
       const double scale =
           static_cast<double>(full_pairs) / static_cast<double>(budget);
       size_t added = 0;
@@ -144,20 +143,18 @@ std::vector<ClaimMrf::Edge> BuildSourceCouplings(const FactDatabase& db,
 
 ClaimMrf BuildClaimMrf(const FactDatabase& db, const CrfModel& model,
                        const std::vector<double>& prev_probs,
-                       const CrfConfig& config,
                        const std::vector<ClaimMrf::Edge>& couplings) {
   ClaimMrf mrf;
   const std::vector<double> evidence = model.EvidenceLogOdds(db);
   mrf.field.resize(db.num_claims());
-  const double clamp_lo = std::clamp(config.prior_clamp, kProbEpsilon, 0.5);
   for (size_t c = 0; c < db.num_claims(); ++c) {
     const double raw = c < prev_probs.size() ? prev_probs[c] : 0.5;
     // Clamping bounds the hysteresis of the carried-over estimate: the prior
     // nudges the chain but can never pin a claim against fresh evidence.
-    const double prior = std::clamp(raw, clamp_lo, 1.0 - clamp_lo);
+    const double prior = std::clamp(raw, kPriorClamp, 1.0 - kPriorClamp);
     const double prior_logit = std::log(prior / (1.0 - prior));
     // Log-odds of t_c = +1 vs -1 is 2 * field, hence the 0.5 factor.
-    mrf.field[c] = 0.5 * (evidence[c] + config.prior_weight * prior_logit);
+    mrf.field[c] = 0.5 * (evidence[c] + kPriorWeight * prior_logit);
   }
   mrf.edges = couplings;
   mrf.RebuildAdjacency();
@@ -166,8 +163,7 @@ ClaimMrf BuildClaimMrf(const FactDatabase& db, const CrfModel& model,
 
 Result<TronReport> FitCrfWeights(const FactDatabase& db,
                                  const std::vector<double>& targets,
-                                 const BeliefState& state,
-                                 const CrfConfig& config, CrfModel* model) {
+                                 const BeliefState& state, CrfModel* model) {
   if (model == nullptr) {
     return Status::InvalidArgument("FitCrfWeights: null model");
   }
@@ -182,23 +178,21 @@ Result<TronReport> FitCrfWeights(const FactDatabase& db,
     const Clique& clique = db.clique(i);
     const double y_claim = std::clamp(targets[clique.claim], 0.0, 1.0);
     if (state.IsLabeled(clique.claim)) {
-      weights[i] = config.labeled_weight;
+      weights[i] = kLabeledWeight;
       labeled_mass += weights[i];
     } else {
-      weights[i] = config.unlabeled_weight_floor +
-                   config.unlabeled_confidence_scale *
-                       std::fabs(2.0 * y_claim - 1.0);
+      weights[i] = kUnlabeledWeightFloor +
+                   kUnlabeledConfidenceScale * std::fabs(2.0 * y_claim - 1.0);
       unlabeled_mass += weights[i];
     }
   }
   // Cap the unlabelled (self-training) mass relative to the labelled mass so
-  // that user input always dominates weight learning (see CrfConfig).
-  const double mass_cap =
-      std::max(1.0, config.unlabeled_mass_cap_ratio * labeled_mass);
+  // that user input always dominates weight learning (kUnlabeledMassCapRatio).
+  const double mass_cap = std::max(1.0, kUnlabeledMassCapRatio * labeled_mass);
   const double unlabeled_scale =
       unlabeled_mass > mass_cap ? mass_cap / unlabeled_mass : 1.0;
 
-  LogisticObjective objective(model->feature_dim(), config.l2_lambda);
+  LogisticObjective objective(model->feature_dim(), kL2Lambda);
   objective.Reserve(db.num_cliques());
   std::vector<double> x;
   for (size_t i = 0; i < db.num_cliques(); ++i) {

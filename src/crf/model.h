@@ -11,51 +11,47 @@
 
 namespace veritas {
 
-/// Hyper-parameters of the CRF model and its inference (§3).
+/// Constants of the CRF model and its M-step (§3). The paper fixes one
+/// regularized M-step for every experiment, so these are not session options.
+///
+/// L2 regularization strength of the M-step (Trust Region Newton, §3.2).
+inline constexpr double kL2Lambda = 1.0;
+/// Weight of the previous-iteration probability prior in the Gibbs
+/// conditional (the Pr^{l-1}(c) factor of Eq. 6).
+inline constexpr double kPriorWeight = 0.3;
+/// The prior probability is clamped to [clamp, 1 - clamp] before taking
+/// its logit, bounding the hysteresis a wrong earlier estimate can exert.
+inline constexpr double kPriorClamp = 0.1;
+/// Example-weight multiplier for cliques of user-labelled claims in the
+/// M-step (user input as first-class evidence, §3.2).
+inline constexpr double kLabeledWeight = 4.0;
+/// Floor on the confidence weight of unlabeled cliques in the M-step.
+inline constexpr double kUnlabeledWeightFloor = 0.05;
+/// Scale of the confidence term |2P-1| in unlabeled clique weights.
+inline constexpr double kUnlabeledConfidenceScale = 0.3;
+/// The total M-step mass of unlabeled cliques is capped at this multiple
+/// of the labelled mass (at least 1.0 of absolute mass when nothing is
+/// labelled). This breaks the self-training runaway: without the cap, a
+/// chance-inverted model grows confident marginals, which grow confident
+/// clique weights, which entrench the inversion against user input.
+inline constexpr double kUnlabeledMassCapRatio = 1.0;
+/// Cap on the number of coupling pairs materialized per source; larger
+/// sources fall back to a ring-plus-strides topology that preserves
+/// connectivity (documented approximation, see DESIGN.md).
+inline constexpr size_t kMaxPairsPerSource = 200;
+
+/// The one CRF hyper-parameter a caller varies (§3).
 struct CrfConfig {
-  /// L2 regularization strength of the M-step (Trust Region Newton, §3.2).
-  double l2_lambda = 1.0;
   /// Strength of the source-consistency coupling between claims sharing a
   /// source (the indirect relation of §3.1, realized as Ising couplings).
   /// Couplings are degree-normalized so that the total coupling mass on any
   /// claim is at most this value — evidence can always override hearsay.
   double coupling = 0.8;
-  /// Weight of the previous-iteration probability prior in the Gibbs
-  /// conditional (the Pr^{l-1}(c) factor of Eq. 6).
-  double prior_weight = 0.3;
-  /// The prior probability is clamped to [clamp, 1 - clamp] before taking
-  /// its logit, bounding the hysteresis a wrong earlier estimate can exert.
-  double prior_clamp = 0.1;
-  /// Example-weight multiplier for cliques of user-labelled claims in the
-  /// M-step (user input as first-class evidence, §3.2).
-  double labeled_weight = 4.0;
-  /// Floor on the confidence weight of unlabeled cliques in the M-step.
-  double unlabeled_weight_floor = 0.05;
-  /// Scale of the confidence term |2P-1| in unlabeled clique weights.
-  double unlabeled_confidence_scale = 0.3;
-  /// The total M-step mass of unlabeled cliques is capped at this multiple
-  /// of the labelled mass (at least 1.0 of absolute mass when nothing is
-  /// labelled). This breaks the self-training runaway: without the cap, a
-  /// chance-inverted model grows confident marginals, which grow confident
-  /// clique weights, which entrench the inversion against user input.
-  double unlabeled_mass_cap_ratio = 1.0;
-  /// Cap on the number of coupling pairs materialized per source; larger
-  /// sources fall back to a ring-plus-strides topology that preserves
-  /// connectivity (documented approximation, see DESIGN.md).
-  size_t max_pairs_per_source = 200;
 };
 
 template <typename V, typename S>
 FieldsOf<S, CrfConfig> VisitFields(V& v, S& c) {
-  v("l2_lambda", c.l2_lambda);
   v("coupling", c.coupling);
-  v("prior_weight", c.prior_weight);
-  v("prior_clamp", c.prior_clamp);
-  v("labeled_weight", c.labeled_weight);
-  v("unlabeled_weight_floor", c.unlabeled_weight_floor);
-  v("unlabeled_confidence_scale", c.unlabeled_confidence_scale);
-  v("unlabeled_mass_cap_ratio", c.unlabeled_mass_cap_ratio);
-  v("max_pairs_per_source", c.max_pairs_per_source);
 }
 
 /// The log-linear weights of the CRF (Eq. 2). Weights are shared across
@@ -101,7 +97,6 @@ std::vector<ClaimMrf::Edge> BuildSourceCouplings(const FactDatabase& db,
 /// plus the prior carried from `prev_probs`, couplings as precomputed.
 ClaimMrf BuildClaimMrf(const FactDatabase& db, const CrfModel& model,
                        const std::vector<double>& prev_probs,
-                       const CrfConfig& config,
                        const std::vector<ClaimMrf::Edge>& couplings);
 
 /// M-step (Eq. 8): fits the weights by L2-regularized TRON on one soft-
@@ -114,8 +109,7 @@ ClaimMrf BuildClaimMrf(const FactDatabase& db, const CrfModel& model,
 /// default options.
 Result<TronReport> FitCrfWeights(const FactDatabase& db,
                                  const std::vector<double>& targets,
-                                 const BeliefState& state,
-                                 const CrfConfig& config, CrfModel* model);
+                                 const BeliefState& state, CrfModel* model);
 
 }  // namespace veritas
 

@@ -43,10 +43,11 @@ namespace veritas {
 /// Current checkpoint format version. Bumped on any layout change, and on
 /// any change to a spelling table whose enum index the record stores (v4:
 /// CrfBackend lost two values, so `dispatch` moved from 5 to 3; v5: the
-/// spec lost its thread counts and solver constants); loaders reject every
-/// other version instead of misreading it (there is no reader for older
-/// versions).
-inline constexpr uint32_t kCheckpointVersion = 5;
+/// spec lost its thread counts and solver constants; v6: the spec lost the
+/// 27 model, neighborhood, batch-weight and step-schedule values that
+/// became named constants); loaders reject every other version instead of
+/// misreading it (there is no reader for older versions).
+inline constexpr uint32_t kCheckpointVersion = 6;
 
 /// Writes `session` to `directory` (created when missing; an existing
 /// checkpoint there is replaced atomically). The caller must hold the

@@ -27,12 +27,14 @@ std::unique_ptr<UserModel> MakeUserModel(const UserSpec& spec) {
 namespace {
 
 /// Refuses a spec that asks one step for more work than the create-time
-/// bounds allow (session.h), naming the key path.
+/// bounds allow (session.h), or for a sample count of zero that every step
+/// would then fail on, naming the key path.
 Status CheckWorkBounds(const SessionSpec& spec) {
   struct Bound {
     std::string path;
     size_t value;
     size_t limit;
+    size_t floor = 0;
   };
   // Every sum comes after the bounds on its terms, which refuse the spec
   // before a sum that could wrap is read.
@@ -47,12 +49,10 @@ Status CheckWorkBounds(const SessionSpec& spec) {
   };
   for (const auto& [path, gibbs] : schedules) {
     bounds.push_back(
-        {path + ".num_samples", gibbs->num_samples, kMaxGibbsSamples});
+        {path + ".num_samples", gibbs->num_samples, kMaxGibbsSamples, 1});
     bounds.push_back({path + ".burn_in", gibbs->burn_in, kMaxGibbsSweeps});
-    bounds.push_back({path + ".thin", gibbs->thin, kMaxGibbsSweeps});
-    bounds.push_back({path + ".burn_in + num_samples * thin",
-                      gibbs->burn_in + gibbs->num_samples * gibbs->thin,
-                      kMaxGibbsSweeps});
+    bounds.push_back({path + ".burn_in + num_samples",
+                      gibbs->burn_in + gibbs->num_samples, kMaxGibbsSweeps});
   }
   const GuidanceConfig& guidance = spec.validation.guidance;
   bounds.push_back({"validation.icrf.max_em_iterations",
@@ -62,7 +62,7 @@ Status CheckWorkBounds(const SessionSpec& spec) {
   bounds.push_back({"validation.guidance.fanout_burn_in",
                     guidance.fanout_burn_in, kMaxFanoutSweeps});
   bounds.push_back({"validation.guidance.fanout_samples",
-                    guidance.fanout_samples, kMaxFanoutSweeps});
+                    guidance.fanout_samples, kMaxFanoutSweeps, 1});
   bounds.push_back({"validation.guidance.fanout_burn_in + fanout_samples",
                     guidance.fanout_burn_in + guidance.fanout_samples,
                     kMaxFanoutSweeps});
@@ -70,6 +70,11 @@ Status CheckWorkBounds(const SessionSpec& spec) {
                     spec.streaming.tron_iterations_per_arrival,
                     kMaxTronIterationsPerArrival});
   for (const Bound& bound : bounds) {
+    if (bound.value < bound.floor) {
+      return Status::InvalidArgument(
+          "Session: " + bound.path + " is " + std::to_string(bound.value) +
+          ", below " + std::to_string(bound.floor));
+    }
     if (bound.value > bound.limit) {
       return Status::InvalidArgument(
           "Session: " + bound.path + " is " + std::to_string(bound.value) +

@@ -85,13 +85,15 @@ FieldsOf<S, SessionSpec> VisitFields(V& v, S& spec) {
 /// schedule of a spec (`gibbs` and `hypothetical_gibbs`, batch and
 /// streaming). The samplers reserve one configuration per retained sample
 /// up front, so an unchecked count from the wire could exhaust memory at
-/// the first step.
+/// the first step. The smallest accepted count is 1, here and for
+/// `validation.guidance.fanout_samples`: the samplers refuse a count of
+/// zero, so a session created with one could never step.
 inline constexpr size_t kMaxGibbsSamples = 65536;
 
 /// The work a spec may ask of one step, bounded at create so that one frame
 /// cannot pin a queue worker and its session indefinitely. Each bound is far
 /// above any schedule the benches and examples run.
-/// Sweeps of one Gibbs schedule: `burn_in + num_samples * thin`.
+/// Sweeps of one Gibbs schedule: `burn_in + num_samples`.
 inline constexpr size_t kMaxGibbsSweeps = size_t{1} << 18;
 /// `max_em_iterations` of the batch and the streaming iCRF.
 inline constexpr size_t kMaxEmIterations = 64;
@@ -159,8 +161,8 @@ class Session {
   /// documents are registered up front and the claims arrive one per
   /// Advance(), mentions and ground truth carried along. A spec asking for
   /// more work than the bounds above (kMaxGibbsSamples through
-  /// kMaxTronIterationsPerArrival) is rejected with kInvalidArgument naming
-  /// its key path.
+  /// kMaxTronIterationsPerArrival), or for a sample count of zero, is
+  /// rejected with kInvalidArgument naming its key path.
   static Result<std::unique_ptr<Session>> Create(FactDatabase db,
                                                  const SessionSpec& spec);
 

@@ -76,17 +76,9 @@ FactDatabase TinyDatabase() {
 /// streaming copies apart.
 ICrfOptions NonDefaultIcrf(size_t k) {
   ICrfOptions o;
-  o.crf.l2_lambda = 1.5 + k;
   o.crf.coupling = 0.625 + k;
-  o.crf.prior_weight = 0.375 + k;
-  o.crf.prior_clamp = 0.0625 + k;
-  o.crf.labeled_weight = 6.5 + k;
-  o.crf.unlabeled_weight_floor = 0.015625 + k;
-  o.crf.unlabeled_confidence_scale = 0.1 + k;
-  o.crf.unlabeled_mass_cap_ratio = 2.75 + k;
-  o.crf.max_pairs_per_source = 300 + k;
-  o.gibbs = GibbsOptions{20 + k, 60 + k, 2 + k};
-  o.hypothetical_gibbs = GibbsOptions{10 + k, 30 + k, 4 + k};
+  o.gibbs = GibbsOptions{20 + k, 60 + k};
+  o.hypothetical_gibbs = GibbsOptions{10 + k, 30 + k};
   o.max_em_iterations = 6 + k;
   o.em_tolerance = 1e-2 * static_cast<double>(k);
   o.fit_weights = false;
@@ -107,8 +99,6 @@ SessionSpec EveryOptionSet() {
   v.icrf = NonDefaultIcrf(1);
   v.guidance.variant = GuidanceVariant::kOrigin;
   v.guidance.candidate_pool = 65;
-  v.guidance.neighborhood_radius = 3;
-  v.guidance.neighborhood_cap = 129;
   v.guidance.seed = 9007199254740993ull;
   v.guidance.fanout = FanoutKernel::kPerCandidate;
   v.guidance.fanout_burn_in = 6;
@@ -117,7 +107,6 @@ SessionSpec EveryOptionSet() {
   v.budget = 12;
   v.target_precision = 0.95;
   v.batch_size = 2;
-  v.batch_benefit_weight = 0.5;
   v.confirmation_interval = 4;
   v.termination.enable_urr = true;
   v.termination.urr_threshold = 0.25;
@@ -136,10 +125,6 @@ SessionSpec EveryOptionSet() {
 
   StreamingOptions& s = spec.streaming;
   s.icrf = NonDefaultIcrf(2);
-  s.step_a = 1.25;
-  s.step_t0 = 3.0;
-  s.step_kappa = 0.6;
-  s.window_cap = 4097;
   s.tron_iterations_per_arrival = 8;
   s.seed = 100;
   return spec;
@@ -178,10 +163,11 @@ TEST(CodecGoldenTest, CreateSessionRequest) {
   ExpectRequestFixture(request, "create_session_request.json");
 }
 
-// A peer that still sends the 30 spec members removed with the thread
-// counts and solver constants creates the same session: the decoder ignores
-// unknown members. The fixture is the create request above as committed
-// before they were removed.
+// A peer that still sends removed spec members creates the same session:
+// the decoder ignores unknown members. The fixture is the create request
+// above as committed before the 30 thread-count and solver-constant members
+// were removed, so it also carries the 27 members that later became named
+// constants (model, neighborhood, batch-weight and step-schedule values).
 TEST(CodecGoldenTest, RemovedSpecMembersAreIgnored) {
   auto decoded =
       DecodeRequest(ReadFixture("create_session_request_removed_members.json"));

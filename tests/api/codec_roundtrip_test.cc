@@ -70,13 +70,10 @@ SessionSpec RandomSpec(Rng* rng) {
   v.budget = AnySize(rng);
   v.target_precision = AnyFinite(rng);
   v.batch_size = AnySize(rng);
-  v.batch_benefit_weight = AnyFinite(rng);
   v.confirmation_interval = AnySize(rng);
   v.seed = rng->NextU64();
   v.guidance.variant = static_cast<GuidanceVariant>(rng->UniformInt(3));
   v.guidance.candidate_pool = AnySize(rng);
-  v.guidance.neighborhood_radius = AnySize(rng);
-  v.guidance.neighborhood_cap = AnySize(rng);
   v.guidance.seed = rng->NextU64();
   v.guidance.fanout = rng->Bernoulli(0.5) ? FanoutKernel::kBatched
                                           : FanoutKernel::kPerCandidate;
@@ -96,28 +93,15 @@ SessionSpec RandomSpec(Rng* rng) {
   v.termination.pir_interval = AnySize(rng);
   v.termination.pir_patience = AnySize(rng);
   ICrfOptions& icrf = v.icrf;
-  icrf.crf.l2_lambda = AnyFinite(rng);
   icrf.crf.coupling = AnyFinite(rng);
-  icrf.crf.prior_weight = AnyFinite(rng);
-  icrf.crf.prior_clamp = AnyFinite(rng);
-  icrf.crf.labeled_weight = AnyFinite(rng);
-  icrf.crf.unlabeled_weight_floor = AnyFinite(rng);
-  icrf.crf.unlabeled_confidence_scale = AnyFinite(rng);
-  icrf.crf.unlabeled_mass_cap_ratio = AnyFinite(rng);
-  icrf.crf.max_pairs_per_source = AnySize(rng);
-  icrf.gibbs = GibbsOptions{AnySize(rng), AnySize(rng), AnySize(rng)};
-  icrf.hypothetical_gibbs =
-      GibbsOptions{AnySize(rng), AnySize(rng), AnySize(rng)};
+  icrf.gibbs = GibbsOptions{AnySize(rng), AnySize(rng)};
+  icrf.hypothetical_gibbs = GibbsOptions{AnySize(rng), AnySize(rng)};
   icrf.max_em_iterations = AnySize(rng);
   icrf.em_tolerance = AnyFinite(rng);
   icrf.fit_weights = rng->Bernoulli(0.5);
   icrf.backend = static_cast<CrfBackend>(rng->UniformInt(4));
   StreamingOptions& s = spec.streaming;
   s.icrf = icrf;
-  s.step_a = AnyFinite(rng);
-  s.step_t0 = AnyFinite(rng);
-  s.step_kappa = AnyFinite(rng);
-  s.window_cap = AnySize(rng);
   s.tron_iterations_per_arrival = AnySize(rng);
   s.seed = rng->NextU64();
   return spec;
@@ -241,18 +225,20 @@ TEST(CodecRoundTripTest, SessionSpecEveryFieldSurvives) {
     EXPECT_EQ(decoded.validation.guidance.variant,
               spec.validation.guidance.variant);
     EXPECT_EQ(decoded.validation.guidance.seed, spec.validation.guidance.seed);
-    EXPECT_EQ(decoded.validation.icrf.crf.max_pairs_per_source,
-              spec.validation.icrf.crf.max_pairs_per_source);
+    EXPECT_TRUE(BitEqual(decoded.validation.icrf.crf.coupling,
+                         spec.validation.icrf.crf.coupling));
     EXPECT_EQ(decoded.validation.icrf.backend, spec.validation.icrf.backend);
-    EXPECT_EQ(decoded.validation.icrf.gibbs.thin,
-              spec.validation.icrf.gibbs.thin);
+    EXPECT_EQ(decoded.validation.icrf.gibbs.num_samples,
+              spec.validation.icrf.gibbs.num_samples);
     EXPECT_TRUE(BitEqual(decoded.validation.icrf.em_tolerance,
                          spec.validation.icrf.em_tolerance));
     EXPECT_EQ(decoded.validation.termination.pir_folds,
               spec.validation.termination.pir_folds);
     EXPECT_EQ(decoded.streaming.seed, spec.streaming.seed);
-    EXPECT_TRUE(BitEqual(decoded.streaming.step_kappa, spec.streaming.step_kappa));
-    EXPECT_EQ(decoded.streaming.window_cap, spec.streaming.window_cap);
+    EXPECT_EQ(decoded.streaming.tron_iterations_per_arrival,
+              spec.streaming.tron_iterations_per_arrival);
+    EXPECT_EQ(decoded.streaming.icrf.hypothetical_gibbs.burn_in,
+              spec.streaming.icrf.hypothetical_gibbs.burn_in);
   }
 }
 

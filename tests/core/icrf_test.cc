@@ -135,7 +135,7 @@ TEST(ICrfTest, HypotheticalLabelShiftsNeighborhood) {
   ClaimId center = 0;
   std::vector<ClaimId> hood;
   for (size_t c = 0; c < corpus.db.num_claims(); ++c) {
-    hood = icrf.hypothetical().Neighborhood(static_cast<ClaimId>(c), 1, 16);
+    hood = icrf.hypothetical().Neighborhood(static_cast<ClaimId>(c));
     if (hood.size() > 2) {
       center = static_cast<ClaimId>(c);
       break;

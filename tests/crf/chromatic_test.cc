@@ -136,10 +136,8 @@ ChromaticResult ReferenceRun(const ClaimMrf& mrf, const BeliefState& state,
   };
   uint64_t sweep = 0;
   for (size_t b = 0; b < options.burn_in; ++b) sweep_once(sweep++, false);
-  const size_t thin = std::max<size_t>(1, options.thin);
   std::vector<SpinConfig> samples;
   for (size_t s = 0; s < options.num_samples; ++s) {
-    for (size_t t = 0; t + 1 < thin; ++t) sweep_once(sweep++, false);
     sweep_once(sweep++, true);
     SpinConfig snapshot(n, 0);
     for (size_t c = 0; c < n; ++c) snapshot[c] = pm[c] > 0.0 ? 1 : 0;
@@ -171,7 +169,6 @@ TEST(ChromaticGibbsTest, MatchesSequentialReferenceBitForBit) {
   GibbsOptions options;
   options.burn_in = 3;
   options.num_samples = 5;
-  options.thin = 2;
   const uint64_t seed = 0xfeedULL;
 
   auto run = RunGibbsChromatic(mrf, state, nullptr, nullptr, options, seed,

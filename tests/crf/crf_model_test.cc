@@ -107,15 +107,14 @@ TEST(CouplingTest, LargeSourceFallsBackToBoundedTopology) {
   FactDatabase db;
   db.AddSource({"s", {0.5}});
   db.AddDocument({0, {0.5}});
-  const size_t k = 60;  // full pairs = 1770 > cap
+  constexpr size_t k = 60;  // full pairs = 1770 > cap
   for (size_t c = 0; c < k; ++c) {
     db.AddClaim({"c"});
     ASSERT_TRUE(db.AddMention(0, static_cast<ClaimId>(c), Stance::kSupport).ok());
   }
-  CrfConfig config;
-  config.max_pairs_per_source = 100;
-  const auto edges = BuildSourceCouplings(db, config);
-  EXPECT_LE(edges.size(), 100u);
+  static_assert(k * (k - 1) / 2 > kMaxPairsPerSource);
+  const auto edges = BuildSourceCouplings(db, CrfConfig());
+  EXPECT_LE(edges.size(), kMaxPairsPerSource);
   EXPECT_GE(edges.size(), k);  // at least the connectivity ring
 }
 
@@ -123,15 +122,14 @@ TEST(BuildClaimMrfTest, FieldsCombineEvidenceAndPrior) {
   const FactDatabase db = testing::MakeHandDatabase();
   CrfModel model = CrfModel::ForDatabase(db);
   (*model.mutable_weights())[0] = 1.0;
-  CrfConfig config;
-  config.prior_weight = 0.5;
   const std::vector<double> prev{0.5, 0.9, 0.5};
-  const auto couplings = BuildSourceCouplings(db, config);
-  const ClaimMrf mrf = BuildClaimMrf(db, model, prev, config, couplings);
+  const auto couplings = BuildSourceCouplings(db, CrfConfig());
+  const ClaimMrf mrf = BuildClaimMrf(db, model, prev, couplings);
   ASSERT_EQ(mrf.num_claims(), 3u);
   // Claim 0: evidence 1.0, prior logit 0 -> field 0.5.
   EXPECT_NEAR(mrf.field[0], 0.5, 1e-9);
-  // Claim 1: evidence 2.0, prior logit log(9) weighted by 0.5 -> field > 1.
+  // Claim 1: evidence 2.0, prior logit log(9) weighted by kPriorWeight
+  // -> field > 1.
   EXPECT_GT(mrf.field[1], 1.0);
   EXPECT_TRUE(mrf.adjacency_built());
   EXPECT_EQ(mrf.offsets.size(), 4u);
@@ -147,8 +145,7 @@ TEST(FitCrfWeightsTest, LearnsDiscriminativeWeightsFromLabels) {
     state.SetLabel(static_cast<ClaimId>(c), db.ground_truth(static_cast<ClaimId>(c)));
     targets[c] = db.ground_truth(static_cast<ClaimId>(c)) ? 1.0 : 0.0;
   }
-  CrfConfig config;
-  auto report = FitCrfWeights(db, targets, state, config, &model);
+  auto report = FitCrfWeights(db, targets, state, &model);
   ASSERT_TRUE(report.ok());
 
   // The fitted model must separate claims: evidence log-odds should be
@@ -176,39 +173,38 @@ TEST(FitCrfWeightsTest, RejectsBadArguments) {
   CrfModel model = CrfModel::ForDatabase(db);
   BeliefState state(db.num_claims());
   std::vector<double> bad_targets(1, 0.5);
-  EXPECT_FALSE(FitCrfWeights(db, bad_targets, state, {}, &model).ok());
+  EXPECT_FALSE(FitCrfWeights(db, bad_targets, state, &model).ok());
   std::vector<double> targets(db.num_claims(), 0.5);
-  EXPECT_FALSE(FitCrfWeights(db, targets, state, {}, nullptr).ok());
+  EXPECT_FALSE(FitCrfWeights(db, targets, state, nullptr).ok());
 }
 
 bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 /// FitCrfWeights's M-step problem written out straight-line over the oracle
-/// objective: one example per clique, labelled cliques at labeled_weight,
+/// objective: one example per clique, labelled cliques at kLabeledWeight,
 /// unlabelled ones at their confidence weight scaled under the mass cap.
 Result<TronReport> ReferenceFit(const FactDatabase& db,
                                 const std::vector<double>& targets,
-                                const BeliefState& state, const CrfConfig& config,
-                                CrfModel* model) {
+                                const BeliefState& state, CrfModel* model) {
   std::vector<double> weights(db.num_cliques());
   double labeled_mass = 0.0;
   double unlabeled_mass = 0.0;
   for (size_t i = 0; i < db.num_cliques(); ++i) {
     const ClaimId claim = db.clique(i).claim;
     if (state.IsLabeled(claim)) {
-      weights[i] = config.labeled_weight;
+      weights[i] = kLabeledWeight;
       labeled_mass += weights[i];
     } else {
       const double y = std::clamp(targets[claim], 0.0, 1.0);
-      weights[i] = config.unlabeled_weight_floor +
-                   config.unlabeled_confidence_scale * std::fabs(2.0 * y - 1.0);
+      weights[i] = kUnlabeledWeightFloor +
+                   kUnlabeledConfidenceScale * std::fabs(2.0 * y - 1.0);
       unlabeled_mass += weights[i];
     }
   }
-  const double cap = std::max(1.0, config.unlabeled_mass_cap_ratio * labeled_mass);
+  const double cap = std::max(1.0, kUnlabeledMassCapRatio * labeled_mass);
   const double scale = unlabeled_mass > cap ? cap / unlabeled_mass : 1.0;
   testing::ReferenceLogisticObjective objective(model->feature_dim(),
-                                                config.l2_lambda);
+                                                kL2Lambda);
   std::vector<double> x;
   for (size_t i = 0; i < db.num_cliques(); ++i) {
     const Clique& clique = db.clique(i);
@@ -236,14 +232,13 @@ TEST(FitCrfWeightsTest, MatchesStraightLineOracleBitwise) {
       targets[c] = rng.Uniform();
     }
   }
-  CrfConfig config;
   CrfModel fast = CrfModel::ForDatabase(db);
   CrfModel reference = fast;
   // Two rounds, like consecutive EM iterations: the second warm-starts from
   // the first round's weights.
   for (int round = 0; round < 2; ++round) {
-    auto got = FitCrfWeights(db, targets, state, config, &fast);
-    auto want = ReferenceFit(db, targets, state, config, &reference);
+    auto got = FitCrfWeights(db, targets, state, &fast);
+    auto want = ReferenceFit(db, targets, state, &reference);
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(want.ok());
     ASSERT_EQ(fast.weights().size(), reference.weights().size());

@@ -35,8 +35,6 @@ GuidanceConfig BatchedSerial() {
 
 FanoutOptions FanoutFromConfig(const GuidanceConfig& config, int rng_stream) {
   FanoutOptions options;
-  options.neighborhood_radius = config.neighborhood_radius;
-  options.neighborhood_cap = config.neighborhood_cap;
   options.base_sweeps = kFanoutBaseSweeps;
   options.burn_in = config.fanout_burn_in;
   options.num_samples = config.fanout_samples;
@@ -184,8 +182,7 @@ TEST_F(FanoutTest, BatchedClaimGainsMatchDirectWorkerRecompute) {
   FanoutWorker worker(&engine, &base.value());
   for (size_t i = 0; i < candidates.size(); ++i) {
     const ClaimId c = candidates[i];
-    const auto& neighborhood = engine.Neighborhood(
-        c, config.neighborhood_radius, config.neighborhood_cap);
+    const auto& neighborhood = engine.Neighborhood(c);
     const double h_before = ApproxSubsetEntropy(state_.probs(), neighborhood);
     const double p = ClampProb(state_.prob(c));
     double h_after = 0.0;
@@ -219,8 +216,7 @@ TEST_F(FanoutTest, SourceGainsDeltaCorrectionMatchesFullRecompute) {
 
   for (size_t i = 0; i < candidates.size(); ++i) {
     const ClaimId c = candidates[i];
-    const auto& neighborhood = engine.Neighborhood(
-        c, config.neighborhood_radius, config.neighborhood_cap);
+    const auto& neighborhood = engine.Neighborhood(c);
     std::vector<SourceId> affected;
     std::unordered_set<SourceId> dedupe;
     for (const ClaimId n : neighborhood) {

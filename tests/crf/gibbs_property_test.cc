@@ -98,25 +98,5 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(-2.0, -0.7, 0.0, 0.7, 2.0),
                        ::testing::Values(11ull, 13ull)));
 
-/// Property: thinning does not bias marginals (only decorrelates).
-TEST(GibbsThinningTest, ThinnedMarginalsAgree) {
-  ClaimMrf mrf;
-  mrf.field = {0.4, -0.4};
-  mrf.edges = {{0, 1, 0.3}};
-  mrf.RebuildAdjacency();
-  BeliefState state(2);
-  GibbsOptions thin = MediumRun();
-  thin.thin = 3;
-  thin.num_samples = 500;
-  GibbsOptions unthinned = MediumRun();
-  Rng rng_a(23), rng_b(29);
-  auto a = RunGibbs(mrf, state, nullptr, nullptr, thin, &rng_a);
-  auto b = RunGibbs(mrf, state, nullptr, nullptr, unthinned, &rng_b);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NEAR(a.value().Marginals(state)[0], b.value().Marginals(state)[0], 0.06);
-  EXPECT_NEAR(a.value().Marginals(state)[1], b.value().Marginals(state)[1], 0.06);
-}
-
 }  // namespace
 }  // namespace veritas

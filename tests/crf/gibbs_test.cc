@@ -26,8 +26,7 @@ ClaimMrf ChainMrf(const std::vector<double>& fields,
 GibbsOptions LongRun() {
   GibbsOptions options;
   options.burn_in = 100;
-  options.num_samples = 3000;
-  options.thin = 2;
+  options.num_samples = 6000;
   return options;
 }
 

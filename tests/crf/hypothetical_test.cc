@@ -74,9 +74,8 @@ std::vector<double> NestedAdjacencyReferenceMarginals(const ClaimMrf& mrf,
   };
   for (size_t b = 0; b < options.burn_in; ++b) sweep();
   std::vector<double> counts(n, 0.0);
-  const size_t thin = std::max<size_t>(1, options.thin);
   for (size_t s = 0; s < options.num_samples; ++s) {
-    for (size_t t = 0; t < thin; ++t) sweep();
+    sweep();
     for (size_t c = 0; c < n; ++c) counts[c] += spins[c];
   }
   std::vector<double> marginals(n, 0.5);
@@ -95,7 +94,7 @@ TEST(CsrEquivalenceTest, GibbsMatchesNestedAdjacencyBitForBit) {
   CrfConfig config;
   const auto couplings = BuildSourceCouplings(corpus.db, config);
   std::vector<double> prev(corpus.db.num_claims(), 0.5);
-  const ClaimMrf mrf = BuildClaimMrf(corpus.db, model, prev, config, couplings);
+  const ClaimMrf mrf = BuildClaimMrf(corpus.db, model, prev, couplings);
   ASSERT_FALSE(mrf.edges.empty());
 
   BeliefState state(corpus.db.num_claims());
@@ -140,8 +139,7 @@ TEST(HypotheticalEngineTest, EvaluateCandidateMatchesManualResample) {
       // the candidate, re-sample its neighborhood with the candidate rng.
       BeliefState hypo = state;
       hypo.SetLabel(c, branch == 0);
-      const std::vector<ClaimId> hood = engine.Neighborhood(
-          c, options.neighborhood_radius, options.neighborhood_cap);
+      const std::vector<ClaimId> hood = engine.Neighborhood(c);
       Rng rng = CandidateRng(options.seed, c, branch);
       auto manual =
           engine.ResampleScoped(hypo, &hood, &rng, /*neutral_prior=*/false);
@@ -181,8 +179,7 @@ TEST(HypotheticalEngineTest, EvaluateHoldoutMatchesManualClearLabel) {
       // re-sample the neighborhood with a neutral prior.
       BeliefState holdout = state;
       holdout.ClearLabel(c, 0.5);
-      const std::vector<ClaimId> hood = engine.Neighborhood(
-          c, options.neighborhood_radius, options.neighborhood_cap);
+      const std::vector<ClaimId> hood = engine.Neighborhood(c);
       Rng rng = CandidateRng(options.seed, c, rep);
       auto manual =
           engine.ResampleScoped(holdout, &hood, &rng, /*neutral_prior=*/true);
@@ -237,12 +234,12 @@ TEST(HypotheticalEngineTest, NeighborhoodMatchesFreshBfsAndCaches) {
   const HypotheticalEngine& engine = icrf.hypothetical();
 
   for (ClaimId c = 0; c < corpus.db.num_claims(); ++c) {
-    const std::vector<ClaimId>& cached = engine.Neighborhood(c, 2, 128);
-    const std::vector<ClaimId> fresh =
-        CouplingNeighborhood(icrf.mrf(), c, 2, 128);
+    const std::vector<ClaimId>& cached = engine.Neighborhood(c);
+    const std::vector<ClaimId> fresh = CouplingNeighborhood(
+        icrf.mrf(), c, kNeighborhoodRadius, kNeighborhoodCap);
     EXPECT_EQ(cached, fresh) << "claim " << c;
     // Second lookup returns the same cached object, not a recomputation.
-    EXPECT_EQ(&cached, &engine.Neighborhood(c, 2, 128));
+    EXPECT_EQ(&cached, &engine.Neighborhood(c));
   }
   EXPECT_EQ(engine.cached_neighborhoods(), corpus.db.num_claims());
 }
@@ -255,16 +252,17 @@ TEST(HypotheticalEngineTest, CacheSurvivesReinferenceWithoutEdgeChanges) {
   const HypotheticalEngine& engine = icrf.hypothetical();
 
   const uint64_t epoch = engine.structure_epoch();
-  const std::vector<ClaimId>* before = &engine.Neighborhood(2, 2, 128);
+  const std::vector<ClaimId>* before = &engine.Neighborhood(2);
   // Fields change every Infer(); edges do not — the cache must survive.
   state.SetLabel(0, true);
   ASSERT_TRUE(icrf.Infer(&state).ok());
   EXPECT_EQ(engine.structure_epoch(), epoch);
-  EXPECT_EQ(before, &engine.Neighborhood(2, 2, 128));
+  EXPECT_EQ(before, &engine.Neighborhood(2));
 }
 
 TEST(HypotheticalEngineTest, EdgeChangesInvalidateCachedNeighborhoods) {
-  EmulatedCorpus corpus = testing::MakeTinyCorpus(131, 30);
+  // 60 claims: the 30-claim corpus has no claim outside radius 2 of claim 0.
+  EmulatedCorpus corpus = testing::MakeTinyCorpus(131, 60);
   ICrf icrf(&corpus.db, FastOptions(), 16);
   BeliefState state(corpus.db.num_claims());
   ASSERT_TRUE(icrf.Infer(&state).ok());
@@ -272,7 +270,7 @@ TEST(HypotheticalEngineTest, EdgeChangesInvalidateCachedNeighborhoods) {
 
   // Pick a claim and another claim outside its radius-2 neighborhood.
   const ClaimId center = 0;
-  const std::vector<ClaimId> hood = engine.Neighborhood(center, 1, 1024);
+  const std::vector<ClaimId> hood = engine.Neighborhood(center);
   ClaimId outsider = 0;
   bool found = false;
   for (ClaimId c = 0; c < corpus.db.num_claims() && !found; ++c) {
@@ -293,7 +291,7 @@ TEST(HypotheticalEngineTest, EdgeChangesInvalidateCachedNeighborhoods) {
   icrf.MarkStructuresStale();
   ASSERT_TRUE(icrf.Infer(&state).ok());
   EXPECT_GT(engine.structure_epoch(), epoch);
-  const std::vector<ClaimId>& refreshed = engine.Neighborhood(center, 1, 1024);
+  const std::vector<ClaimId>& refreshed = engine.Neighborhood(center);
   EXPECT_NE(std::find(refreshed.begin(), refreshed.end(), outsider),
             refreshed.end())
       << "cache must reflect the new edge after invalidation";
@@ -348,7 +346,7 @@ TEST(HypotheticalEngineTest, UnboundEngineRejectsEvaluations) {
   EXPECT_FALSE(engine.EvaluateHoldout(state, 0, 0, options).ok());
   Rng rng(1);
   EXPECT_FALSE(engine.ResampleScoped(state, nullptr, &rng, false).ok());
-  EXPECT_TRUE(engine.Neighborhood(0, 2, 128).empty());
+  EXPECT_TRUE(engine.Neighborhood(0).empty());
 }
 
 }  // namespace

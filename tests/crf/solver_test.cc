@@ -149,7 +149,7 @@ TEST(SolverTest, GibbsTracksExactMarginals) {
   ASSERT_TRUE(exact.ok());
 
   Rng rng(5);
-  auto gibbs = RunGibbs(mrf, state, nullptr, nullptr, GibbsOptions{200, 2000, 1},
+  auto gibbs = RunGibbs(mrf, state, nullptr, nullptr, GibbsOptions{200, 2000},
                         &rng);
   ASSERT_TRUE(gibbs.ok());
   const std::vector<double> marginals = gibbs.value().Marginals(state);
@@ -212,7 +212,7 @@ TEST(SolverTest, DispatchMergeIsBitDeterministicAcrossThreadCounts) {
   mrf.RebuildAdjacency();
   const BeliefState state(mrf.num_claims());
 
-  const GibbsOptions gibbs{10, 30, 1};
+  const GibbsOptions gibbs{10, 30};
   const uint64_t draw_seed = 4242;
   auto serial = DispatchMarginals(mrf, state, gibbs, nullptr, draw_seed, nullptr);
   ASSERT_TRUE(serial.ok());
@@ -244,7 +244,7 @@ TEST(SolverTest, DispatchSampledFallbackTracksExactMarginals) {
   mrf.RebuildAdjacency();
   const BeliefState state = RandomState(&gen, n, 0.0);
 
-  auto got = DispatchMarginals(mrf, state, GibbsOptions{200, 2000, 1}, nullptr,
+  auto got = DispatchMarginals(mrf, state, GibbsOptions{200, 2000}, nullptr,
                                31337, nullptr);
   ASSERT_TRUE(got.ok());
   EXPECT_FALSE(got.value().exact);

@@ -1,11 +1,11 @@
-// Committed checkpoint files (DESIGN.md §9): loading each v5 fixture and
+// Committed checkpoint files (DESIGN.md §9): loading each v6 fixture and
 // saving it again must reproduce session.bin byte for byte, as the only
 // file in the directory. A field dropped from both the writer and the
 // reader still passes a save -> load -> save round trip of freshly written
 // bytes; it cannot pass this one, because the committed bytes carry the
-// field. The v2, v3 and v4 fixtures under v2/, v3/ and v4/ are kept as
-// inputs: there is no reader for any of them, so each must be refused by
-// the version check.
+// field. The v2 to v5 fixtures under v2/ to v5/ are kept as inputs: there
+// is no reader for any of them, so each must be refused by the version
+// check.
 
 #include "service/checkpoint.h"
 
@@ -101,6 +101,14 @@ TEST_F(CheckpointGoldenTest, Version4CheckpointsAreRejected) {
   // trace knobs; read as v5, their slots would shift every later field.
   ExpectOldVersionRejected(4, "batch_awaiting_answers");
   ExpectOldVersionRejected(4, "streaming_mid_stream");
+}
+
+TEST_F(CheckpointGoldenTest, Version5CheckpointsAreRejected) {
+  // v5 specs carried 27 more eight-byte slots (the model, neighborhood,
+  // batch-weight and step-schedule values that became constants); read as
+  // v6, every field after the first of them would shift.
+  ExpectOldVersionRejected(5, "batch_awaiting_answers");
+  ExpectOldVersionRejected(5, "streaming_mid_stream");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Seeded mutation of the checkpoint reader (DESIGN.md §9): both committed
-// v5 fixtures are mutated after their 8-byte header (magic and version) by
+// v6 fixtures are mutated after their 8-byte header (magic and version) by
 // byte overwrites, truncations, and duplicated and deleted spans, with
 // every choice drawn from CounterUniform (testing/mutation.h), so the run is
 // the same on every host. Each mutant gets a fresh trailing checksum, so it

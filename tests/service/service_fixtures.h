@@ -14,8 +14,8 @@ namespace testing {
 /// candidate pool.
 inline ValidationOptions FastValidationOptions(uint64_t seed = 42) {
   ValidationOptions options;
-  options.icrf.gibbs = GibbsOptions{5, 12, 1};
-  options.icrf.hypothetical_gibbs = GibbsOptions{4, 8, 1};
+  options.icrf.gibbs = GibbsOptions{5, 12};
+  options.icrf.hypothetical_gibbs = GibbsOptions{4, 8};
   options.icrf.max_em_iterations = 2;
   options.guidance.variant = GuidanceVariant::kScalable;
   options.guidance.candidate_pool = 8;
@@ -38,7 +38,7 @@ inline SessionSpec BatchSpec(uint64_t seed = 42, size_t budget = 4) {
 inline SessionSpec StreamingSpec(uint64_t seed = 99, size_t label_interval = 3) {
   SessionSpec spec;
   spec.mode = SessionMode::kStreaming;
-  spec.streaming.icrf.gibbs = GibbsOptions{5, 12, 1};
+  spec.streaming.icrf.gibbs = GibbsOptions{5, 12};
   spec.streaming.icrf.max_em_iterations = 2;
   spec.streaming.tron_iterations_per_arrival = 3;
   spec.streaming.seed = seed;

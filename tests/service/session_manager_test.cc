@@ -569,12 +569,12 @@ TEST_F(SessionManagerTest, OversizedStepWorkIsRejectedAtCreate) {
        [](SessionSpec* s) {
          s->validation.icrf.hypothetical_gibbs.burn_in = kHuge;
        }},
-      {"streaming.icrf.gibbs.thin",
-       [](SessionSpec* s) { s->streaming.icrf.gibbs.thin = SIZE_MAX; }},
-      {"streaming.icrf.hypothetical_gibbs.burn_in + num_samples * thin",
+      {"streaming.icrf.gibbs.burn_in",
+       [](SessionSpec* s) { s->streaming.icrf.gibbs.burn_in = SIZE_MAX; }},
+      {"streaming.icrf.hypothetical_gibbs.burn_in + num_samples",
        [](SessionSpec* s) {
          s->streaming.icrf.hypothetical_gibbs.num_samples = kMaxGibbsSamples;
-         s->streaming.icrf.hypothetical_gibbs.thin = 8;
+         s->streaming.icrf.hypothetical_gibbs.burn_in = kMaxGibbsSweeps;
        }},
       {"validation.icrf.max_em_iterations",
        [](SessionSpec* s) { s->validation.icrf.max_em_iterations = kHuge; }},
@@ -603,9 +603,8 @@ TEST_F(SessionManagerTest, OversizedStepWorkIsRejectedAtCreate) {
 
   // Each bound itself is accepted.
   SessionSpec at_bounds = BatchSpec(5, 2);
-  at_bounds.validation.icrf.gibbs.num_samples = kMaxGibbsSweeps / 4;
-  at_bounds.validation.icrf.gibbs.thin = 2;
-  at_bounds.validation.icrf.gibbs.burn_in = kMaxGibbsSweeps / 2;
+  at_bounds.validation.icrf.gibbs.num_samples = kMaxGibbsSamples;
+  at_bounds.validation.icrf.gibbs.burn_in = kMaxGibbsSweeps - kMaxGibbsSamples;
   at_bounds.streaming.icrf.max_em_iterations = kMaxEmIterations;
   at_bounds.validation.guidance.fanout_burn_in = kMaxFanoutSweeps / 2;
   at_bounds.validation.guidance.fanout_samples = kMaxFanoutSweeps / 2;
@@ -621,6 +620,87 @@ TEST_F(SessionManagerTest, OversizedStepWorkIsRejectedAtCreate) {
       &api, AdvanceFrame(std::get<CreateSessionResponse>(created.result).session));
   ASSERT_FALSE(IsError(step));
   EXPECT_TRUE(std::get<StepResponse>(step.result).step.iteration_completed);
+}
+
+// Regression: Create accepted a sample count of zero, and every step of the
+// session then failed in the sampler it reached ("num_samples must be
+// positive"). Create now refuses zero in each of the five counts. Members
+// that left the spec as named constants are ignored like any unknown
+// member, so a frame still asking for an invalid step schedule or an empty
+// neighborhood creates a session that steps normally.
+TEST_F(SessionManagerTest, ZeroSampleCountsAreRejectedAtCreate) {
+  SessionManager manager;
+  RequestQueue queue(&manager, RequestQueueOptions{});
+  GuidanceApi api(&manager, &queue);
+  auto corpus = MakeTinyCorpus(31);
+
+  const std::pair<std::string, void (*)(SessionSpec*)> zeroed[] = {
+      {"validation.icrf.gibbs.num_samples",
+       [](SessionSpec* s) { s->validation.icrf.gibbs.num_samples = 0; }},
+      {"validation.icrf.hypothetical_gibbs.num_samples",
+       [](SessionSpec* s) {
+         s->validation.icrf.hypothetical_gibbs.num_samples = 0;
+       }},
+      {"streaming.icrf.gibbs.num_samples",
+       [](SessionSpec* s) {
+         *s = StreamingSpec();
+         s->streaming.icrf.gibbs.num_samples = 0;
+       }},
+      {"streaming.icrf.hypothetical_gibbs.num_samples",
+       [](SessionSpec* s) {
+         *s = StreamingSpec();
+         s->streaming.icrf.hypothetical_gibbs.num_samples = 0;
+       }},
+      {"validation.guidance.fanout_samples",
+       [](SessionSpec* s) { s->validation.guidance.fanout_samples = 0; }},
+  };
+  for (const auto& [path, zero] : zeroed) {
+    SessionSpec spec = BatchSpec(5, 2);
+    zero(&spec);
+    const ApiResponse refused = Serve(&api, CreateFrame(corpus.db, spec));
+    ASSERT_TRUE(IsError(refused)) << path;
+    const ErrorResponse& error = std::get<ErrorResponse>(refused.result);
+    EXPECT_EQ(error.code, StatusCode::kInvalidArgument) << path;
+    EXPECT_NE(error.message.find(path + " is 0, below 1"), std::string::npos)
+        << error.message;
+  }
+
+  // The backend is still serving: a normal session runs a step.
+  const ApiResponse created =
+      Serve(&api, CreateFrame(corpus.db, BatchSpec(5, 2)));
+  ASSERT_FALSE(IsError(created));
+  const ApiResponse step = Serve(
+      &api, AdvanceFrame(std::get<CreateSessionResponse>(created.result).session));
+  ASSERT_FALSE(IsError(step));
+  EXPECT_TRUE(std::get<StepResponse>(step.result).step.iteration_completed);
+
+  // Removed members: spliced into otherwise valid create frames.
+  auto splice = [](std::string frame, const std::string& before,
+                   const std::string& member) {
+    const size_t at = frame.find(before);
+    EXPECT_NE(at, std::string::npos) << before;
+    return at == std::string::npos ? frame : frame.insert(at, member + ",");
+  };
+  const std::string kappa_frame =
+      splice(CreateFrame(corpus.db, StreamingSpec()),
+             "\"tron_iterations_per_arrival\":", "\"step_kappa\":2");
+  const std::string cap_frame =
+      splice(CreateFrame(corpus.db, BatchSpec(5, 2)), "\"candidate_pool\":",
+             "\"neighborhood_cap\":0");
+  for (const std::string& frame : {kappa_frame, cap_frame}) {
+    const ApiResponse ignored = Serve(&api, frame);
+    ASSERT_FALSE(IsError(ignored))
+        << std::get<ErrorResponse>(ignored.result).message;
+    const SessionId session =
+        std::get<CreateSessionResponse>(ignored.result).session;
+    for (int i = 0; i < 2; ++i) {  // the batch spec's budget is 2
+      const ApiResponse advanced = Serve(&api, AdvanceFrame(session));
+      ASSERT_FALSE(IsError(advanced))
+          << std::get<ErrorResponse>(advanced.result).message;
+      const StepResult& result = std::get<StepResponse>(advanced.result).step;
+      EXPECT_TRUE(result.iteration_completed || result.arrival_processed);
+    }
+  }
 }
 
 }  // namespace
